@@ -29,7 +29,7 @@ import numpy as np
 from .errors import MissingBounds
 from .function_space import Grid
 from .kernels import KernelSpec
-from .quadrature import inner_scalar_integral, triangle_integral
+from .quadrature import inner_integral
 
 _DIAG_SAMPLES = 50
 _DIAG_ATOL = 1e-10
@@ -64,6 +64,14 @@ class HypothesisReport:
         }
 
 
+def _inner_bound(f2, grid: Grid) -> np.ndarray:
+    """Inner rule of a bound f2(t, tau) at each cell midpoint; shape (N,)."""
+    def f(t, tau, x):
+        return np.broadcast_to(np.asarray(f2(t, tau), float), np.shape(t))[..., None]
+
+    return inner_integral(f, grid, np.zeros((grid.n_cells + 1, 1)))[:, 0]
+
+
 def _sample_diagonal(kernel: KernelSpec, grid: Grid) -> tuple[bool, int]:
     """Max |v(t, t, x)| over a t-lattice times an x-lattice (or ball)."""
     t = np.linspace(grid.alpha, grid.beta, _DIAG_SAMPLES)
@@ -93,7 +101,8 @@ def check_A3(kernel: KernelSpec, grid: Grid) -> HypothesisReport:
         raise MissingBounds(f"kernel {kernel.name} declares no c0/d0 bounds")
     diag_ok, n_diag = _sample_diagonal(kernel, grid)
     c0 = b.c0
-    norm_sq = triangle_integral(lambda t, tau: np.asarray(c0(t, tau), float) ** 2, grid)
+    norm_sq = grid.delta * _inner_bound(lambda t, tau: np.asarray(c0(t, tau), float) ** 2,
+                                        grid).sum()
     norm_value = math.sqrt(max(norm_sq, 0.0))
     threshold = math.sqrt(2.0) / (2.0 * grid.length)
     margin = threshold - norm_value
@@ -109,12 +118,8 @@ def check_A3(kernel: KernelSpec, grid: Grid) -> HypothesisReport:
     )
 
 
-def _ctilde_at_midpoints(kernel: KernelSpec, grid: Grid) -> np.ndarray:
-    b = kernel.bounds
-    c1, c2 = b.c1, b.c2
-    inner = inner_scalar_integral(
-        lambda t, tau: np.asarray(c2(t, tau), float) ** 2, grid
-    )
+def _ctilde_at_midpoints(c1, c2, grid: Grid) -> np.ndarray:
+    inner = _inner_bound(lambda t, tau: np.asarray(c2(t, tau), float) ** 2, grid)
     root = np.sqrt(grid.midpoints - grid.alpha) * np.asarray(c1(grid.midpoints), float)
     return root + grid.length / math.sqrt(2.0) * np.sqrt(np.maximum(inner, 0.0))
 
@@ -130,7 +135,7 @@ def check_A4(kernel: KernelSpec, grid: Grid) -> HypothesisReport:
     b = kernel.bounds
     if b is None or any(f is None for f in (b.c1, b.d1, b.c2, b.d2)):
         raise MissingBounds(f"kernel {kernel.name} declares no c1/d1/c2/d2 bounds")
-    ct = _ctilde_at_midpoints(kernel, grid)
+    ct = _ctilde_at_midpoints(b.c1, b.c2, grid)
     norm_value = math.sqrt(float(grid.delta * (ct * ct).sum()))
     threshold = 0.5
     margin = threshold - norm_value
@@ -175,11 +180,8 @@ def coercivity_constants(kernel: KernelSpec, grid: Grid) -> tuple[float, float]:
     else:
         raise MissingBounds(f"kernel {kernel.name} bounds are incomplete")
 
-    inner_c = inner_scalar_integral(lambda t, tau: np.asarray(c2(t, tau), float) ** 2, grid)
-    ct = np.sqrt(grid.midpoints - grid.alpha) * np.asarray(c1(grid.midpoints), float) \
-        + grid.length / math.sqrt(2.0) * np.sqrt(np.maximum(inner_c, 0.0))
-    dt = np.asarray(d1(grid.midpoints), float) \
-        + inner_scalar_integral(lambda t, tau: np.asarray(d2(t, tau), float), grid)
+    ct = _ctilde_at_midpoints(c1, c2, grid)
+    dt = np.asarray(d1(grid.midpoints), float) + _inner_bound(d2, grid)
     c_norm = math.sqrt(float(grid.delta * (ct * ct).sum()))
     d_norm = math.sqrt(float(grid.delta * (dt * dt).sum()))
     return c_norm, d_norm
@@ -216,9 +218,9 @@ def check_example2(w_prime, A: float, T: float, grid: Grid) -> HypothesisReport:
         raise ValueError(f"need A > 0 and T > 0, got A={A}, T={T}")
     if abs(grid.alpha) > 1e-12 or abs(grid.beta - T) > 1e-12 * max(1.0, T):
         raise ValueError(f"grid [{grid.alpha}, {grid.beta}] must span [0, {T}]")
-    value = triangle_integral(
+    value = float(grid.delta * _inner_bound(
         lambda t, tau: np.asarray(w_prime(np.asarray(t, float) - tau), float) ** 2, grid
-    )
+    ).sum())
     threshold = 1.0 / (2.0 * A * A * T * T)
     margin = threshold - value
     n_quad = grid.n_cells * (grid.n_cells - 1) // 2 + grid.n_cells

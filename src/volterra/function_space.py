@@ -93,8 +93,8 @@ class GridFunction:
     """Node values of a piecewise-linear function anchored at alpha.
 
     values has shape (n_cells + 1, dim); a 1-d array is promoted to a
-    single column.  values[0] is required to vanish (up to ANCHOR_ATOL)
-    and is stored as exact zero.
+    single column.  Non-finite values are rejected.  values[0] is
+    required to vanish (up to ANCHOR_ATOL) and is stored as exact zero.
     """
 
     grid: Grid
@@ -111,6 +111,8 @@ class GridFunction:
             )
         if v.shape[1] < 1:
             raise ValueError("dim must be at least 1")
+        if not np.isfinite(v).all():
+            raise ValueError("values must be finite")
         if np.abs(v[0]).max() > ANCHOR_ATOL:
             raise NotAnchoredAtAlpha(
                 f"|x(alpha)| = {np.abs(v[0]).max():.3e} exceeds {ANCHOR_ATOL:.0e}"

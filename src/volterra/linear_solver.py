@@ -9,23 +9,21 @@ the same node values and can cross-check each other.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
+from scipy.special import gammainc
 
-from .errors import DimMismatch, GridMismatch, SingularBlock
+from .errors import DimMismatch, SingularBlock
 from .function_space import GridFunction, ac_norm, sup_norm, zeros
 from .kernels import KernelSpec, TriangularDomain
-from .quadrature import cell_midpoint_values, node_matvec_integral, node_pairs
+from .quadrature import _row_blocks, cell_midpoint_values, node_integral
 
 
-def _require_same(a: GridFunction, b: GridFunction):
-    if a.grid != b.grid:
-        raise GridMismatch(f"{a.grid} vs {b.grid}")
-    if a.dim != b.dim:
-        raise DimMismatch(f"dim {a.dim} vs {b.dim}")
+# Same grid and dim, or GridMismatch / DimMismatch.
+_require_same = GridFunction._require_compatible
 
 
 def _require_kernel_dim(kernel: KernelSpec, x: GridFunction):
@@ -37,7 +35,7 @@ def apply_T(kernel: KernelSpec, x0: GridFunction, g: GridFunction) -> GridFuncti
     """(T g)(t_i) = integral over [alpha, t_i] of v_x(t_i, tau, x0(tau)) g(tau)."""
     _require_same(x0, g)
     _require_kernel_dim(kernel, x0)
-    vals = node_matvec_integral(kernel.v_x, x0.grid, x0.values, g.values)
+    vals = node_integral(kernel.v_x, x0.grid, x0.values, g.values)
     return GridFunction(x0.grid, vals)
 
 
@@ -87,19 +85,44 @@ def iterate_bound(k: int, bound: NeumannBound) -> float:
 
 
 def tail_bound(k: int, bound: NeumannBound) -> float:
-    """Sum of iterate_bound(j) over j > k."""
+    """Sum of iterate_bound(j) over j > k: D e^A P(k, A), P(0, A) = 1.
+
+    P is the regularized lower incomplete gamma function.  The sum is
+    formed in log space; beyond the float range it reads inf.
+    """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    term = iterate_bound(k + 1, bound)
-    total = term
-    j = k + 1
-    while term > 0 and j < k + 400:
-        term *= bound.A / j
-        total += term
-        if term < 1e-18 * max(total, 1.0):
-            break
-        j += 1
-    return total
+    if bound.D == 0.0 or (k > 0 and bound.A == 0.0):
+        return 0.0
+    A = bound.A
+    p = 1.0 if k == 0 else float(gammainc(k, A))
+    if p > 0.0:
+        log_sum = A + math.log(p)  # log of sum_{m >= k} A^m / m!
+    else:
+        # P underflows only for k >> A: bound by a geometric series.
+        log_sum = k * math.log(A) - math.lgamma(k + 1) - math.log1p(-A / (k + 1))
+    try:
+        return math.exp(math.log(bound.D) + log_sum)
+    except OverflowError:
+        return math.inf
+
+
+def _halton(n: int, d: int) -> np.ndarray:
+    """First n points of the unscrambled Halton sequence in [0, 1)^d:
+    coordinate k is the radical inverse of the index in the k-th prime."""
+    primes = [2]
+    while len(primes) < d:
+        primes.append(next(c for c in itertools.count(primes[-1] + 1)
+                           if all(c % p for p in primes)))
+    out = np.zeros((n, d))
+    for k, base in enumerate(primes):
+        q = np.arange(n)
+        scale = 1.0 / base
+        while q.any():
+            out[:, k] += (q % base) * scale
+            q //= base
+            scale /= base
+    return out
 
 
 def estimate_l_rho(kernel: KernelSpec, rho: float, samples: int,
@@ -118,8 +141,7 @@ def estimate_l_rho(kernel: KernelSpec, rho: float, samples: int,
     if samples < 1:
         raise ValueError("samples must be positive")
     dom = domain or kernel.domain or TriangularDomain(0.0, 1.0)
-    eng = qmc.Halton(d=2 + kernel.dim, scramble=False)
-    u = eng.random(samples)
+    u = _halton(samples, 2 + kernel.dim)
     t = dom.alpha + (dom.beta - dom.alpha) * u[:, 0]
     tau = dom.alpha + (t - dom.alpha) * u[:, 1]
     x = rho * (2.0 * u[:, 2:] - 1.0)
@@ -208,30 +230,31 @@ def collocation_solve(kernel: KernelSpec, x0: GridFunction,
 
     Forward substitution over nodes; the only inversions are the
     (dim x dim) diagonal blocks I + delta/2 * v_x(t_i, m_{i-1}, x0).
-    The discrete equations are satisfied to rounding, so the residual
-    measured with apply_T is at machine level.
+    The v_x samples come one row block of the quadrature walk at a time
+    and are never held whole.  The discrete equations are satisfied to
+    rounding, so the residual measured with apply_T is at machine level.
     """
     _require_same(x0, g)
     _require_kernel_dim(kernel, x0)
     grid = g.grid
-    N, n, d = grid.n_cells, g.dim, grid.delta
+    d = grid.delta
+    h = np.zeros_like(g.values)
+    eye = np.eye(g.dim)
     x0m = cell_midpoint_values(x0.values)
-    i_idx, j_idx = node_pairs(N)
-    W = np.zeros((N + 1, N, n, n))
-    W[i_idx, j_idx] = kernel.v_x(grid.nodes[i_idx], grid.midpoints[j_idx], x0m[j_idx])
-
-    h = np.zeros((N + 1, n))
-    eye = np.eye(n)
-    for i in range(1, N + 1):
-        rhs = g.values[i].copy()
-        if i >= 2:
-            hm = 0.5 * (h[: i - 1] + h[1:i])
-            rhs -= d * np.einsum("jab,jb->a", W[i, : i - 1], hm)
-        rhs -= 0.5 * d * (W[i, i - 1] @ h[i - 1])
-        block = eye + 0.5 * d * W[i, i - 1]
-        if abs(np.linalg.det(block)) < 1e-14:
-            raise SingularBlock(
-                f"diagonal block at node {i} is singular; refine the grid"
-            )
-        h[i] = np.linalg.solve(block, rhs)
+    for r0, r1, W in _row_blocks(kernel.v_x, grid.nodes, grid.midpoints, x0m):
+        # Columns j < r0 - 1 have both end values solved: one matvec.
+        # The rest are swept row by row as the block's nodes are solved.
+        hm = 0.5 * (h[: r0 - 1] + h[1:r0])
+        rhs = g.values[r0:r1] - d * np.einsum("ijab,jb->ia", W[:, : r0 - 1], hm)
+        for i in range(r0, r1):
+            Wi = W[i - r0]
+            hm = 0.5 * (h[r0 - 1 : i - 1] + h[r0:i])
+            r = rhs[i - r0] - d * np.einsum("jab,jb->a", Wi[r0 - 1 : i - 1], hm) \
+                - 0.5 * d * (Wi[i - 1] @ h[i - 1])
+            block = eye + 0.5 * d * Wi[i - 1]
+            if abs(np.linalg.det(block)) < 1e-14:
+                raise SingularBlock(
+                    f"diagonal block at node {i} is singular; refine the grid"
+                )
+            h[i] = np.linalg.solve(block, r)
     return GridFunction(grid, h)

@@ -15,30 +15,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimMismatch, GridMismatch
 from .function_space import GridFunction
-from .linear_solver import apply_T
+from .linear_solver import _require_kernel_dim, _require_same, apply_T
 from .quadrature import (
     cell_midpoint_values,
-    cell_quarter_values,
     inner_integral,
-    inner_matvec_integral,
-    mid_pairs,
+    inner_integral_adjoint,
     node_integral,
-    quarter_nodes,
 )
-
-
-def _require_same(a: GridFunction, b: GridFunction):
-    if a.grid != b.grid:
-        raise GridMismatch(f"{a.grid} vs {b.grid}")
-    if a.dim != b.dim:
-        raise DimMismatch(f"dim {a.dim} vs {b.dim}")
-
-
-def _require_kernel_dim(kernel, x: GridFunction):
-    if kernel.dim != x.dim:
-        raise DimMismatch(f"kernel dim {kernel.dim} vs function dim {x.dim}")
 
 
 def apply_V(kernel, x: GridFunction) -> GridFunction:
@@ -88,7 +72,7 @@ def frechet_dt(kernel, x0: GridFunction, h: GridFunction) -> np.ndarray:
     hm = cell_midpoint_values(h.values)
     diag_mat = np.asarray(kernel.v_x(grid.midpoints, grid.midpoints, xm), float)
     diag = np.einsum("pab,pb->pa", diag_mat, hm)
-    inner = inner_matvec_integral(kernel.v_tx, grid, x0.values, h.values)
+    inner = inner_integral(kernel.v_tx, grid, x0.values, h.values)
     return slope + diag + inner
 
 
@@ -127,10 +111,11 @@ def functional_gradient(kernel, x: GridFunction, y: GridFunction) -> np.ndarray:
     _require_same(x, y)
     _require_kernel_dim(kernel, x)
     grid = x.grid
-    N, n, d = grid.n_cells, x.dim, grid.delta
+    d = grid.delta
     D = apply_V_dt(kernel, x) - _dy(y)
 
-    g = np.zeros((N + 1, n))
+    # Transpose of frechet_dt in h, term by term, weighted by delta D.
+    g = inner_integral_adjoint(kernel.v_tx, grid, x.values, d * D)
     # Slope term: dD_i picks up (dv_{i+1} - dv_i)/delta, weighted by delta D_i.
     g[1:] += D
     g[:-1] -= D
@@ -140,21 +125,6 @@ def functional_gradient(kernel, x: GridFunction, y: GridFunction) -> np.ndarray:
     w_diag = 0.5 * d * np.einsum("pba,pb->pa", diag_mat, D)
     g[:-1] += w_diag
     g[1:] += w_diag
-
-    i_idx, j_idx = mid_pairs(N)
-    if i_idx.size:
-        mats = np.asarray(
-            kernel.v_tx(grid.midpoints[i_idx], grid.midpoints[j_idx], xm[j_idx]), float
-        )
-        w_full = 0.5 * d * d * np.einsum("pba,pb->pa", mats, D[i_idx])
-        np.add.at(g, j_idx, w_full)
-        np.add.at(g, j_idx + 1, w_full)
-
-    xq = cell_quarter_values(x.values)
-    mats_q = np.asarray(kernel.v_tx(grid.midpoints, quarter_nodes(grid), xq), float)
-    w_half = 0.5 * d * d * np.einsum("pba,pb->pa", mats_q, D)
-    g[:-1] += 0.75 * w_half
-    g[1:] += 0.25 * w_half
 
     g[0] = 0.0
     return g

@@ -11,6 +11,14 @@ Every integral in the package is discretized with one family of rules:
 * double integrals over the triangle combine the outer midpoints m_i
   (weight delta) with the inner rule above.
 
+The full-cell part of both rules sums samples f(r_i, m_j, x(m_j)) over
+the strict lower triangle j < i, with r the nodes or the midpoints.
+_row_blocks walks it in blocks of rows [r0, r1): the dense rectangle of
+columns [0, r0), passed to the evaluator as broadcast views, plus the
+small triangle inside the block.  Blocks hold at most _BLOCK_SAMPLES
+samples, so memory grows as N.  Summing the blocks along rows gives the
+rules; summing along columns gives their transpose.
+
 The certification module evaluates declared growth bounds on exactly
 these nodes.  That alignment matters: it turns the discrete coercivity
 inequality into a chain of Cauchy-Schwarz steps with no quadrature
@@ -19,19 +27,15 @@ slack, so it holds to rounding error for every grid.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .function_space import Grid
 
-
-def node_pairs(n_cells: int):
-    """Indices (i, j) with j < i: node t_i against cell midpoint m_j."""
-    return np.tril_indices(n_cells + 1, k=-1, m=n_cells)
-
-
-def mid_pairs(n_cells: int):
-    """Indices (i, j) with j < i: cell midpoint m_i against midpoint m_j."""
-    return np.tril_indices(n_cells, k=-1)
+# Cap on the (t, tau) samples one block evaluates and holds; a block
+# still takes a whole row when a single row is longer.
+_BLOCK_SAMPLES = 1 << 18
 
 
 def cell_midpoint_values(values: np.ndarray) -> np.ndarray:
@@ -48,87 +52,83 @@ def quarter_nodes(grid: Grid) -> np.ndarray:
     return grid.nodes[:-1] + 0.25 * grid.delta
 
 
-def node_integral(f, grid: Grid, values: np.ndarray) -> np.ndarray:
+def _row_blocks(f, rows: np.ndarray, cols: np.ndarray, xc: np.ndarray):
+    """Walk the strict lower triangle j < i of f(rows[i], cols[j], xc[j]).
+
+    Yields (r0, r1, block) for consecutive row blocks starting at row 1
+    (row 0 has no samples).  block has shape (r1 - r0, r1 - 1) + value
+    shape: block[i - r0, j] is the sample for j < i and zero elsewhere.
+    Every pair j < i is evaluated exactly once.
+    """
+    r0 = 1
+    while r0 < rows.size:
+        b = max(1, (math.isqrt(r0 * r0 + 4 * _BLOCK_SAMPLES) - r0) // 2)
+        r1 = min(rows.size, r0 + b)
+        shape = (r1 - r0, r0)
+        rect = np.asarray(f(np.broadcast_to(rows[r0:r1, None], shape),
+                            np.broadcast_to(cols[None, :r0], shape),
+                            np.broadcast_to(xc[None, :r0], shape + xc.shape[1:])), float)
+        block = np.zeros((r1 - r0, r1 - 1) + rect.shape[2:])
+        block[:, :r0] = rect
+        if r1 - r0 > 1:
+            ii, jj = np.tril_indices(r1 - r0, k=-1)
+            block[ii, r0 + jj] = f(rows[r0 + ii], cols[r0 + jj], xc[r0 + jj])
+        yield r0, r1, block
+        r0 = r1
+
+
+def _row_sums(f, rows, grid: Grid, values, hvalues):
+    """delta * sum over j < i of f(rows[i], m_j, x(m_j)), times h(m_j) if given."""
+    out = np.zeros((rows.size, values.shape[1]))
+    hm = None if hvalues is None else cell_midpoint_values(hvalues)
+    for r0, r1, block in _row_blocks(f, rows, grid.midpoints, cell_midpoint_values(values)):
+        out[r0:r1] = block.sum(axis=1) if hm is None else \
+            np.einsum("ijab,jb->ia", block, hm[: r1 - 1])
+    return grid.delta * out
+
+
+def node_integral(f, grid: Grid, values: np.ndarray,
+                  hvalues: np.ndarray | None = None) -> np.ndarray:
     """Quadrature of f(t_i, tau, x(tau)) over [alpha, t_i] for all nodes.
 
     f follows the kernel evaluator convention and returns the value
-    shape (dim,) per sample.  Output shape (N + 1, dim); row 0 is zero.
+    shape (dim,) per sample; with hvalues it returns a matrix per sample
+    that is applied to h(tau).  Output shape (N + 1, dim); row 0 is zero.
     """
-    n = values.shape[1]
-    out = np.zeros((grid.n_cells + 1, n))
-    i_idx, j_idx = node_pairs(grid.n_cells)
-    if i_idx.size:
-        xm = cell_midpoint_values(values)
-        vals = f(grid.nodes[i_idx], grid.midpoints[j_idx], xm[j_idx])
-        np.add.at(out, i_idx, vals)
-    return grid.delta * out
+    return _row_sums(f, grid.nodes, grid, values, hvalues)
 
 
-def node_matvec_integral(fmat, grid: Grid, values: np.ndarray,
-                         hvalues: np.ndarray) -> np.ndarray:
-    """Like node_integral for matrix-valued fmat applied to h(tau)."""
-    n = hvalues.shape[1]
-    out = np.zeros((grid.n_cells + 1, n))
-    i_idx, j_idx = node_pairs(grid.n_cells)
-    if i_idx.size:
-        xm = cell_midpoint_values(values)
-        hm = cell_midpoint_values(hvalues)
-        mats = fmat(grid.nodes[i_idx], grid.midpoints[j_idx], xm[j_idx])
-        np.add.at(out, i_idx, np.einsum("pab,pb->pa", mats, hm[j_idx]))
-    return grid.delta * out
-
-
-def inner_integral(f, grid: Grid, values: np.ndarray) -> np.ndarray:
+def inner_integral(f, grid: Grid, values: np.ndarray,
+                   hvalues: np.ndarray | None = None) -> np.ndarray:
     """Quadrature of f(m_i, tau, x(tau)) over [alpha, m_i] for all cells.
 
     Full cells below t_i are sampled at their midpoints, the trailing
-    half cell at t_i + delta/4.  Output shape (N, dim).
+    half cell at t_i + delta/4.  With hvalues, f is matrix-valued and
+    applied to h(tau) as in node_integral.  Output shape (N, dim).
     """
-    n = values.shape[1]
-    out = np.zeros((grid.n_cells, n))
-    i_idx, j_idx = mid_pairs(grid.n_cells)
-    if i_idx.size:
-        xm = cell_midpoint_values(values)
-        vals = f(grid.midpoints[i_idx], grid.midpoints[j_idx], xm[j_idx])
-        np.add.at(out, i_idx, vals)
-    out *= grid.delta
-    xq = cell_quarter_values(values)
-    out += 0.5 * grid.delta * f(grid.midpoints, quarter_nodes(grid), xq)
-    return out
+    out = _row_sums(f, grid.midpoints, grid, values, hvalues)
+    tail = np.asarray(f(grid.midpoints, quarter_nodes(grid), cell_quarter_values(values)), float)
+    if hvalues is not None:
+        tail = np.einsum("pab,pb->pa", tail, cell_quarter_values(hvalues))
+    return out + 0.5 * grid.delta * tail
 
 
-def inner_matvec_integral(fmat, grid: Grid, values: np.ndarray,
-                          hvalues: np.ndarray) -> np.ndarray:
-    """Like inner_integral for matrix-valued fmat applied to h(tau)."""
-    n = hvalues.shape[1]
-    out = np.zeros((grid.n_cells, n))
-    i_idx, j_idx = mid_pairs(grid.n_cells)
-    if i_idx.size:
-        xm = cell_midpoint_values(values)
-        hm = cell_midpoint_values(hvalues)
-        mats = fmat(grid.midpoints[i_idx], grid.midpoints[j_idx], xm[j_idx])
-        np.add.at(out, i_idx, np.einsum("pab,pb->pa", mats, hm[j_idx]))
-    out *= grid.delta
-    xq = cell_quarter_values(values)
-    hq = cell_quarter_values(hvalues)
-    mats_q = fmat(grid.midpoints, quarter_nodes(grid), xq)
-    out += 0.5 * grid.delta * np.einsum("pab,pb->pa", mats_q, hq)
-    return out
+def inner_integral_adjoint(fmat, grid: Grid, values: np.ndarray,
+                           weights: np.ndarray) -> np.ndarray:
+    """Transpose of h -> inner_integral(fmat, grid, values, h).
 
+    Returns u of shape (N + 1, dim) with sum(u * h) equal to
+    sum(weights * inner_integral(fmat, grid, values, h)) for all h.
+    """
+    d = grid.delta
+    xm = cell_midpoint_values(values)
+    col = np.zeros((grid.n_cells, weights.shape[1]))
+    for r0, r1, block in _row_blocks(fmat, grid.midpoints, grid.midpoints, xm):
+        col[: r1 - 1] += np.einsum("ijba,ib->ja", block, weights[r0:r1])
+    tail = np.asarray(fmat(grid.midpoints, quarter_nodes(grid), cell_quarter_values(values)), float)
+    q = 0.5 * d * np.einsum("pba,pb->pa", tail, weights)
+    u = np.zeros((grid.n_cells + 1, weights.shape[1]))
+    u[:-1] += 0.5 * d * col + 0.75 * q
+    u[1:] += 0.5 * d * col + 0.25 * q
+    return u
 
-def inner_scalar_integral(f2, grid: Grid) -> np.ndarray:
-    """Quadrature of f2(m_i, tau) over [alpha, m_i]; same nodes as
-    inner_integral, for growth-bound integrands of (t, tau) alone."""
-    out = np.zeros(grid.n_cells)
-    i_idx, j_idx = mid_pairs(grid.n_cells)
-    if i_idx.size:
-        vals = np.asarray(f2(grid.midpoints[i_idx], grid.midpoints[j_idx]), float)
-        np.add.at(out, i_idx, vals)
-    out *= grid.delta
-    out += 0.5 * grid.delta * np.asarray(f2(grid.midpoints, quarter_nodes(grid)), float)
-    return out
-
-
-def triangle_integral(f2, grid: Grid) -> float:
-    """Double integral of f2(t, tau) over the causal triangle."""
-    return float(grid.delta * inner_scalar_integral(f2, grid).sum())

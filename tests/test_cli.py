@@ -103,6 +103,35 @@ class TestSolve:
         assert not out.exists()
 
 
+def _csv_with(tmp_path, name, index, value):
+    # t on a 100-cell grid with one entry replaced
+    g = vt.Grid(0.0, 1.0, 100)
+    vals = g.nodes.copy()
+    vals[index] = value
+    lines = ["t,x_1"] + [f"{t:.17g},{v:.17g}" for t, v in zip(g.nodes, vals)]
+    path = tmp_path / name
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("index, value", [(0, math.nan), (40, math.inf)])
+    def test_rhs_csv_exits_two(self, tmp_path, capsys, index, value):
+        rhs = _csv_with(tmp_path, "rhs.csv", index, value)
+        cfg = _write_cfg(tmp_path, rhs={"csv": str(rhs)})
+        out = tmp_path / "x.csv"
+        assert main(["solve", str(cfg), "-o", str(out)]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("index, value", [(0, math.nan), (40, -math.inf)])
+    def test_direction_csv_exits_two(self, tmp_path, index, value):
+        h = _csv_with(tmp_path, "h.csv", index, value)
+        cfg = _write_cfg(tmp_path)
+        assert main(["sensitivity", str(cfg), "--direction", str(h),
+                     "-o", str(tmp_path / "s.csv")]) == 2
+
+
 class TestSensitivity:
     def test_zero_kernel_returns_direction(self, tmp_path):
         cfg = _write_cfg(tmp_path, kernel={"name": "zero", "params": {}})

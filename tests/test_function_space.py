@@ -73,6 +73,14 @@ class TestGridFunction:
         with pytest.raises(NotAnchoredAtAlpha):
             GridFunction(unit_grid, vals)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, unit_grid, bad):
+        for row in (0, unit_grid.n_cells):
+            vals = np.zeros(unit_grid.n_cells + 1)
+            vals[row] = bad
+            with pytest.raises(ValueError, match="finite"):
+                GridFunction(unit_grid, vals)
+
     def test_first_row_forced_to_zero(self, unit_grid):
         vals = np.linspace(0.0, 1.0, unit_grid.n_cells + 1)
         vals[0] = 1e-13  # below the anchor tolerance

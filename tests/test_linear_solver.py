@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from pytest import approx
 
 import volterra as vt
+from volterra import quadrature
 from volterra import (
     Grid,
     NeumannBound,
@@ -24,12 +25,15 @@ from volterra import (
     linear_kernel,
     neumann_solve,
     random_anchored,
+    scalar_kernel,
     sub,
     sup_norm,
     tail_bound,
     zero_kernel,
     zeros,
 )
+from volterra.kernels import KernelSpec
+from volterra.linear_solver import _halton
 
 
 class TestApplyT:
@@ -64,6 +68,26 @@ class TestBounds:
         assert nb.D == approx(2.0)       # C * M * l_rho
         assert nb.A == approx(1.0)       # l_rho * len
 
+    @pytest.mark.parametrize("A", [450.0, 600.0])
+    def test_tail_bound_holds_for_long_horizons(self, A):
+        # sum over m >= 1 of A^m / m! is e^A - 1; a truncated series falls short
+        nb = NeumannBound(l_rho=A, M=1.0, C=1.0, D=1.0, A=A)
+        assert math.log(tail_bound(1, nb)) == approx(A, rel=1e-13)
+        assert math.log(tail_bound(0, nb)) == approx(A, rel=1e-13)
+
+    def test_tail_bound_beyond_float_range_is_inf(self):
+        nb = NeumannBound(l_rho=800.0, M=1.0, C=1.0, D=1.0, A=800.0)
+        assert tail_bound(1, nb) == math.inf
+
+    def test_tail_bound_far_out_stays_above_the_series(self):
+        # P(2000, 700) underflows; the series itself is about e^-104
+        A, k = 700.0, 2000
+        nb = NeumannBound(l_rho=A, M=1.0, C=1.0, D=1.0, A=A)
+        terms = [math.exp(m * math.log(A) - math.lgamma(m + 1)) for m in range(k, k + 400)]
+        exact = math.fsum(terms)
+        assert exact > 0.0
+        assert exact <= tail_bound(k, nb) <= 2.0 * exact
+
     def test_iterate_bound_factorial_decay(self):
         nb = NeumannBound.for_interval(l_rho=1.0, M=1.0, alpha=0.0, beta=1.0)
         assert iterate_bound(1, nb) == approx(2.0)
@@ -89,6 +113,14 @@ class TestBounds:
         assert iterate_bound(1, nb) == 0.0
         assert iterate_bound(5, nb) == 0.0
         assert tail_bound(1, nb) == 0.0
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_halton_matches_scipy_unscrambled(d):
+    from scipy.stats import qmc
+
+    ref = qmc.Halton(d=d, scramble=False).random(2048)
+    assert np.array_equal(_halton(2048, d), ref)
 
 
 class TestEstimateLRho:
@@ -215,6 +247,44 @@ class TestCollocation:
         g = Grid(0.0, 1.0, 16)
         ker = linear_kernel(-32.0)
         with pytest.raises(SingularBlock):
+            collocation_solve(ker, zeros(g), from_callable(lambda t: t, g))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_blocked_solve_matches_dense_system(self, monkeypatch, dim):
+        # small blocks: the walk crosses block boundaries many times
+        monkeypatch.setattr(quadrature, "_BLOCK_SAMPLES", 60)
+        a = np.arange(dim * dim).reshape(dim, dim) / dim + 0.5
+
+        def v_x(t, tau, x):
+            s = (np.asarray(t) - tau)[..., None, None]
+            return a * np.cos(3.0 * s * a + x[..., None])
+
+        ker = KernelSpec(dim=dim, v=None, v_t=None, v_x=v_x, v_tx=None)
+        g = Grid(0.0, 1.0, 30)
+        rng = np.random.default_rng(8)
+        x0 = random_anchored(g, dim, rng)
+        rhs = random_anchored(g, dim, rng)
+        # brute force: the equations h_i + delta sum_{j<i} W_ij (h_j + h_{j+1})/2 = g_i
+        N, d = g.n_cells, g.delta
+        xm = 0.5 * (x0.values[:-1] + x0.values[1:])
+        M = np.eye((N + 1) * dim).reshape(N + 1, dim, N + 1, dim)
+        for i in range(1, N + 1):
+            for j in range(i):
+                W = v_x(np.array(g.nodes[i]), np.array(g.midpoints[j]), xm[j])
+                M[i, :, j] += 0.5 * d * W
+                M[i, :, j + 1] += 0.5 * d * W
+        M = M.reshape((N + 1) * dim, (N + 1) * dim)[dim:, dim:]
+        dense = np.linalg.solve(M, rhs.values[1:].ravel()).reshape(N, dim)
+        h = collocation_solve(ker, x0, rhs)
+        assert np.allclose(h.values[1:], dense, rtol=1e-12, atol=1e-13)
+
+    def test_singular_block_found_in_a_later_block(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_BLOCK_SAMPLES", 60)
+        g = Grid(0.0, 1.0, 16)
+        ker = scalar_kernel(lambda t, tau, x: 0.0 * x, lambda t, tau, x: 0.0 * x,
+                            lambda t, tau, x: np.where(t > 0.7, -32.0, 0.5) + 0.0 * x,
+                            lambda t, tau, x: 0.0 * x)
+        with pytest.raises(SingularBlock, match="node 12"):
             collocation_solve(ker, zeros(g), from_callable(lambda t: t, g))
 
     @given(lam=st.floats(min_value=-3.0, max_value=3.0),

@@ -2,21 +2,37 @@
 
 The rules are exact for integrands linear in tau on each cell; several
 tests pin that exactness because the coercivity check relies on it.
+The block walk behind both rules is checked against a plain double loop
+with a block cap small enough that every walk crosses block boundaries.
 """
 
 import numpy as np
+import pytest
 from pytest import approx
 
 from volterra import Grid
+from volterra import quadrature
 from volterra.quadrature import (
     cell_midpoint_values,
     cell_quarter_values,
     inner_integral,
-    inner_scalar_integral,
+    inner_integral_adjoint,
     node_integral,
     quarter_nodes,
-    triangle_integral,
 )
+
+
+def _triangle(f2, g):
+    # outer midpoint sum of the inner rule: the double integral over the triangle
+    inner = inner_integral(lambda t, tau, x: f2(t, tau)[..., None], g,
+                           np.zeros((g.n_cells + 1, 1)))
+    return float(g.delta * inner.sum())
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    # 60 samples per block: blocks of 7 rows down to 2 on a 23-cell grid
+    monkeypatch.setattr(quadrature, "_BLOCK_SAMPLES", 60)
 
 
 def test_node_integral_of_one_is_elapsed_time():
@@ -50,20 +66,22 @@ def test_inner_integral_exact_for_linear_integrand():
     assert np.allclose(out[:, 0], g.midpoints**2 / 2.0, rtol=1e-14, atol=1e-16)
 
 
-def test_inner_scalar_integral_matches_vector_route():
+def test_inner_integral_matrix_route_matches_vector_route():
+    # a matrix integrand applied to h equals the vector integrand f * h(tau)
     g = Grid(0.0, 1.0, 30)
     f2 = lambda t, tau: np.cos(3.0 * (t - tau))
-    scalar = inner_scalar_integral(f2, g)
-    vector = inner_integral(lambda t, tau, x: f2(t, tau)[..., None], g,
-                            np.zeros((31, 1)))
-    assert np.allclose(scalar, vector[:, 0], rtol=1e-14, atol=1e-16)
+    h = np.sin(g.nodes)[:, None]
+    vector = inner_integral(lambda t, tau, x: f2(t, tau)[..., None] * x, g, h)
+    matrix = inner_integral(lambda t, tau, x: f2(t, tau)[..., None, None], g,
+                            np.zeros((31, 1)), h)
+    assert np.allclose(matrix, vector, rtol=1e-14, atol=1e-16)
 
 
 def test_triangle_integral_of_one_is_half_square():
     # exact: the inner rule gives m_i - alpha, the outer midpoint sum is exact
     for alpha, beta, n in [(0.0, 1.0, 16), (0.0, 0.9, 50), (-1.0, 2.0, 33)]:
         g = Grid(alpha, beta, n)
-        val = triangle_integral(lambda t, tau: np.ones_like(t), g)
+        val = _triangle(lambda t, tau: np.ones_like(t), g)
         assert val == approx((beta - alpha) ** 2 / 2.0, rel=1e-14)
 
 
@@ -73,7 +91,7 @@ def test_triangle_integral_converges_quadratically():
     errs = []
     for n in (20, 40, 80):
         g = Grid(0.0, 1.0, n)
-        errs.append(abs(triangle_integral(lambda t, tau: np.exp(t - tau), g) - exact))
+        errs.append(abs(_triangle(lambda t, tau: np.exp(t - tau), g) - exact))
     assert errs[0] / errs[1] == approx(4.0, rel=0.25)
     assert errs[1] / errs[2] == approx(4.0, rel=0.25)
 
@@ -93,3 +111,128 @@ def test_integrals_start_at_zero():
     out = node_integral(lambda t, tau, x: np.ones(t.shape + (1,)), g,
                         np.zeros((11, 1)))
     assert out[0, 0] == 0.0
+
+
+# -- the block walk against a plain double loop ------------------------------
+
+def _vec(dim):
+    """Vector integrand of the evaluator convention, coupling t, tau and x."""
+    def f(t, tau, x):
+        w = np.exp(-(np.asarray(t) - tau))[..., None]
+        return w * np.sin(x + np.arange(dim)) + tau[..., None]
+    return f
+
+
+def _mat(dim):
+    """Matrix integrand, not symmetric, so the transpose is really tested."""
+    a = np.arange(dim * dim).reshape(dim, dim) + 1.0
+
+    def f(t, tau, x):
+        s = (np.asarray(t) - tau)[..., None, None]
+        return a * np.cos(s * a + x[..., None]) + np.eye(dim) * tau[..., None, None]
+    return f
+
+
+def _loop_rows(f, rows, grid, values, hvalues=None):
+    xm = cell_midpoint_values(values)
+    n = values.shape[1]
+    out = np.zeros((rows.size, n))
+    for i in range(rows.size):
+        for j in range(i):
+            s = f(np.array(rows[i]), np.array(grid.midpoints[j]), xm[j])
+            if hvalues is not None:
+                s = s @ cell_midpoint_values(hvalues)[j]
+            out[i] += s
+    return grid.delta * out
+
+
+def _state(grid, dim, seed):
+    rng = np.random.default_rng(seed)
+    vals = np.cumsum(rng.standard_normal((grid.n_cells + 1, dim)), axis=0)
+    return vals - vals[0]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_block_rows_match_double_loop(small_blocks, dim):
+    g = Grid(0.0, 1.3, 23)
+    x, h = _state(g, dim, 1), _state(g, dim, 2)
+    tail = 0.5 * g.delta * _vec(dim)(g.midpoints, quarter_nodes(g), cell_quarter_values(x))
+    assert np.allclose(node_integral(_vec(dim), g, x),
+                       _loop_rows(_vec(dim), g.nodes, g, x), rtol=1e-13, atol=1e-14)
+    assert np.allclose(inner_integral(_vec(dim), g, x),
+                       _loop_rows(_vec(dim), g.midpoints, g, x) + tail,
+                       rtol=1e-13, atol=1e-14)
+    assert np.allclose(node_integral(_mat(dim), g, x, h),
+                       _loop_rows(_mat(dim), g.nodes, g, x, h), rtol=1e-13, atol=1e-14)
+    tail = 0.5 * g.delta * np.einsum(
+        "pab,pb->pa", _mat(dim)(g.midpoints, quarter_nodes(g), cell_quarter_values(x)),
+        cell_quarter_values(h))
+    assert np.allclose(inner_integral(_mat(dim), g, x, h),
+                       _loop_rows(_mat(dim), g.midpoints, g, x, h) + tail,
+                       rtol=1e-13, atol=1e-14)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_block_columns_match_double_loop(small_blocks, dim):
+    g = Grid(0.0, 1.3, 23)
+    x = _state(g, dim, 3)
+    w = np.random.default_rng(4).standard_normal((g.n_cells, dim))
+    f = _mat(dim)
+    xm, xq, d = cell_midpoint_values(x), cell_quarter_values(x), g.delta
+    u = np.zeros((g.n_cells + 1, dim))
+    for i in range(g.n_cells):
+        for j in range(i):
+            col = d * f(np.array(g.midpoints[i]), np.array(g.midpoints[j]), xm[j]).T @ w[i]
+            u[j] += 0.5 * col
+            u[j + 1] += 0.5 * col
+        q = 0.5 * d * f(np.array(g.midpoints[i]), np.array(quarter_nodes(g)[i]), xq[i]).T @ w[i]
+        u[i] += 0.75 * q
+        u[i + 1] += 0.25 * q
+    assert np.allclose(inner_integral_adjoint(f, g, x, w), u, rtol=1e-13, atol=1e-14)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("cap", [7, 60, 1 << 18])
+def test_column_sums_are_the_transpose_of_row_sums(monkeypatch, dim, cap):
+    monkeypatch.setattr(quadrature, "_BLOCK_SAMPLES", cap)
+    g = Grid(0.0, 1.0, 40)
+    x, h = _state(g, dim, 5), _state(g, dim, 6)
+    D = np.random.default_rng(7).standard_normal((g.n_cells, dim))
+    lhs = float((inner_integral(_mat(dim), g, x, h) * D).sum())
+    rhs = float((inner_integral_adjoint(_mat(dim), g, x, D) * h).sum())
+    assert lhs == approx(rhs, rel=1e-13, abs=1e-14)
+
+
+@pytest.mark.parametrize("cap", [7, 50, 1 << 18])
+def test_walk_evaluates_each_pair_once(monkeypatch, cap):
+    monkeypatch.setattr(quadrature, "_BLOCK_SAMPLES", cap)
+    pairs = []
+
+    def f(t, tau, x):
+        pairs.extend(zip(np.ravel(t), np.ravel(tau)))
+        return np.ones(np.shape(t) + (1,))
+
+    N = 37
+    g = Grid(0.0, 1.0, N)
+    node_integral(f, g, np.zeros((N + 1, 1)))
+    assert len(pairs) == N * (N + 1) // 2
+    assert len(set(pairs)) == len(pairs)
+    assert all(tau < t for t, tau in pairs)
+    pairs.clear()
+    inner_integral(f, g, np.zeros((N + 1, 1)))
+    assert len(pairs) == N * (N - 1) // 2 + N
+    assert len(set(pairs)) == len(pairs)
+
+
+def test_block_cap_bounds_samples_per_call(monkeypatch):
+    monkeypatch.setattr(quadrature, "_BLOCK_SAMPLES", 100)
+    sizes = []
+
+    def f(t, tau, x):
+        sizes.append(np.broadcast(t, tau).size)
+        return np.ones(np.shape(t) + (1,))
+
+    g = Grid(0.0, 1.0, 60)
+    node_integral(f, g, np.zeros((61, 1)))
+    assert max(sizes) <= 100
+    assert len(sizes) > 2
