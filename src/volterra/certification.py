@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import MissingBounds
 from .function_space import Grid
-from .kernels import KernelSpec
+from .kernels import KernelSpec, LagIntegrand
 from .quadrature import inner_integral
 
 _DIAG_SAMPLES = 50
@@ -218,9 +218,9 @@ def check_example2(w_prime, A: float, T: float, grid: Grid) -> HypothesisReport:
         raise ValueError(f"need A > 0 and T > 0, got A={A}, T={T}")
     if abs(grid.alpha) > 1e-12 or abs(grid.beta - T) > 1e-12 * max(1.0, T):
         raise ValueError(f"grid [{grid.alpha}, {grid.beta}] must span [0, {T}]")
-    value = float(grid.delta * _inner_bound(
-        lambda t, tau: np.asarray(w_prime(np.asarray(t, float) - tau), float) ** 2, grid
-    ).sum())
+    # w'(t - tau)^2 depends on the lag alone, so its sums are Toeplitz products.
+    square = LagIntegrand(lambda s: np.asarray(w_prime(s), float) ** 2, np.ones_like)
+    value = float(grid.delta * inner_integral(square, grid, np.zeros((grid.n_cells + 1, 1))).sum())
     threshold = 1.0 / (2.0 * A * A * T * T)
     margin = threshold - value
     n_quad = grid.n_cells * (grid.n_cells - 1) // 2 + grid.n_cells

@@ -25,7 +25,7 @@ from .function_space import ac_norm, from_callable, sub, write_csv
 from .linear_solver import apply_T, collocation_solve
 from .nonlinear_solver import solve_newton
 from .operator import apply_V
-from .sensitivity import fd_sensitivity_check
+from .sensitivity import fd_discrepancy
 
 _FD_EPSILON = 1e-3
 
@@ -84,6 +84,16 @@ def _solve_section(kernel, grid, config, y):
     return x, section
 
 
+def _sensitivity_section(kernel, config, x, y, h):
+    """Sensitivity at the solved base point x of V(x) = y in direction h,
+    with its residual and the finite-difference check."""
+    s = collocation_solve(kernel, x, h)
+    resid = ac_norm(sub(s + apply_T(kernel, x, s), h))
+    fd_gap = fd_discrepancy(kernel, y, h, s, epsilon=_FD_EPSILON,
+                            tol=min(config.tol, 1e-11), max_iter=config.max_iter)
+    return s, {"residual": resid, "fd_epsilon": _FD_EPSILON, "fd_discrepancy": fd_gap}
+
+
 def cmd_solve(args) -> int:
     config = ProblemConfig.from_file(args.config)
     grid = config.build_grid()
@@ -118,22 +128,14 @@ def cmd_sensitivity(args) -> int:
     report = {"hypothesis": None, "solve": None, "sensitivity": None, "meta": _meta(config)}
     try:
         x, solve_section = _solve_section(kernel, grid, config, y)
-        s = collocation_solve(kernel, x, h)
-        resid = ac_norm(sub(s + apply_T(kernel, x, s), h))
-        fd_gap = fd_sensitivity_check(kernel, y, h, epsilon=_FD_EPSILON,
-                                      tol=min(config.tol, 1e-11),
-                                      max_iter=config.max_iter)
+        s, sens_section = _sensitivity_section(kernel, config, x, y, h)
     except SolverError as exc:
         report["sensitivity"] = {"error": str(exc)}
         _write_report(report, args.report, echo=args.report is None)
         print(f"sensitivity failed: {exc}", file=sys.stderr)
         return 1
     report["solve"] = solve_section
-    report["sensitivity"] = {
-        "residual": resid,
-        "fd_epsilon": _FD_EPSILON,
-        "fd_discrepancy": fd_gap,
-    }
+    report["sensitivity"] = sens_section
     write_csv(s, args.output)
     _write_report(report, args.report, echo=args.report is None)
     print(f"sensitivity written to {args.output}", file=sys.stderr)
@@ -199,18 +201,10 @@ def cmd_demo(args) -> int:
             print(f"[demo {args.name}] solve: {solve_section['iterations']} iterations, "
                   f"residual {solve_section['final_residual']:.3e}", file=sys.stderr)
 
-            s = collocation_solve(kernel, x, h)
-            resid = ac_norm(sub(s + apply_T(kernel, x, s), h))
-            fd_gap = fd_sensitivity_check(kernel, y, h, epsilon=_FD_EPSILON, tol=1e-11,
-                                          max_iter=config.max_iter)
-            report["sensitivity"] = {
-                "residual": resid,
-                "fd_epsilon": _FD_EPSILON,
-                "fd_discrepancy": fd_gap,
-            }
+            s, report["sensitivity"] = _sensitivity_section(kernel, config, x, y, h)
             write_csv(s, out_dir / "sensitivity.csv")
-            print(f"[demo {args.name}] sensitivity: fd discrepancy {fd_gap:.3e}",
-                  file=sys.stderr)
+            print(f"[demo {args.name}] sensitivity: fd discrepancy "
+                  f"{report['sensitivity']['fd_discrepancy']:.3e}", file=sys.stderr)
         except SolverError as exc:
             report["solve"] = report["solve"] or {"error": str(exc)}
             ok = False

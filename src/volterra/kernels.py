@@ -13,12 +13,22 @@ v_t return shape S + (dim,); v_x and v_tx return S + (dim, dim).
 Quadrature never samples tau = t, so evaluators whose time derivative is
 singular on the diagonal (Example 1 below) are safe; they only need to
 be finite on tau < t.
+
+Lag kernels
+-----------
+A kernel of the form v(t, tau, x) = w(t - tau) z(x) declares its
+factors in KernelSpec.lag; lag_kernel builds the four evaluators from
+them.  On the uniform grid every quadrature sum of such a kernel is a
+Toeplitz product, which quadrature and collocation_solve take by
+FFT.  The route follows the field, not the evaluator objects, so a spec
+whose evaluators were swapped by dataclasses.replace keeps it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -67,6 +77,44 @@ class GrowthBounds:
 
 
 @dataclass(frozen=True)
+class LagIntegrand:
+    """The integrand f(t, tau, x) = w(t - tau) z(x), kept in factored form.
+
+    w maps an array of lags to an array of the same shape; z maps x of
+    shape S + (dim,) to S + (dim,) for a vector integrand or to
+    S + (dim, dim) for a matrix one.  Calling it evaluates the product
+    under the evaluator convention.
+    """
+
+    w: Callable
+    z: Callable
+
+    def __call__(self, t, tau, x):
+        return _lag_product(self.w, self.z, t, tau, x)
+
+
+def _lag_product(w, z, t, tau, x):
+    lag = np.subtract(np.asarray(t, float), tau)
+    ws = np.broadcast_to(np.asarray(w(lag), float), lag.shape)
+    zx = np.asarray(z(x), float)
+    return ws.reshape(ws.shape + (1,) * (zx.ndim - np.ndim(x) + 1)) * zx
+
+
+@dataclass(frozen=True)
+class LagFactors:
+    """Factors of v(t, tau, x) = w(t - tau) z(x) and their derivatives.
+
+    w, w_prime and z follow LagIntegrand; z_prime maps S + (dim,) to
+    S + (dim, dim).
+    """
+
+    w: Callable
+    w_prime: Callable
+    z: Callable
+    z_prime: Callable
+
+
+@dataclass(frozen=True)
 class KernelSpec:
     dim: int
     v: Callable
@@ -77,10 +125,23 @@ class KernelSpec:
     bounds: Optional[GrowthBounds] = None
     domain: Optional[TriangularDomain] = None
     name: str = "custom"
+    lag: Optional[LagFactors] = None
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be at least 1")
+
+    def integrand(self, which: str):
+        """The evaluator named which ('v', 'v_t', 'v_x' or 'v_tx') as
+        quadrature takes it: a LagIntegrand built from the declared lag
+        factors, else the evaluator itself."""
+        evaluator = {"v": self.v, "v_t": self.v_t, "v_x": self.v_x, "v_tx": self.v_tx}[which]
+        if self.lag is None:
+            return evaluator
+        lag = self.lag
+        w = lag.w_prime if which in ("v_t", "v_tx") else lag.w
+        z = lag.z_prime if which in ("v_x", "v_tx") else lag.z
+        return LagIntegrand(w, z)
 
 
 _WHICH = ("v", "vt", "vx", "vtx")
@@ -171,37 +232,40 @@ def zero_kernel(dim: int = 1) -> KernelSpec:
                       diagonal_zero=True, bounds=bounds, name="zero")
 
 
+def lag_kernel(w, w_prime, z, z_prime, dim: int = 1, **kwargs) -> KernelSpec:
+    """KernelSpec of v(t, tau, x) = w(t - tau) z(x), built from its factors.
+
+    The factors follow LagFactors.  The four evaluators are formed from
+    them and the factors are kept in the spec's lag field, so the
+    generic walk and the Toeplitz route evaluate one kernel.  The
+    evaluators are plain callables: the route follows the field alone.
+    Remaining keyword arguments go to KernelSpec.
+    """
+    return KernelSpec(
+        dim=dim,
+        v=partial(_lag_product, w, z),
+        v_t=partial(_lag_product, w_prime, z),
+        v_x=partial(_lag_product, w, z_prime),
+        v_tx=partial(_lag_product, w_prime, z_prime),
+        lag=LagFactors(w, w_prime, z, z_prime),
+        **kwargs,
+    )
+
+
 def linear_kernel(lam: float, dim: int = 1) -> KernelSpec:
     """v(t, tau, x) = lam * x; the operator is x + lam * integral of x."""
     lam = float(lam)
-
-    def v(t, tau, x):
-        t = np.asarray(t, float)
-        shape = np.broadcast_shapes(t.shape, np.shape(tau))
-        return lam * np.broadcast_to(np.asarray(x, float), shape + (dim,))
-
-    def v_t(t, tau, x):
-        t = np.asarray(t, float)
-        shape = np.broadcast_shapes(t.shape, np.shape(tau))
-        return np.zeros(shape + (dim,))
-
-    def v_x(t, tau, x):
-        t = np.asarray(t, float)
-        shape = np.broadcast_shapes(t.shape, np.shape(tau))
-        return np.broadcast_to(lam * np.eye(dim), shape + (dim, dim)).copy()
-
-    def v_tx(t, tau, x):
-        t = np.asarray(t, float)
-        shape = np.broadcast_shapes(t.shape, np.shape(tau))
-        return np.zeros(shape + (dim, dim))
-
     bounds = GrowthBounds(
         c1=_const1(abs(lam)), d1=_const1(0.0),
         c2=_const2(0.0), d2=_const2(0.0),
     )
-    return KernelSpec(dim=dim, v=v, v_t=v_t, v_x=v_x, v_tx=v_tx,
-                      diagonal_zero=(lam == 0.0), bounds=bounds,
-                      name=f"linear({lam})")
+    return lag_kernel(
+        w=lambda s: np.full(np.shape(s), lam),
+        w_prime=lambda s: np.zeros(np.shape(s)),
+        z=lambda x: np.asarray(x, float),
+        z_prime=lambda x: np.broadcast_to(np.eye(dim), np.shape(x) + (dim,)),
+        dim=dim, diagonal_zero=(lam == 0.0), bounds=bounds, name=f"linear({lam})",
+    )
 
 
 def example1_kernel(a_bar: float) -> KernelSpec:
@@ -269,26 +333,16 @@ def example2_kernel(w, w_prime, z, z_prime, A: float, B: float,
     if abs(w0) > _W_ANCHOR_ATOL:
         raise KernelContract(f"w(0) = {w0:.3e} must vanish")
 
-    def v(t, tau, xi):
-        return np.asarray(w(t - tau), float) * np.asarray(z(xi), float)
-
-    def v_t(t, tau, xi):
-        return np.asarray(w_prime(t - tau), float) * np.asarray(z(xi), float)
-
-    def v_x(t, tau, xi):
-        return np.asarray(w(t - tau), float) * np.asarray(z_prime(xi), float)
-
-    def v_tx(t, tau, xi):
-        return np.asarray(w_prime(t - tau), float) * np.asarray(z_prime(xi), float)
-
     def c0(t, tau):
         return A * np.abs(np.asarray(w_prime(np.asarray(t, float) - tau), float))
 
     def d0(t, tau):
         return B * np.abs(np.asarray(w_prime(np.asarray(t, float) - tau), float))
 
-    return scalar_kernel(
-        v, v_t, v_x, v_tx,
+    return lag_kernel(
+        w, w_prime,
+        z=lambda x: np.broadcast_to(np.asarray(z(x), float), np.shape(x)),
+        z_prime=lambda x: np.broadcast_to(np.asarray(z_prime(x), float), np.shape(x))[..., None],
         diagonal_zero=True,
         bounds=GrowthBounds(c0=c0, d0=d0),
         domain=TriangularDomain(0.0, float(T)),

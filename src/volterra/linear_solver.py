@@ -18,8 +18,17 @@ from scipy.special import gammainc
 
 from .errors import DimMismatch, SingularBlock
 from .function_space import GridFunction, ac_norm, sup_norm, zeros
-from .kernels import KernelSpec, TriangularDomain
-from .quadrature import _row_blocks, cell_midpoint_values, node_integral
+from .kernels import KernelSpec, LagFactors, TriangularDomain
+from .quadrature import (
+    _fft_size,
+    _lag_symbol,
+    _row_blocks,
+    cell_midpoint_values,
+    node_integral,
+)
+
+# Rows of the dense solves at the leaves of the lag-kernel collocation.
+_LEAF = 64
 
 
 # Same grid and dim, or GridMismatch / DimMismatch.
@@ -35,7 +44,7 @@ def apply_T(kernel: KernelSpec, x0: GridFunction, g: GridFunction) -> GridFuncti
     """(T g)(t_i) = integral over [alpha, t_i] of v_x(t_i, tau, x0(tau)) g(tau)."""
     _require_same(x0, g)
     _require_kernel_dim(kernel, x0)
-    vals = node_integral(kernel.v_x, x0.grid, x0.values, g.values)
+    vals = node_integral(kernel.integrand("v_x"), x0.grid, x0.values, g.values)
     return GridFunction(x0.grid, vals)
 
 
@@ -231,12 +240,16 @@ def collocation_solve(kernel: KernelSpec, x0: GridFunction,
     Forward substitution over nodes; the only inversions are the
     (dim x dim) diagonal blocks I + delta/2 * v_x(t_i, m_{i-1}, x0).
     The v_x samples come one row block of the quadrature walk at a time
-    and are never held whole.  The discrete equations are satisfied to
-    rounding, so the residual measured with apply_T is at machine level.
+    and are never held whole.  A kernel with lag factors is solved by
+    halves instead (_lag_collocation), at O(N log^2 N).  The discrete
+    equations are satisfied to rounding, so the residual measured with
+    apply_T is at machine level.
     """
     _require_same(x0, g)
     _require_kernel_dim(kernel, x0)
     grid = g.grid
+    if kernel.lag is not None:
+        return GridFunction(grid, _lag_collocation(kernel.lag, x0, g))
     d = grid.delta
     h = np.zeros_like(g.values)
     eye = np.eye(g.dim)
@@ -258,3 +271,67 @@ def collocation_solve(kernel: KernelSpec, x0: GridFunction,
                 )
             h[i] = np.linalg.solve(block, r)
     return GridFunction(grid, h)
+
+
+def _lag_collocation(lag: LagFactors, x0: GridFunction, g: GridFunction) -> np.ndarray:
+    """Node values of the collocation solution for v = w(t - tau) z(x).
+
+    With a_k = w((k - 1/2) delta), a_k = 0 for k <= 0, and
+    C_j = z'(x0(m_j)), row i of the discrete system reads
+
+        h_i + delta/2 sum_{k <= i} (a_{i-k} C_k + a_{i-k+1} C_{k-1}) h_k = g_i.
+
+    Rows [lo, hi) are solved by halves: once the first half is solved,
+    it enters the rows of the second as two causal convolutions with
+    the Toeplitz symbol a, by FFT.  Blocks of at most _LEAF rows are
+    dense solves.  Every diagonal block is checked for singularity up
+    front, with the forward substitution's rule.
+    """
+    grid = g.grid
+    N, d, n = grid.n_cells, grid.delta, g.dim
+    a = np.append(_lag_symbol(lag.w, grid.nodes, grid), 0.0)  # a[N + 1] = 0 pads a[1 : L + 1]
+    C = np.asarray(lag.z_prime(cell_midpoint_values(x0.values)), float)
+    pad = np.zeros((1, n, n))
+    Cp = np.concatenate([C, pad])  # Cp[k] = C_k
+    Cq = np.concatenate([pad, C])  # Cq[k] = C_{k-1}
+    diag = np.eye(n) + 0.5 * d * a[1] * Cq[1:]
+    bad = np.flatnonzero(np.abs(np.linalg.det(diag)) < 1e-14)
+    if bad.size:
+        raise SingularBlock(
+            f"diagonal block at node {bad[0] + 1} is singular; refine the grid"
+        )
+
+    h = np.zeros_like(g.values)
+    rhs = g.values.copy()  # g minus the contributions of the solved rows
+    symbols: dict = {}
+    # Tasks (lo, None, hi) solve rows [lo, hi); (lo, mid, hi) adds the
+    # solved rows [lo, mid) to the right-hand sides of rows [mid, hi).
+    tasks = [(1, None, N + 1)]
+    while tasks:
+        lo, mid, hi = tasks.pop()
+        L = hi - lo
+        if mid is None and L <= _LEAF:
+            # a_0 = 0, so indices clipped at 0 give the zeros above the diagonal
+            ik = np.maximum(np.subtract.outer(np.arange(L), np.arange(L)), -1)
+            A0 = a[np.maximum(ik, 0)][:, :, None, None]  # a_{i-k}
+            A1 = a[ik + 1][:, :, None, None]  # a_{i-k+1}
+            M = 0.5 * d * (A0 * Cp[lo:hi] + A1 * Cq[lo:hi])
+            M = M.transpose(0, 2, 1, 3).reshape(L * n, L * n) + np.eye(L * n)
+            h[lo:hi] = np.linalg.solve(M, rhs[lo:hi].ravel()).reshape(L, n)
+        elif mid is None:
+            mid = (lo + hi) // 2
+            tasks += [(mid, None, hi), (lo, mid, hi), (lo, None, mid)]
+        else:
+            # Rows mid..hi-1 of the circular convolution of size >= L
+            # are free of wrap-around: the inputs are L and mid - lo long.
+            if L not in symbols:
+                size = _fft_size(L)
+                symbols[L] = (size, np.fft.rfft(a[:L], size)[:, None],
+                              np.fft.rfft(a[1 : L + 1], size)[:, None])
+            size, S0, S1 = symbols[L]
+            p = np.einsum("kab,kb->ka", Cp[lo:mid], h[lo:mid])
+            q = np.einsum("kab,kb->ka", Cq[lo:mid], h[lo:mid])
+            y = np.fft.irfft(S0 * np.fft.rfft(p, size, axis=0)
+                             + S1 * np.fft.rfft(q, size, axis=0), size, axis=0)
+            rhs[mid:hi] -= 0.5 * d * y[mid - lo : L]
+    return h

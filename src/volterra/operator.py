@@ -33,7 +33,7 @@ def apply_V(kernel, x: GridFunction) -> GridFunction:
     by construction.
     """
     _require_kernel_dim(kernel, x)
-    vals = node_integral(kernel.v, x.grid, x.values)
+    vals = node_integral(kernel.integrand("v"), x.grid, x.values)
     return GridFunction(x.grid, x.values + vals)
 
 
@@ -50,7 +50,7 @@ def apply_V_dt(kernel, x: GridFunction) -> np.ndarray:
     slope = np.diff(x.values, axis=0) / grid.delta
     xm = cell_midpoint_values(x.values)
     diag = np.asarray(kernel.v(grid.midpoints, grid.midpoints, xm), float)
-    return slope + diag + inner_integral(kernel.v_t, grid, x.values)
+    return slope + diag + inner_integral(kernel.integrand("v_t"), grid, x.values)
 
 
 def frechet_apply(kernel, x0: GridFunction, h: GridFunction) -> GridFunction:
@@ -72,7 +72,7 @@ def frechet_dt(kernel, x0: GridFunction, h: GridFunction) -> np.ndarray:
     hm = cell_midpoint_values(h.values)
     diag_mat = np.asarray(kernel.v_x(grid.midpoints, grid.midpoints, xm), float)
     diag = np.einsum("pab,pb->pa", diag_mat, hm)
-    inner = inner_integral(kernel.v_tx, grid, x0.values, h.values)
+    inner = inner_integral(kernel.integrand("v_tx"), grid, x0.values, h.values)
     return slope + diag + inner
 
 
@@ -115,7 +115,7 @@ def functional_gradient(kernel, x: GridFunction, y: GridFunction) -> np.ndarray:
     D = apply_V_dt(kernel, x) - _dy(y)
 
     # Transpose of frechet_dt in h, term by term, weighted by delta D.
-    g = inner_integral_adjoint(kernel.v_tx, grid, x.values, d * D)
+    g = inner_integral_adjoint(kernel.integrand("v_tx"), grid, x.values, d * D)
     # Slope term: dD_i picks up (dv_{i+1} - dv_i)/delta, weighted by delta D_i.
     g[1:] += D
     g[:-1] -= D

@@ -19,6 +19,13 @@ small triangle inside the block.  Blocks hold at most _BLOCK_SAMPLES
 samples, so memory grows as N.  Summing the blocks along rows gives the
 rules; summing along columns gives their transpose.
 
+The second route serves integrands w(t - tau) z(x) passed as a
+LagIntegrand (KernelSpec.integrand gives one for kernels that declare
+lag factors).  On the uniform grid r_i - m_j = r_{i-j} - m_0, so the
+full-cell sum is the causal convolution of the symbol w(r_k - m_0) with
+z(x(m_j)) (times h(m_j)), taken by FFT at O(N log N); the transpose is
+the same convolution run backwards.
+
 The certification module evaluates declared growth bounds on exactly
 these nodes.  That alignment matters: it turns the discrete coercivity
 inequality into a chain of Cauchy-Schwarz steps with no quadrature
@@ -32,6 +39,7 @@ import math
 import numpy as np
 
 from .function_space import Grid
+from .kernels import LagIntegrand
 
 # Cap on the (t, tau) samples one block evaluates and holds; a block
 # still takes a whole row when a single row is longer.
@@ -77,11 +85,40 @@ def _row_blocks(f, rows: np.ndarray, cols: np.ndarray, xc: np.ndarray):
         r0 = r1
 
 
+def _fft_size(n: int) -> int:
+    return 1 << max(0, n - 1).bit_length()
+
+
+def _causal_conv(a: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """y[i] = sum over j <= i of a[i - j] u[j] for i < len(a), by FFT.
+
+    u has shape (m, ...) with m <= len(a); the sum runs along axis 0.
+    """
+    n = a.size
+    size = _fft_size(n + u.shape[0] - 1)
+    A = np.fft.rfft(a, size).reshape((-1,) + (1,) * (u.ndim - 1))
+    return np.fft.irfft(A * np.fft.rfft(u, size, axis=0), size, axis=0)[:n]
+
+
+def _lag_symbol(w, rows: np.ndarray, grid: Grid) -> np.ndarray:
+    """w(rows[k] - m_0) for k >= 1, zero at k = 0 (no sample j < 0)."""
+    a = np.zeros(rows.size)
+    a[1:] = w(rows[1:] - grid.midpoints[0])
+    return a
+
+
 def _row_sums(f, rows, grid: Grid, values, hvalues):
     """delta * sum over j < i of f(rows[i], m_j, x(m_j)), times h(m_j) if given."""
-    out = np.zeros((rows.size, values.shape[1]))
+    xm = cell_midpoint_values(values)
     hm = None if hvalues is None else cell_midpoint_values(hvalues)
-    for r0, r1, block in _row_blocks(f, rows, grid.midpoints, cell_midpoint_values(values)):
+    if isinstance(f, LagIntegrand):
+        zx = np.asarray(f.z(xm), float)
+        u = zx if hm is None else np.einsum("jab,jb->ja", zx, hm)
+        out = _causal_conv(_lag_symbol(f.w, rows, grid), u)
+        out[0] = 0.0  # row 0 has no samples; clear the FFT's rounding
+        return grid.delta * out
+    out = np.zeros((rows.size, values.shape[1]))
+    for r0, r1, block in _row_blocks(f, rows, grid.midpoints, xm):
         out[r0:r1] = block.sum(axis=1) if hm is None else \
             np.einsum("ijab,jb->ia", block, hm[: r1 - 1])
     return grid.delta * out
@@ -122,9 +159,13 @@ def inner_integral_adjoint(fmat, grid: Grid, values: np.ndarray,
     """
     d = grid.delta
     xm = cell_midpoint_values(values)
-    col = np.zeros((grid.n_cells, weights.shape[1]))
-    for r0, r1, block in _row_blocks(fmat, grid.midpoints, grid.midpoints, xm):
-        col[: r1 - 1] += np.einsum("ijba,ib->ja", block, weights[r0:r1])
+    if isinstance(fmat, LagIntegrand):
+        back = _causal_conv(_lag_symbol(fmat.w, grid.midpoints, grid), weights[::-1])[::-1]
+        col = np.einsum("jba,jb->ja", np.asarray(fmat.z(xm), float), back)
+    else:
+        col = np.zeros((grid.n_cells, weights.shape[1]))
+        for r0, r1, block in _row_blocks(fmat, grid.midpoints, grid.midpoints, xm):
+            col[: r1 - 1] += np.einsum("ijba,ib->ja", block, weights[r0:r1])
     tail = np.asarray(fmat(grid.midpoints, quarter_nodes(grid), cell_quarter_values(values)), float)
     q = 0.5 * d * np.einsum("pba,pb->pa", tail, weights)
     u = np.zeros((grid.n_cells + 1, weights.shape[1]))

@@ -30,9 +30,17 @@ def fd_sensitivity_check(kernel, a: GridFunction, h: GridFunction,
                          max_iter: int = 50) -> float:
     """Relative derivative-norm gap between the linearized sensitivity
     and the central difference quotient of the solution map."""
+    s_lin = directional_sensitivity(kernel, a, h, tol=tol, max_iter=max_iter)
+    return fd_discrepancy(kernel, a, h, s_lin, epsilon, tol=tol, max_iter=max_iter)
+
+
+def fd_discrepancy(kernel, a: GridFunction, h: GridFunction, s_lin: GridFunction,
+                   epsilon: float, tol: float = 1e-11, max_iter: int = 50) -> float:
+    """Relative derivative-norm gap between a linearized sensitivity
+    s_lin, taken at a in direction h, and the central difference
+    quotient of the solution map; two nonlinear solves."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    s_lin = directional_sensitivity(kernel, a, h, tol=tol, max_iter=max_iter)
     x_plus, _ = solve_newton(kernel, axpy(epsilon, h, a), tol=tol, max_iter=max_iter)
     x_minus, _ = solve_newton(kernel, axpy(-epsilon, h, a), tol=tol, max_iter=max_iter)
     s_fd = scale(1.0 / (2.0 * epsilon), sub(x_plus, x_minus))

@@ -159,6 +159,33 @@ class TestSensitivity:
         report = json.loads(rep_path.read_text())
         assert report["sensitivity"]["fd_discrepancy"] <= 1e-2
 
+    @pytest.mark.parametrize("argv", [["sensitivity"], ["demo", "example2"]])
+    def test_base_problem_solved_once(self, tmp_path, monkeypatch, argv):
+        # one base solve plus the two of the finite-difference check
+        import volterra.cli as cli
+        import volterra.sensitivity as sens
+
+        calls = []
+
+        def counted(fn):
+            def solve(*args, **kwargs):
+                calls.append(1)
+                return fn(*args, **kwargs)
+            return solve
+
+        for mod in (cli, sens):
+            monkeypatch.setattr(mod, "solve_newton", counted(mod.solve_newton))
+        if argv == ["sensitivity"]:
+            cfg = _write_cfg(tmp_path, kernel={"name": "example1", "params": {"a_bar": 1.0}})
+            vt.write_csv(vt.from_callable(lambda t: t * t, vt.Grid(0.0, 1.0, 100)),
+                         tmp_path / "h.csv")
+            argv = argv + [str(cfg), "--direction", str(tmp_path / "h.csv"),
+                           "-o", str(tmp_path / "s.csv")]
+        else:
+            argv = argv + ["--out-dir", str(tmp_path)]
+        assert main(argv) == 0
+        assert len(calls) == 3
+
     def test_direction_resampled_from_other_grid(self, tmp_path):
         cfg = _write_cfg(tmp_path, kernel={"name": "zero", "params": {}}, n_cells=64)
         fine = vt.Grid(0.0, 1.0, 512)

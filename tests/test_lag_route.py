@@ -1,0 +1,160 @@
+"""The Toeplitz route of lag kernels v = w(t - tau) z(x).
+
+Every check compares a lag kernel with its generic twin: the same four
+evaluators with the lag field cleared, which quadrature and collocation
+sum by the blocked walk of the causal triangle.
+"""
+
+import dataclasses
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import volterra as vt
+from volterra import SingularBlock, linear_solver
+from volterra.certification import _inner_bound
+from volterra.operator import frechet_dt
+from volterra.quadrature import inner_integral, inner_integral_adjoint, node_integral
+
+_MIX = np.array([[1.0, 0.3], [-0.2, 0.8]])
+
+
+def _lag(dim):
+    A = _MIX[:dim, :dim]
+    return vt.lag_kernel(
+        w=lambda s: np.sin(2.0 * s) + s * s,
+        w_prime=lambda s: 2.0 * np.cos(2.0 * s) + 2.0 * s,
+        z=lambda x: np.tanh(x @ A.T),
+        z_prime=lambda x: (1.0 / np.cosh(x @ A.T) ** 2)[..., :, None] * A,
+        dim=dim,
+    )
+
+
+def _twin(kernel):
+    return dataclasses.replace(kernel, lag=None)
+
+
+def _rel(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+def _example2(T=0.9):
+    return vt.example2_kernel(w=lambda s: s, w_prime=np.ones_like, z=np.arctan,
+                              z_prime=lambda x: 1.0 / (1.0 + x * x), A=1.0, B=0.0, T=T)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("n_cells", [7, 150])
+def test_sums_match_the_generic_walk(dim, n_cells):
+    lag = _lag(dim)
+    twin = _twin(lag)
+    g = vt.Grid(0.0, 1.3, n_cells)
+    rng = np.random.default_rng(n_cells + dim)
+    x = vt.random_anchored(g, dim, rng).values
+    h = vt.random_anchored(g, dim, rng).values
+    weights = rng.standard_normal((n_cells, dim))
+    for rule, which, args in [
+        (node_integral, "v", (x,)),
+        (node_integral, "v_x", (x, h)),
+        (inner_integral, "v_t", (x,)),
+        (inner_integral, "v_tx", (x, h)),
+        (inner_integral_adjoint, "v_tx", (x, weights)),
+    ]:
+        fast = rule(lag.integrand(which), g, *args)
+        walk = rule(twin.integrand(which), g, *args)
+        assert _rel(fast, walk) <= 1e-12, (rule.__name__, which)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_collocation_by_halves_matches_forward_substitution(monkeypatch, dim):
+    # 4-row leaves on 37 rows: uneven halves, merges at every level
+    monkeypatch.setattr(linear_solver, "_LEAF", 4)
+    lag = _lag(dim)
+    g = vt.Grid(0.0, 1.3, 37)
+    rng = np.random.default_rng(dim)
+    x0 = vt.random_anchored(g, dim, rng)
+    rhs = vt.random_anchored(g, dim, rng)
+    fast = vt.collocation_solve(lag, x0, rhs)
+    walk = vt.collocation_solve(_twin(lag), x0, rhs)
+    assert _rel(fast.values, walk.values) <= 1e-12
+    resid = vt.sub(vt.frechet_apply(lag, x0, fast), rhs)
+    assert vt.ac_norm(resid) < 1e-12
+
+
+def test_singular_block_names_the_same_node_on_both_routes(monkeypatch):
+    # w = 1, z' = x: the block 1 + (delta/2) x0(m_11) vanishes at node 12
+    monkeypatch.setattr(linear_solver, "_LEAF", 4)
+    ker = vt.lag_kernel(w=np.ones_like, w_prime=np.zeros_like,
+                        z=lambda x: 0.5 * x * x, z_prime=lambda x: x[..., None])
+    g = vt.Grid(0.0, 1.0, 16)
+    vals = np.zeros((17, 1))
+    vals[11:13] = -32.0
+    x0 = vt.GridFunction(g, vals)
+    rhs = vt.from_callable(lambda t: t, g)
+    for kernel in (ker, _twin(ker)):
+        with pytest.raises(SingularBlock, match="node 12"):
+            vt.collocation_solve(kernel, x0, rhs)
+
+
+def test_swapped_evaluators_keep_the_route():
+    # the way a tracer counts samples: evaluators replaced, lag field kept
+    samples = dict.fromkeys(("v", "v_t", "v_x", "v_tx"), 0)
+
+    def counted(name, fn):
+        def evaluate(t, tau, x):
+            samples[name] += np.broadcast(np.asarray(t), np.asarray(tau)).size
+            return fn(t, tau, x)
+        return evaluate
+
+    base = _example2()
+    ker = dataclasses.replace(base, **{k: counted(k, getattr(base, k)) for k in samples})
+    N = 400
+    g = vt.Grid(0.0, 0.9, N)
+    rng = np.random.default_rng(3)
+    x = vt.random_anchored(g, 1, rng)
+    y = vt.random_anchored(g, 1, rng)
+    vt.apply_V(ker, x)
+    vt.functional_F(ker, x, y)
+    vt.functional_gradient(ker, x, y)
+    frechet_dt(ker, x, y)
+    vt.apply_T(ker, x, y)
+    vt.collocation_solve(ker, x, y)
+    # the generic walk would take about N^2 / 2 = 80000 samples per sum
+    assert max(samples.values()) <= 2 * N, samples
+
+
+def test_check_example2_matches_the_generic_inner_rule():
+    g = vt.Grid(0.0, 0.9, 300)
+    w_prime = lambda s: np.cos(3.0 * s) + s
+    rep = vt.check_example2(w_prime, A=1.0, T=0.9, grid=g)
+    walk = g.delta * _inner_bound(lambda t, tau: w_prime(t - tau) ** 2, g).sum()
+    assert rep.norm_value == pytest.approx(walk, rel=1e-12)
+
+
+def test_long_horizon_newton():
+    # N = 2^14 on [0, 0.9]: the generic walk would take ~134M samples per sweep
+    g = vt.Grid(0.0, 0.9, 2**14)
+    ker = _example2()
+    y = vt.from_callable(lambda t: t, g)
+    t0 = time.perf_counter()
+    x, rep = vt.solve_newton(ker, y, tol=1e-10)
+    elapsed = time.perf_counter() - t0
+    residual = vt.ac_norm(vt.sub(vt.apply_V(ker, x), y))
+    assert rep.converged and rep.iterations == 2
+    assert residual <= 1e-10
+    assert elapsed < 5.0
+
+
+def test_import_loads_no_scipy_fft_or_signal():
+    src = str(Path(vt.__file__).resolve().parents[1])
+    code = ("import sys, volterra; "
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
+            "(['scipy', 'fft'], ['scipy', 'signal'])))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert out.stdout.strip() == "[]"

@@ -85,6 +85,16 @@ class TestFdCheck:
         # central differences: the discrepancy scales like epsilon^2
         assert gaps[0] / gaps[1] == approx(100.0, rel=0.3)
 
+    def test_discrepancy_of_a_given_sensitivity(self):
+        # the check on a sensitivity the caller already solved for
+        g = Grid(0.0, 1.0, 100)
+        ker = example1_kernel(1.0)
+        a = from_callable(lambda t: t, g)
+        h = from_callable(lambda t: t * t, g)
+        s_lin = directional_sensitivity(ker, a, h, tol=1e-11)
+        assert vt.fd_discrepancy(ker, a, h, s_lin, epsilon=1e-3) == \
+            fd_sensitivity_check(ker, a, h, epsilon=1e-3)
+
     def test_convolution_demo_kernel(self):
         g = Grid(0.0, 0.9, 200)
         a = from_callable(lambda t: t, g)
