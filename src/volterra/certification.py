@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import MissingBounds
 from .function_space import Grid
-from .kernels import KernelSpec, LagIntegrand
+from .kernels import KernelSpec, LagBound, LagIntegrand
 from .quadrature import inner_integral
 
 _DIAG_SAMPLES = 50
@@ -65,11 +65,25 @@ class HypothesisReport:
 
 
 def _inner_bound(f2, grid: Grid) -> np.ndarray:
-    """Inner rule of a bound f2(t, tau) at each cell midpoint; shape (N,)."""
-    def f(t, tau, x):
-        return np.broadcast_to(np.asarray(f2(t, tau), float), np.shape(t))[..., None]
+    """Inner rule of a bound f2(t, tau) at each cell midpoint; shape (N,).
+
+    A LagBound is summed as a Toeplitz product, any other callable by
+    the generic walk.
+    """
+    if isinstance(f2, LagBound):
+        f = LagIntegrand(f2.w, np.ones_like)
+    else:
+        def f(t, tau, x):
+            return np.broadcast_to(np.asarray(f2(t, tau), float), np.shape(t))[..., None]
 
     return inner_integral(f, grid, np.zeros((grid.n_cells + 1, 1)))[:, 0]
+
+
+def _squared(f2):
+    """f2(t, tau)^2, still a LagBound when f2 is one."""
+    if isinstance(f2, LagBound):
+        return LagBound(lambda s: np.asarray(f2.w(s), float) ** 2)
+    return lambda t, tau: np.asarray(f2(t, tau), float) ** 2
 
 
 def _sample_diagonal(kernel: KernelSpec, grid: Grid) -> tuple[bool, int]:
@@ -100,9 +114,7 @@ def check_A3(kernel: KernelSpec, grid: Grid) -> HypothesisReport:
     if b is None or b.c0 is None or b.d0 is None:
         raise MissingBounds(f"kernel {kernel.name} declares no c0/d0 bounds")
     diag_ok, n_diag = _sample_diagonal(kernel, grid)
-    c0 = b.c0
-    norm_sq = grid.delta * _inner_bound(lambda t, tau: np.asarray(c0(t, tau), float) ** 2,
-                                        grid).sum()
+    norm_sq = grid.delta * _inner_bound(_squared(b.c0), grid).sum()
     norm_value = math.sqrt(max(norm_sq, 0.0))
     threshold = math.sqrt(2.0) / (2.0 * grid.length)
     margin = threshold - norm_value
@@ -119,7 +131,7 @@ def check_A3(kernel: KernelSpec, grid: Grid) -> HypothesisReport:
 
 
 def _ctilde_at_midpoints(c1, c2, grid: Grid) -> np.ndarray:
-    inner = _inner_bound(lambda t, tau: np.asarray(c2(t, tau), float) ** 2, grid)
+    inner = _inner_bound(_squared(c2), grid)
     root = np.sqrt(grid.midpoints - grid.alpha) * np.asarray(c1(grid.midpoints), float)
     return root + grid.length / math.sqrt(2.0) * np.sqrt(np.maximum(inner, 0.0))
 

@@ -63,9 +63,11 @@ class GrowthBounds:
     c0, d0 bound the time derivative, |v_t(t,tau,x)| <= c0(t,tau)|x| +
     d0(t,tau), for kernels vanishing on the diagonal.  c1, d1 bound the
     diagonal value |v(t,t,x)| <= c1(t)|x| + d1(t), and c2, d2 bound v_t
-    in the same style as c0, d0.  Scalar-argument callables, vectorized.
-    d0 and d2 may be integrably singular on the diagonal; quadrature
-    keeps a distance of at least delta/4 from it.
+    in the same style as c0, d0.  Scalar-argument callables, vectorized;
+    a bound of the lag t - tau alone may be given as a LagBound, whose
+    integrals certification takes as Toeplitz products.  d0 and d2 may
+    be integrably singular on the diagonal; quadrature keeps a distance
+    of at least delta/4 from it.
     """
 
     c0: Optional[Callable] = None
@@ -91,6 +93,21 @@ class LagIntegrand:
 
     def __call__(self, t, tau, x):
         return _lag_product(self.w, self.z, t, tau, x)
+
+
+@dataclass(frozen=True)
+class LagBound:
+    """A bound b(t, tau) = w(t - tau) of the lag alone, kept in factored form.
+
+    w maps an array of lags to an array of the same shape.  Calling it
+    evaluates w(t - tau) with the broadcast shape of t and tau.
+    """
+
+    w: Callable
+
+    def __call__(self, t, tau):
+        lag = np.subtract(np.asarray(t, float), tau)
+        return np.broadcast_to(np.asarray(self.w(lag), float), lag.shape)
 
 
 def _lag_product(w, z, t, tau, x):
@@ -325,7 +342,7 @@ def example2_kernel(w, w_prime, z, z_prime, A: float, B: float,
     derivative explicitly, as does z: the library never differentiates
     numerically on the caller's behalf.  A, B >= 0 must majorize z as
     |z(x)| <= A|x| + B; that contract is the caller's and is what the
-    declared bounds c0 = A|w'|, d0 = B|w'| encode.
+    declared bounds c0 = A|w'|, d0 = B|w'| encode; both are LagBounds.
     """
     if not (A >= 0 and B >= 0):
         raise KernelContract(f"need A, B >= 0, got A={A}, B={B}")
@@ -333,18 +350,16 @@ def example2_kernel(w, w_prime, z, z_prime, A: float, B: float,
     if abs(w0) > _W_ANCHOR_ATOL:
         raise KernelContract(f"w(0) = {w0:.3e} must vanish")
 
-    def c0(t, tau):
-        return A * np.abs(np.asarray(w_prime(np.asarray(t, float) - tau), float))
-
-    def d0(t, tau):
-        return B * np.abs(np.asarray(w_prime(np.asarray(t, float) - tau), float))
+    def abs_w_prime(s):
+        return np.abs(np.asarray(w_prime(s), float))
 
     return lag_kernel(
         w, w_prime,
         z=lambda x: np.broadcast_to(np.asarray(z(x), float), np.shape(x)),
         z_prime=lambda x: np.broadcast_to(np.asarray(z_prime(x), float), np.shape(x))[..., None],
         diagonal_zero=True,
-        bounds=GrowthBounds(c0=c0, d0=d0),
+        bounds=GrowthBounds(c0=LagBound(lambda s: A * abs_w_prime(s)),
+                            d0=LagBound(lambda s: B * abs_w_prime(s))),
         domain=TriangularDomain(0.0, float(T)),
         name="example2",
     )

@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc
 
+from . import quadrature
 from .errors import DimMismatch, SingularBlock
 from .function_space import GridFunction, ac_norm, sup_norm, zeros
 from .kernels import KernelSpec, LagFactors, TriangularDomain
@@ -26,10 +26,6 @@ from .quadrature import (
     cell_midpoint_values,
     node_integral,
 )
-
-# Rows of the dense solves at the leaves of the lag-kernel collocation.
-_LEAF = 64
-
 
 # Same grid and dim, or GridMismatch / DimMismatch.
 _require_same = GridFunction._require_compatible
@@ -103,6 +99,9 @@ def tail_bound(k: int, bound: NeumannBound) -> float:
         raise ValueError(f"k must be >= 0, got {k}")
     if bound.D == 0.0 or (k > 0 and bound.A == 0.0):
         return 0.0
+    # scipy is loaded here, on first use, so import volterra needs numpy alone
+    from scipy.special import gammainc
+
     A = bound.A
     p = 1.0 if k == 0 else float(gammainc(k, A))
     if p > 0.0:
@@ -237,13 +236,15 @@ def collocation_solve(kernel: KernelSpec, x0: GridFunction,
                       g: GridFunction) -> GridFunction:
     """Direct triangular solve of the discrete system h + T h = g.
 
-    Forward substitution over nodes; the only inversions are the
-    (dim x dim) diagonal blocks I + delta/2 * v_x(t_i, m_{i-1}, x0).
-    The v_x samples come one row block of the quadrature walk at a time
-    and are never held whole.  A kernel with lag factors is solved by
-    halves instead (_lag_collocation), at O(N log^2 N).  The discrete
-    equations are satisfied to rounding, so the residual measured with
-    apply_T is at machine level.
+    Forward substitution over leaves of at most quadrature._LEAF nodes.
+    The columns a leaf has solved enter its rows as one matvec; its own
+    nodes are one dense (leaf * dim)^2 solve, whose diagonal blocks
+    I + delta/2 * v_x(t_i, m_{i-1}, x0) are checked for singularity
+    first.  The v_x samples come one row block of the quadrature walk at
+    a time and are never held whole.  A kernel with lag factors is
+    solved by halves instead (_lag_collocation), at O(N log^2 N).  The
+    discrete equations are satisfied to rounding, so the residual
+    measured with apply_T is at machine level.
     """
     _require_same(x0, g)
     _require_kernel_dim(kernel, x0)
@@ -252,25 +253,41 @@ def collocation_solve(kernel: KernelSpec, x0: GridFunction,
         return GridFunction(grid, _lag_collocation(kernel.lag, x0, g))
     d = grid.delta
     h = np.zeros_like(g.values)
-    eye = np.eye(g.dim)
     x0m = cell_midpoint_values(x0.values)
     for r0, r1, W in _row_blocks(kernel.v_x, grid.nodes, grid.midpoints, x0m):
-        # Columns j < r0 - 1 have both end values solved: one matvec.
-        # The rest are swept row by row as the block's nodes are solved.
-        hm = 0.5 * (h[: r0 - 1] + h[1:r0])
-        rhs = g.values[r0:r1] - d * np.einsum("ijab,jb->ia", W[:, : r0 - 1], hm)
-        for i in range(r0, r1):
-            Wi = W[i - r0]
-            hm = 0.5 * (h[r0 - 1 : i - 1] + h[r0:i])
-            r = rhs[i - r0] - d * np.einsum("jab,jb->a", Wi[r0 - 1 : i - 1], hm) \
-                - 0.5 * d * (Wi[i - 1] @ h[i - 1])
-            block = eye + 0.5 * d * Wi[i - 1]
-            if abs(np.linalg.det(block)) < 1e-14:
-                raise SingularBlock(
-                    f"diagonal block at node {i} is singular; refine the grid"
-                )
-            h[i] = np.linalg.solve(block, r)
+        for c0 in range(r0, r1, quadrature._LEAF):
+            c1 = min(r1, c0 + quadrature._LEAF)
+            # Row i reads h_i + delta sum_{j<i} W_ij (h_j + h_{j+1}) / 2 = g_i.
+            # Columns j < c0 - 1 have both end values solved: one matvec.
+            Wc = W[c0 - r0 : c1 - r0]
+            hm = 0.5 * (h[: c0 - 1] + h[1:c0])
+            S = Wc[:, c0 - 1 : c1 - 1]
+            rhs = g.values[c0:c1] - d * np.einsum("ijab,jb->ia", Wc[:, : c0 - 1], hm) \
+                - 0.5 * d * (S[:, 0] @ h[c0 - 1])
+            h[c0:c1] = _solve_leaf(S, rhs, d, c0)
     return GridFunction(grid, h)
+
+
+def _solve_leaf(S: np.ndarray, rhs: np.ndarray, d: float, c0: int) -> np.ndarray:
+    """Solve the rows of nodes [c0, c0 + L) for their own node values.
+
+    S[p, q] = v_x(t_{c0+p}, m_{c0-1+q}, x0) (zero for q > p), so h_k
+    enters row p with (delta/2) (S[p, k - c0] + S[p, k - c0 + 1]).
+    rhs holds g minus every term of the nodes below c0.  Raises
+    SingularBlock at the first node whose diagonal block
+    I + delta/2 S[p, p] has |det| < 1e-14.
+    """
+    L, n = rhs.shape
+    diag = np.eye(n) + 0.5 * d * S[np.arange(L), np.arange(L)]
+    bad = np.flatnonzero(np.abs(np.linalg.det(diag)) < 1e-14)
+    if bad.size:
+        raise SingularBlock(
+            f"diagonal block at node {c0 + bad[0]} is singular; refine the grid"
+        )
+    A = S.copy()
+    A[:, :-1] += S[:, 1:]
+    M = 0.5 * d * A.transpose(0, 2, 1, 3).reshape(L * n, L * n) + np.eye(L * n)
+    return np.linalg.solve(M, rhs.ravel()).reshape(L, n)
 
 
 def _lag_collocation(lag: LagFactors, x0: GridFunction, g: GridFunction) -> np.ndarray:
@@ -283,23 +300,14 @@ def _lag_collocation(lag: LagFactors, x0: GridFunction, g: GridFunction) -> np.n
 
     Rows [lo, hi) are solved by halves: once the first half is solved,
     it enters the rows of the second as two causal convolutions with
-    the Toeplitz symbol a, by FFT.  Blocks of at most _LEAF rows are
-    dense solves.  Every diagonal block is checked for singularity up
-    front, with the forward substitution's rule.
+    the Toeplitz symbol a, by FFT.  Blocks of at most quadrature._LEAF
+    rows are the dense solves of the generic route, taken leftmost
+    first, so SingularBlock names the same node as there.
     """
     grid = g.grid
-    N, d, n = grid.n_cells, grid.delta, g.dim
+    N, d = grid.n_cells, grid.delta
     a = np.append(_lag_symbol(lag.w, grid.nodes, grid), 0.0)  # a[N + 1] = 0 pads a[1 : L + 1]
     C = np.asarray(lag.z_prime(cell_midpoint_values(x0.values)), float)
-    pad = np.zeros((1, n, n))
-    Cp = np.concatenate([C, pad])  # Cp[k] = C_k
-    Cq = np.concatenate([pad, C])  # Cq[k] = C_{k-1}
-    diag = np.eye(n) + 0.5 * d * a[1] * Cq[1:]
-    bad = np.flatnonzero(np.abs(np.linalg.det(diag)) < 1e-14)
-    if bad.size:
-        raise SingularBlock(
-            f"diagonal block at node {bad[0] + 1} is singular; refine the grid"
-        )
 
     h = np.zeros_like(g.values)
     rhs = g.values.copy()  # g minus the contributions of the solved rows
@@ -310,14 +318,11 @@ def _lag_collocation(lag: LagFactors, x0: GridFunction, g: GridFunction) -> np.n
     while tasks:
         lo, mid, hi = tasks.pop()
         L = hi - lo
-        if mid is None and L <= _LEAF:
-            # a_0 = 0, so indices clipped at 0 give the zeros above the diagonal
-            ik = np.maximum(np.subtract.outer(np.arange(L), np.arange(L)), -1)
-            A0 = a[np.maximum(ik, 0)][:, :, None, None]  # a_{i-k}
-            A1 = a[ik + 1][:, :, None, None]  # a_{i-k+1}
-            M = 0.5 * d * (A0 * Cp[lo:hi] + A1 * Cq[lo:hi])
-            M = M.transpose(0, 2, 1, 3).reshape(L * n, L * n) + np.eye(L * n)
-            h[lo:hi] = np.linalg.solve(M, rhs[lo:hi].ravel()).reshape(L, n)
+        if mid is None and L <= quadrature._LEAF:
+            # S[p, q] = a_{p-q+1} C_{lo-1+q}; a_0 = 0 clears q > p
+            pq = np.maximum(np.subtract.outer(np.arange(L), np.arange(L)) + 1, 0)
+            S = a[pq][:, :, None, None] * C[lo - 1 : hi - 1]
+            h[lo:hi] = _solve_leaf(S, rhs[lo:hi], d, lo)
         elif mid is None:
             mid = (lo + hi) // 2
             tasks += [(mid, None, hi), (lo, mid, hi), (lo, None, mid)]
@@ -329,8 +334,8 @@ def _lag_collocation(lag: LagFactors, x0: GridFunction, g: GridFunction) -> np.n
                 symbols[L] = (size, np.fft.rfft(a[:L], size)[:, None],
                               np.fft.rfft(a[1 : L + 1], size)[:, None])
             size, S0, S1 = symbols[L]
-            p = np.einsum("kab,kb->ka", Cp[lo:mid], h[lo:mid])
-            q = np.einsum("kab,kb->ka", Cq[lo:mid], h[lo:mid])
+            p = np.einsum("kab,kb->ka", C[lo:mid], h[lo:mid])
+            q = np.einsum("kab,kb->ka", C[lo - 1 : mid - 1], h[lo:mid])
             y = np.fft.irfft(S0 * np.fft.rfft(p, size, axis=0)
                              + S1 * np.fft.rfft(q, size, axis=0), size, axis=0)
             rhs[mid:hi] -= 0.5 * d * y[mid - lo : L]

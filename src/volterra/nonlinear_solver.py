@@ -3,7 +3,7 @@
 Newton linearizes through the collocation solver; each step is damped by
 backtracking on the least-squares functional.  The gradient route
 descends the same functional along its Riesz representative in the
-derivative inner product, which costs one tridiagonal solve per step and
+derivative inner product, which costs two cumulative sums per step and
 avoids assembling any second derivative of the kernel.
 """
 
@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solveh_banded
 
 from .errors import LineSearchStalled, MaxIterExceeded
 from .function_space import GridFunction, ac_norm, axpy, random_anchored
@@ -100,16 +99,12 @@ def solve_newton(kernel, y: GridFunction, x_init: GridFunction | None = None,
 
 
 def _ac_riesz(grid, g_nodes: np.ndarray) -> GridFunction:
-    # Solve the pinned-left stiffness system L a = g so that
-    # <a, h>_AC = <g, h> for every direction h; L is tridiagonal.
-    N = grid.n_cells
-    d = grid.delta
-    ab = np.zeros((2, N))
-    ab[0, 1:] = -1.0 / d
-    ab[1, :] = 2.0 / d
-    ab[1, -1] = 1.0 / d
-    a = solveh_banded(ab, g_nodes[1:], lower=False)
-    vals = np.vstack([np.zeros((1, g_nodes.shape[1])), a])
+    # The a pinned at alpha with <a, h>_AC = <g, h> for every direction h.
+    # <a, h>_AC = sum_k s_k (h_k - h_{k-1}) with slopes s_k, so s_j - s_{j+1}
+    # = g_j (s_{N+1} = 0): the slopes are the reverse cumulative sum of g.
+    slopes = np.cumsum(g_nodes[:0:-1], axis=0)[::-1]
+    vals = np.zeros_like(g_nodes, dtype=float)
+    vals[1:] = grid.delta * np.cumsum(slopes, axis=0)
     return GridFunction(grid, vals)
 
 

@@ -13,11 +13,13 @@ Every integral in the package is discretized with one family of rules:
 
 The full-cell part of both rules sums samples f(r_i, m_j, x(m_j)) over
 the strict lower triangle j < i, with r the nodes or the midpoints.
-_row_blocks walks it in blocks of rows [r0, r1): the dense rectangle of
-columns [0, r0), passed to the evaluator as broadcast views, plus the
-small triangle inside the block.  Blocks hold at most _BLOCK_SAMPLES
-samples, so memory grows as N.  Summing the blocks along rows gives the
-rules; summing along columns gives their transpose.
+_row_blocks walks it in blocks of rows [r0, r1) holding at most
+_BLOCK_SAMPLES samples, so memory grows as N.  It fills each block in
+leaves of at most _LEAF rows [c0, c1): the dense rectangle of columns
+[0, c0), passed to the evaluator as broadcast views, plus the leaf's
+own small triangle.  Summing the blocks along rows gives the rules;
+summing along columns gives their transpose.  collocation_solve solves
+by the same leaves.
 
 The second route serves integrands w(t - tau) z(x) passed as a
 LagIntegrand (KernelSpec.integrand gives one for kernels that declare
@@ -45,6 +47,10 @@ from .kernels import LagIntegrand
 # still takes a whole row when a single row is longer.
 _BLOCK_SAMPLES = 1 << 18
 
+# Rows per leaf: the walk fills its blocks, and both collocation routes
+# solve, in leaves of at most this many rows.
+_LEAF = 64
+
 
 def cell_midpoint_values(values: np.ndarray) -> np.ndarray:
     """Interpolate node values at cell midpoints; shape (N, dim)."""
@@ -66,20 +72,32 @@ def _row_blocks(f, rows: np.ndarray, cols: np.ndarray, xc: np.ndarray):
     Yields (r0, r1, block) for consecutive row blocks starting at row 1
     (row 0 has no samples).  block has shape (r1 - r0, r1 - 1) + value
     shape: block[i - r0, j] is the sample for j < i and zero elsewhere.
-    Every pair j < i is evaluated exactly once.
+    Every pair j < i is evaluated exactly once: each leaf of rows gets
+    its columns below it as one broadcast rectangle, and the small
+    triangles inside the leaves go to the evaluator in one call.
     """
     r0 = 1
     while r0 < rows.size:
         b = max(1, (math.isqrt(r0 * r0 + 4 * _BLOCK_SAMPLES) - r0) // 2)
         r1 = min(rows.size, r0 + b)
-        shape = (r1 - r0, r0)
-        rect = np.asarray(f(np.broadcast_to(rows[r0:r1, None], shape),
-                            np.broadcast_to(cols[None, :r0], shape),
-                            np.broadcast_to(xc[None, :r0], shape + xc.shape[1:])), float)
-        block = np.zeros((r1 - r0, r1 - 1) + rect.shape[2:])
-        block[:, :r0] = rect
-        if r1 - r0 > 1:
-            ii, jj = np.tril_indices(r1 - r0, k=-1)
+        block = None
+        for c0 in range(r0, r1, _LEAF):
+            c1 = min(r1, c0 + _LEAF)
+            shape = (c1 - c0, c0)
+            rect = np.asarray(f(np.broadcast_to(rows[c0:c1, None], shape),
+                                np.broadcast_to(cols[None, :c0], shape),
+                                np.broadcast_to(xc[None, :c0], shape + xc.shape[1:])), float)
+            if block is None:
+                block = np.zeros((r1 - r0, r1 - 1) + rect.shape[2:])
+            block[c0 - r0 : c1 - r0, :c0] = rect
+        # the pairs j < i inside each leaf, as offsets from r0
+        m = r1 - r0
+        ii, jj = np.tril_indices(min(m, _LEAF), k=-1)
+        starts = np.arange(0, m, _LEAF)[:, None]
+        ii, jj = (ii + starts).ravel(), (jj + starts).ravel()
+        keep = ii < m  # the last leaf may be partial
+        ii, jj = ii[keep], jj[keep]
+        if ii.size:
             block[ii, r0 + jj] = f(rows[r0 + ii], cols[r0 + jj], xc[r0 + jj])
         yield r0, r1, block
         r0 = r1

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -255,3 +259,12 @@ def test_version_flag(capsys):
         main(["--version"])
     assert err.value.code == 0
     assert vt.__version__ in capsys.readouterr().out
+
+
+def test_import_loads_no_scipy():
+    # every CLI op is a fresh process that pays the import again
+    src = str(Path(vt.__file__).resolve().parents[1])
+    code = "import sys, volterra; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert out.stdout.strip() == "[]"

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import volterra as vt
-from volterra import SingularBlock, linear_solver
+from volterra import SingularBlock, quadrature
 from volterra.certification import _inner_bound
 from volterra.operator import frechet_dt
 from volterra.quadrature import inner_integral, inner_integral_adjoint, node_integral
@@ -73,7 +73,7 @@ def test_sums_match_the_generic_walk(dim, n_cells):
 @pytest.mark.parametrize("dim", [1, 2])
 def test_collocation_by_halves_matches_forward_substitution(monkeypatch, dim):
     # 4-row leaves on 37 rows: uneven halves, merges at every level
-    monkeypatch.setattr(linear_solver, "_LEAF", 4)
+    monkeypatch.setattr(quadrature, "_LEAF", 4)
     lag = _lag(dim)
     g = vt.Grid(0.0, 1.3, 37)
     rng = np.random.default_rng(dim)
@@ -88,7 +88,7 @@ def test_collocation_by_halves_matches_forward_substitution(monkeypatch, dim):
 
 def test_singular_block_names_the_same_node_on_both_routes(monkeypatch):
     # w = 1, z' = x: the block 1 + (delta/2) x0(m_11) vanishes at node 12
-    monkeypatch.setattr(linear_solver, "_LEAF", 4)
+    monkeypatch.setattr(quadrature, "_LEAF", 4)
     ker = vt.lag_kernel(w=np.ones_like, w_prime=np.zeros_like,
                         z=lambda x: 0.5 * x * x, z_prime=lambda x: x[..., None])
     g = vt.Grid(0.0, 1.0, 16)
@@ -134,6 +134,24 @@ def test_check_example2_matches_the_generic_inner_rule():
     rep = vt.check_example2(w_prime, A=1.0, T=0.9, grid=g)
     walk = g.delta * _inner_bound(lambda t, tau: w_prime(t - tau) ** 2, g).sum()
     assert rep.norm_value == pytest.approx(walk, rel=1e-12)
+
+
+def test_check_A3_lag_bounds_match_the_generic_walk():
+    # example2's c0 = A |w'(t - tau)| is a LagBound; a plain callable of
+    # the same values takes the walk
+    ker = vt.example2_kernel(w=lambda s: np.sin(2.0 * s), w_prime=lambda s: 2.0 * np.cos(2.0 * s),
+                             z=np.arctan, z_prime=lambda x: 1.0 / (1.0 + x * x),
+                             A=1.3, B=0.4, T=0.9)
+    b = ker.bounds
+    plain = vt.GrowthBounds(c0=lambda t, tau: b.c0(t, tau), d0=lambda t, tau: b.d0(t, tau))
+    twin = dataclasses.replace(ker, bounds=plain)
+    g = vt.Grid(0.0, 0.9, 4000)
+    fast, walk = vt.check_A3(ker, g), vt.check_A3(twin, g)
+    assert fast.norm_value == pytest.approx(walk.norm_value, rel=1e-12)
+    assert fast.samples_used == walk.samples_used
+    assert fast.passed == walk.passed
+    assert vt.coercivity_constants(ker, g) == pytest.approx(
+        vt.coercivity_constants(twin, g), rel=1e-12)
 
 
 def test_long_horizon_newton():

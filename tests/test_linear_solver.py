@@ -251,8 +251,10 @@ class TestCollocation:
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_blocked_solve_matches_dense_system(self, monkeypatch, dim):
-        # small blocks: the walk crosses block boundaries many times
+        # small blocks: the walk crosses block boundaries many times;
+        # 3-row leaves: blocks of 7 and 4 rows hold several, the last partial
         monkeypatch.setattr(quadrature, "_BLOCK_SAMPLES", 60)
+        monkeypatch.setattr(quadrature, "_LEAF", 3)
         a = np.arange(dim * dim).reshape(dim, dim) / dim + 0.5
 
         def v_x(t, tau, x):
@@ -285,6 +287,18 @@ class TestCollocation:
                             lambda t, tau, x: np.where(t > 0.7, -32.0, 0.5) + 0.0 * x,
                             lambda t, tau, x: 0.0 * x)
         with pytest.raises(SingularBlock, match="node 12"):
+            collocation_solve(ker, zeros(g), from_callable(lambda t: t, g))
+
+    def test_singular_block_found_inside_a_later_leaf(self, monkeypatch):
+        # blocks [1, 8), [8, 12), ...; 2-row leaves put node 11 second in [10, 12)
+        monkeypatch.setattr(quadrature, "_BLOCK_SAMPLES", 60)
+        monkeypatch.setattr(quadrature, "_LEAF", 2)
+        g = Grid(0.0, 1.0, 16)
+        ker = scalar_kernel(lambda t, tau, x: 0.0 * x, lambda t, tau, x: 0.0 * x,
+                            lambda t, tau, x: np.where(np.abs(t - 11 / 16) < 1e-9, -32.0, 0.5)
+                            + 0.0 * x,
+                            lambda t, tau, x: 0.0 * x)
+        with pytest.raises(SingularBlock, match="node 11 "):
             collocation_solve(ker, zeros(g), from_callable(lambda t: t, g))
 
     @given(lam=st.floats(min_value=-3.0, max_value=3.0),

@@ -23,6 +23,7 @@ from volterra import (
     sub,
     zero_kernel,
 )
+from volterra.nonlinear_solver import _ac_riesz
 
 
 def _example2_demo():
@@ -133,6 +134,30 @@ class TestGradient:
         y = from_callable(lambda t: t, unit_grid)
         with pytest.raises(MaxIterExceeded):
             solve_gradient(ker, y, tol=1e-13, max_iter=2)
+
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_riesz_representative(self, dim):
+        # <a, h>_AC = <g, h> for every h, and a agrees with the banded
+        # solve of the pinned-left stiffness system L a = g
+        from scipy.linalg import solveh_banded
+
+        g = Grid(0.0, 1.0, 4000)
+        rng = np.random.default_rng(dim)
+        g_nodes = rng.standard_normal((g.n_cells + 1, dim))
+        a = _ac_riesz(g, g_nodes)
+        assert np.all(a.values[0] == 0.0)
+        for _ in range(3):
+            h = random_anchored(g, dim, rng)
+            inner_ac = (np.diff(a.values, axis=0) * np.diff(h.values, axis=0)).sum() / g.delta
+            assert inner_ac == approx((g_nodes * h.values).sum(), rel=1e-10)
+        d = g.delta
+        ab = np.zeros((2, g.n_cells))
+        ab[0, 1:] = -1.0 / d
+        ab[1, :] = 2.0 / d
+        ab[1, -1] = 1.0 / d
+        banded = solveh_banded(ab, g_nodes[1:], lower=False)
+        assert np.abs(a.values[1:] - banded).max() <= 1e-10 * np.abs(banded).max()
 
 
 class TestMultistart:

@@ -3,7 +3,8 @@
 The rules are exact for integrands linear in tau on each cell; several
 tests pin that exactness because the coercivity check relies on it.
 The block walk behind both rules is checked against a plain double loop
-with a block cap small enough that every walk crosses block boundaries.
+with a block cap small enough that every walk crosses block boundaries,
+and leaves small enough that a block holds several of them.
 """
 
 import numpy as np
@@ -31,8 +32,10 @@ def _triangle(f2, g):
 
 @pytest.fixture
 def small_blocks(monkeypatch):
-    # 60 samples per block: blocks of 7 rows down to 2 on a 23-cell grid
+    # 60 samples per block: blocks of 7 rows down to 2 on a 23-cell grid;
+    # 3-row leaves, so the 7- and 4-row blocks end in a partial leaf
     monkeypatch.setattr(quadrature, "_BLOCK_SAMPLES", 60)
+    monkeypatch.setattr(quadrature, "_LEAF", 3)
 
 
 def test_node_integral_of_one_is_elapsed_time():
@@ -206,6 +209,7 @@ def test_column_sums_are_the_transpose_of_row_sums(monkeypatch, dim, cap):
 @pytest.mark.parametrize("cap", [7, 50, 1 << 18])
 def test_walk_evaluates_each_pair_once(monkeypatch, cap):
     monkeypatch.setattr(quadrature, "_BLOCK_SAMPLES", cap)
+    monkeypatch.setattr(quadrature, "_LEAF", 3)
     pairs = []
 
     def f(t, tau, x):
@@ -236,3 +240,21 @@ def test_block_cap_bounds_samples_per_call(monkeypatch):
     node_integral(f, g, np.zeros((61, 1)))
     assert max(sizes) <= 100
     assert len(sizes) > 2
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_leaves_fill_the_same_blocks(monkeypatch, dim):
+    # leaves change how a block is filled, not one bit of it
+    monkeypatch.setattr(quadrature, "_BLOCK_SAMPLES", 300)
+    g = Grid(0.0, 1.3, 61)
+    xm = cell_midpoint_values(_state(g, dim, 8))
+
+    def walk(leaf):
+        monkeypatch.setattr(quadrature, "_LEAF", leaf)
+        return list(quadrature._row_blocks(_mat(dim), g.nodes, g.midpoints, xm))
+
+    whole, leaves = walk(10**9), walk(4)
+    assert len(whole) > 2
+    assert [b[:2] for b in leaves] == [b[:2] for b in whole]
+    for (_, _, a), (_, _, b) in zip(whole, leaves):
+        assert np.array_equal(a, b)

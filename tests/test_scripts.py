@@ -1,0 +1,41 @@
+"""Smoke runs of the scripts in scripts/, each in a fresh process."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import volterra as vt
+
+_ROOT = Path(__file__).resolve().parents[1]
+
+
+def _run(script, *args):
+    src = str(Path(vt.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, str(_ROOT / "scripts" / script), *args],
+                          capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": src})
+
+
+def test_certify_examples_tables():
+    out = _run("certify_examples.py")
+    assert out.returncode == 0, out.stderr
+    # each sweep passes up to its threshold and fails beyond it
+    tables = out.stdout.split("\n\n")
+    assert len(tables) == 3
+    for table in tables:
+        verdicts = re.findall(r"(True|False)\s*$", table, flags=re.M)
+        assert verdicts[0] == "True" and verdicts[-1] == "False"
+        assert verdicts == sorted(verdicts, key=lambda v: v == "False")
+
+
+def test_convergence_study_is_second_order():
+    out = _run("convergence_study.py", "--cells", "25", "50", "100", "--ref-cells", "400")
+    assert out.returncode == 0, out.stderr
+    sweeps = out.stdout.strip().split("\n\n")
+    assert len(sweeps) == 2  # the linear kernel, then the log kernel
+    for sweep in sweeps:
+        rates = [float(r) for r in re.findall(r"^\s*\d+\s+\S+\s+(\d+\.\d+)\s*$", sweep, flags=re.M)]
+        assert len(rates) == 2, sweep
+        assert min(rates) >= 1.9, sweep
