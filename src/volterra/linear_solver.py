@@ -90,27 +90,42 @@ def iterate_bound(k: int, bound: NeumannBound) -> float:
 
 
 def tail_bound(k: int, bound: NeumannBound) -> float:
-    """Sum of iterate_bound(j) over j > k: D e^A P(k, A), P(0, A) = 1.
+    """Sum of iterate_bound(j) over j > k: D sum_{m >= k} A^m / m!.
 
-    P is the regularized lower incomplete gamma function.  The sum is
-    formed in log space; beyond the float range it reads inf.
+    The terms are summed as ratios to the first one summed and scaled
+    back in log space; beyond the float range the value reads inf.  The
+    terms too small to count, far below the peak at m = A and in the
+    far tail, are bounded by geometric series instead, so the value is
+    an upper bound in every regime.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     if bound.D == 0.0 or (k > 0 and bound.A == 0.0):
         return 0.0
-    # scipy is loaded here, on first use, so import volterra needs numpy alone
-    from scipy.special import gammainc
+    A, log_d = bound.A, math.log(bound.D)
+    if k == 0 or A == math.inf:
+        return _exp_or_inf(log_d + A)  # the whole exponential series
+    # Below the peak at A the terms fall by at least m / A a step, so
+    # those before m = A - 10 sqrt(A) (about e^-50 of the peak) are one
+    # geometric series; this keeps the loop at O(sqrt(A)) terms.
+    m = max(k, math.floor(A - 10.0 * math.sqrt(A)))
+    log_lead = log_d + m * math.log(A) - math.lgamma(m + 1)
+    if log_lead > 710.0:  # one term alone is past the float range
+        return math.inf
+    total = m / (A - m) if m > k else 0.0
+    term = 1.0
+    while m <= A or term >= 1e-17 * total:
+        total += term
+        m += 1
+        term *= A / m
+    # Past the peak the terms fall by at least A / (m + 1) a step.
+    total += term / (1.0 - A / (m + 1))
+    return _exp_or_inf(log_lead + math.log(total))
 
-    A = bound.A
-    p = 1.0 if k == 0 else float(gammainc(k, A))
-    if p > 0.0:
-        log_sum = A + math.log(p)  # log of sum_{m >= k} A^m / m!
-    else:
-        # P underflows only for k >> A: bound by a geometric series.
-        log_sum = k * math.log(A) - math.lgamma(k + 1) - math.log1p(-A / (k + 1))
+
+def _exp_or_inf(x: float) -> float:
     try:
-        return math.exp(math.log(bound.D) + log_sum)
+        return math.exp(x)
     except OverflowError:
         return math.inf
 
@@ -275,11 +290,16 @@ def _solve_leaf(S: np.ndarray, rhs: np.ndarray, d: float, c0: int) -> np.ndarray
     enters row p with (delta/2) (S[p, k - c0] + S[p, k - c0 + 1]).
     rhs holds g minus every term of the nodes below c0.  Raises
     SingularBlock at the first node whose diagonal block
-    I + delta/2 S[p, p] has |det| < 1e-14.
+    B = I + delta/2 S[p, p] has sigma_min(B) < 1e-14 max(1, sigma_max(B));
+    unlike |det B|, which scales as the dim-th power of B, the test is
+    relative to B's size.
     """
     L, n = rhs.shape
     diag = np.eye(n) + 0.5 * d * S[np.arange(L), np.arange(L)]
-    bad = np.flatnonzero(np.abs(np.linalg.det(diag)) < 1e-14)
+    # A 1 x 1 block is its own singular value; LAPACK's SVD costs about
+    # six times a det per block, which shows on long dim-1 grids.
+    sv = np.abs(diag[:, 0]) if n == 1 else np.linalg.svd(diag, compute_uv=False)
+    bad = np.flatnonzero(sv[:, -1] < 1e-14 * np.maximum(1.0, sv[:, 0]))
     if bad.size:
         raise SingularBlock(
             f"diagonal block at node {c0 + bad[0]} is singular; refine the grid"

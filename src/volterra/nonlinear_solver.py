@@ -1,10 +1,12 @@
 """Damped Newton and natural-gradient descent for V(x) = y.
 
-Newton linearizes through the collocation solver; each step is damped by
-backtracking on the least-squares functional.  The gradient route
-descends the same functional along its Riesz representative in the
-derivative inner product, which costs two cumulative sums per step and
-avoids assembling any second derivative of the kernel.
+Newton solves the linearized discrete system by collocation and damps
+each step by backtracking on the derivative norm of that same residual
+y - V(x), so a trial costs one apply_V.  The gradient route descends
+the least-squares functional F, its merit, along the Riesz
+representative of its gradient in the derivative inner product, which
+costs two cumulative sums per step and avoids assembling any second
+derivative of the kernel.
 """
 
 from __future__ import annotations
@@ -50,16 +52,17 @@ def solve_newton(kernel, y: GridFunction, x_init: GridFunction | None = None,
 
     The default start is y itself: the operator is a compact
     perturbation of the identity, so y is already an O(||integral||)
-    guess.  Raises MaxIterExceeded or LineSearchStalled with the partial
-    report attached.
+    guess.  A trial step is accepted once it strictly lowers the
+    residual norm; the report's functional_history stays empty.  Raises
+    MaxIterExceeded or LineSearchStalled with the partial report
+    attached.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     x = x_init if x_init is not None else y
     r = y - apply_V(kernel, x)
     res = ac_norm(r)
-    F = functional_F(kernel, x, y)
-    report = SolveReport("newton", 0, [res], [F], False)
+    report = SolveReport("newton", 0, [res], [], False)
 
     for _ in range(max_iter):
         if res <= tol:
@@ -69,25 +72,18 @@ def solve_newton(kernel, y: GridFunction, x_init: GridFunction | None = None,
         s = 1.0
         while True:
             x_trial = axpy(s, delta, x)
-            F_trial = functional_F(kernel, x_trial, y)
-            if F_trial < F:
-                break
-            # F bottoms out at its quadrature-consistency floor slightly
-            # away from the collocation solution; a trial that already
-            # meets the residual tolerance is accepted regardless.
-            if ac_norm(y - apply_V(kernel, x_trial)) <= tol:
+            r_trial = y - apply_V(kernel, x_trial)
+            res_trial = ac_norm(r_trial)
+            if res_trial < res:
                 break
             s *= 0.5
             if s < _MIN_STEP:
                 raise LineSearchStalled(
                     f"no decrease above step {_MIN_STEP}", report=report
                 )
-        x, F = x_trial, F_trial
-        r = y - apply_V(kernel, x)
-        res = ac_norm(r)
+        x, r, res = x_trial, r_trial, res_trial
         report.iterations += 1
         report.residual_history.append(res)
-        report.functional_history.append(F)
 
     if res <= tol:
         report.converged = True
@@ -193,7 +189,6 @@ def multistart_uniqueness(kernel, y: GridFunction, n_starts: int,
         solutions.append(x)
         report.iterations += rep.iterations
         report.residual_history.append(rep.residual_history[-1])
-        report.functional_history.append(rep.functional_history[-1])
 
     spread = 0.0
     for i in range(len(solutions)):

@@ -262,9 +262,16 @@ def test_version_flag(capsys):
 
 
 def test_import_loads_no_scipy():
-    # every CLI op is a fresh process that pays the import again
+    # every CLI op is a fresh process that pays the import again, and
+    # the Neumann tail certificate sums its series without scipy
     src = str(Path(vt.__file__).resolve().parents[1])
-    code = "import sys, volterra; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
-    assert out.stdout.strip() == "[]"
+    scipy_mods = "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    neumann = ("g = volterra.Grid(0.0, 1.0, 40); "
+               "y = volterra.from_callable(lambda t: t, g); "
+               "h, rep = volterra.neumann_solve(volterra.example1_kernel(1.0), y, y, tol=1e-8); "
+               "assert rep.converged and rep.tail_bound > 0.0; ")
+    for run in ("", neumann):
+        code = f"import sys, volterra; {run}{scipy_mods}"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert out.stdout.strip() == "[]"

@@ -1,6 +1,7 @@
 """Neumann iteration with factorial tail certificates, and direct collocation."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -79,6 +80,15 @@ class TestBounds:
         nb = NeumannBound(l_rho=800.0, M=1.0, C=1.0, D=1.0, A=800.0)
         assert tail_bound(1, nb) == math.inf
 
+    def test_tail_bound_huge_horizon_is_inf_at_once(self):
+        # the terms below A - 10 sqrt(A) are bounded, not summed one by one
+        nb = NeumannBound(l_rho=1e7, M=1.0, C=1.0, D=1e-300, A=1e7)
+        start = time.perf_counter()
+        assert tail_bound(1, nb) == math.inf
+        assert time.perf_counter() - start < 0.5
+        nb = NeumannBound(l_rho=math.inf, M=1.0, C=1.0, D=1.0, A=math.inf)
+        assert tail_bound(1, nb) == math.inf
+
     def test_tail_bound_far_out_stays_above_the_series(self):
         # P(2000, 700) underflows; the series itself is about e^-104
         A, k = 700.0, 2000
@@ -87,6 +97,21 @@ class TestBounds:
         exact = math.fsum(terms)
         assert exact > 0.0
         assert exact <= tail_bound(k, nb) <= 2.0 * exact
+
+    def test_tail_bound_matches_incomplete_gamma(self):
+        # sum_{m >= k} A^m / m! = e^A P(k, A), for k <= A and k >> A
+        from scipy.special import gammainc
+
+        checked = 0
+        for A in (0.5, 3.0, 40.0, 250.0, 600.0):
+            nb = NeumannBound(l_rho=A, M=1.0, C=1.0, D=1.0, A=A)
+            for k in (1, 2, 10, 60, 250, 700, 1000):
+                p = float(gammainc(k, A))
+                if p < 1e-300:
+                    continue  # P underflows; the far-out test covers that regime
+                assert tail_bound(k, nb) == approx(math.exp(A + math.log(p)), rel=1e-12)
+                checked += 1
+        assert checked >= 25
 
     def test_iterate_bound_factorial_decay(self):
         nb = NeumannBound.for_interval(l_rho=1.0, M=1.0, alpha=0.0, beta=1.0)
@@ -300,6 +325,33 @@ class TestCollocation:
                             lambda t, tau, x: 0.0 * x)
         with pytest.raises(SingularBlock, match="node 11 "):
             collocation_solve(ker, zeros(g), from_callable(lambda t: t, g))
+
+    @staticmethod
+    def _block_kernel(block, g):
+        # constant v_x = K with every diagonal block I + delta/2 K = block
+        K = (np.asarray(block, float) - np.eye(2)) * 2.0 / g.delta
+
+        def v_x(t, tau, x):
+            return np.broadcast_to(K, np.broadcast_shapes(np.shape(t), np.shape(tau)) + (2, 2))
+
+        return KernelSpec(dim=2, v=None, v_t=None, v_x=v_x, v_tx=None)
+
+    def test_small_but_well_conditioned_block_solves(self, rng):
+        # det = 1e-16, yet the block is 1e-8 I, a multiple of the identity
+        g = Grid(0.0, 1.0, 4)
+        ker = self._block_kernel(np.diag([1e-8, 1e-8]), g)
+        rhs = random_anchored(g, 2, rng)
+        h = collocation_solve(ker, zeros(g, 2), rhs)
+        resid = sub(vt.frechet_apply(ker, zeros(g, 2), h), rhs)
+        assert ac_norm(resid) <= 1e-12 * ac_norm(h)
+
+    @pytest.mark.parametrize("block", [np.diag([1e-15, 1e2]), np.diag([1e-13, 1e3])])
+    def test_ill_conditioned_block_raises(self, rng, block):
+        # det = 1e-13 and 1e-10, but sigma_min / sigma_max = 1e-17 and 1e-16
+        g = Grid(0.0, 1.0, 4)
+        ker = self._block_kernel(block, g)
+        with pytest.raises(SingularBlock, match="node 1 "):
+            collocation_solve(ker, zeros(g, 2), random_anchored(g, 2, rng))
 
     @given(lam=st.floats(min_value=-3.0, max_value=3.0),
            seed=st.integers(min_value=0, max_value=2**31 - 1))

@@ -1,23 +1,28 @@
 """Newton and gradient descent for V(x) = y, plus the multistart probe."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from pytest import approx
 
 import volterra as vt
+from volterra import nonlinear_solver
 from volterra import (
     Grid,
     LineSearchStalled,
     MaxIterExceeded,
     ac_norm,
     apply_V,
+    axpy,
+    collocation_solve,
     from_callable,
     example1_kernel,
     linear_kernel,
     multistart_uniqueness,
     random_anchored,
+    scalar_kernel,
     solve_gradient,
     solve_newton,
     sub,
@@ -83,6 +88,48 @@ class TestNewton:
         assert rep is not None
         assert rep.iterations == 1
         assert not rep.converged
+
+    def test_needs_no_time_derivatives(self):
+        # the merit is the residual itself: no v_t or v_tx is evaluated
+        def refuse(t, tau, x):
+            raise AssertionError("Newton evaluated a time derivative")
+
+        g = Grid(0.0, 1.0, 200)
+        ker = example1_kernel(1.0)
+        y = from_callable(lambda t: np.sin(5.0 * t), g)
+        x, rep = solve_newton(replace(ker, v_t=refuse, v_tx=refuse), y, tol=1e-10)
+        x_ref, _ = solve_newton(ker, y, tol=1e-10)
+        assert rep.converged
+        assert rep.functional_history == []
+        assert np.array_equal(x.values, x_ref.values)
+
+    def test_damped_steps_on_a_stiff_kernel(self, monkeypatch):
+        # v = 20 atan(5x) overshoots at full steps; the accepted steps are
+        # the last trial of each iteration
+        trials = []
+
+        def record(s, direction, x):
+            trials[-1].append(s)
+            return axpy(s, direction, x)
+
+        def solve(kernel, x0, g):
+            trials.append([])
+            return collocation_solve(kernel, x0, g)
+
+        monkeypatch.setattr(nonlinear_solver, "axpy", record)
+        monkeypatch.setattr(nonlinear_solver, "collocation_solve", solve)
+        ker = scalar_kernel(lambda t, tau, x: 20.0 * np.arctan(5.0 * x),
+                            lambda t, tau, x: 0.0 * x,
+                            lambda t, tau, x: 100.0 / (1.0 + 25.0 * x * x),
+                            lambda t, tau, x: 0.0 * x)
+        y = from_callable(lambda t: np.sin(6.0 * t), Grid(0.0, 1.0, 200))
+        _, rep = solve_newton(ker, y, tol=1e-10)
+        steps = [t[-1] for t in trials]
+        assert rep.converged
+        assert len(steps) == rep.iterations == 10
+        assert min(steps) < 1.0
+        hist = rep.residual_history
+        assert all(b < a for a, b in zip(hist, hist[1:]))
 
     def test_custom_initial_guess(self, rng):
         g = Grid(0.0, 1.0, 100)

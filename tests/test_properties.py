@@ -1,0 +1,76 @@
+"""Property tests on randomly built kernels v = a (c + (t - tau)^p) sin(b x).
+
+Each kernel carries its exact derivatives, so the solvers, the
+functional and its gradient can be checked against one another.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from pytest import approx
+
+from volterra import (
+    Grid,
+    ac_norm,
+    collocation_solve,
+    directional_dF,
+    functional_gradient,
+    neumann_solve,
+    random_anchored,
+    scalar_kernel,
+    solve_newton,
+    sub,
+)
+
+
+def _kernel(a, c, p, b):
+    # c > 0 keeps v_x off zero on the diagonal t = tau
+    return scalar_kernel(
+        lambda t, tau, x: a * (c + (t - tau) ** p) * np.sin(b * x),
+        lambda t, tau, x: a * p * (t - tau) ** (p - 1) * np.sin(b * x),
+        lambda t, tau, x: a * b * (c + (t - tau) ** p) * np.cos(b * x),
+        lambda t, tau, x: a * p * b * (t - tau) ** (p - 1) * np.cos(b * x),
+    )
+
+
+kernels = st.builds(
+    _kernel,
+    a=st.floats(min_value=-2.0, max_value=2.0),
+    c=st.floats(min_value=0.0, max_value=1.0),
+    p=st.floats(min_value=1.0, max_value=3.0),
+    b=st.floats(min_value=-3.0, max_value=3.0),
+)
+seeds = st.integers(min_value=0, max_value=2**31 - 1)
+_GRID = Grid(0.0, 1.0, 40)
+
+
+@given(kernel=kernels, seed=seeds)
+@settings(max_examples=25, deadline=None)
+def test_collocation_and_neumann_agree(kernel, seed):
+    rng = np.random.default_rng(seed)
+    x0 = random_anchored(_GRID, 1, rng)
+    g = random_anchored(_GRID, 1, rng)
+    hc = collocation_solve(kernel, x0, g)
+    hn, rep = neumann_solve(kernel, x0, g, tol=1e-12)
+    assert rep.converged
+    assert ac_norm(sub(hn, hc)) <= 1e-8 * max(1.0, ac_norm(hc))
+
+
+@given(kernel=kernels, seed=seeds)
+@settings(max_examples=25, deadline=None)
+def test_gradient_is_the_adjoint_of_the_frechet_derivative(kernel, seed):
+    # <gradient, h> = delta sum D . frechet_dt(h) = directional_dF(h)
+    rng = np.random.default_rng(seed)
+    x, y, h = (random_anchored(_GRID, 1, rng) for _ in range(3))
+    inner = float((functional_gradient(kernel, x, y) * h.values).sum())
+    assert inner == approx(directional_dF(kernel, x, y, h), rel=1e-10, abs=1e-13)
+
+
+@given(kernel=kernels, seed=seeds)
+@settings(max_examples=25, deadline=None)
+def test_newton_residual_strictly_decreases(kernel, seed):
+    y = random_anchored(_GRID, 1, np.random.default_rng(seed))
+    _, rep = solve_newton(kernel, y, tol=1e-10)
+    hist = rep.residual_history
+    assert rep.converged
+    assert all(b < a for a, b in zip(hist, hist[1:]))
