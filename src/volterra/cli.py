@@ -23,7 +23,7 @@ from .config import ProblemConfig
 from .errors import ConfigError, SolverError, VolterraError
 from .function_space import ac_norm, from_callable, sub, write_csv
 from .linear_solver import apply_T, collocation_solve
-from .nonlinear_solver import solve_newton
+from .nonlinear_solver import solve_march
 from .sensitivity import fd_discrepancy
 
 _FD_EPSILON = 1e-3
@@ -77,7 +77,7 @@ def cmd_check(args) -> int:
 
 
 def _solve_section(kernel, grid, config, y):
-    x, rep = solve_newton(kernel, y, tol=config.tol, max_iter=config.max_iter)
+    x, rep = solve_march(kernel, y, tol=config.tol, max_iter=config.max_iter)
     section = rep.to_dict()
     section["final_residual"] = rep.residual_history[-1]
     return x, section

@@ -16,13 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadrature
-from .errors import DimMismatch, SingularBlock
+from .errors import DimMismatch, KernelContract, SingularBlock
 from .function_space import GridFunction, ac_norm, sup_norm, zeros
 from .kernels import KernelSpec, LagFactors, TriangularDomain
 from .quadrature import (
     _fft_size,
     _lag_symbol,
-    _row_blocks,
+    _leaf_triangle,
+    _rectangle,
     cell_midpoint_values,
     node_integral,
 )
@@ -251,15 +252,16 @@ def collocation_solve(kernel: KernelSpec, x0: GridFunction,
                       g: GridFunction) -> GridFunction:
     """Direct triangular solve of the discrete system h + T h = g.
 
-    Forward substitution over leaves of at most quadrature._LEAF nodes.
-    The columns a leaf has solved enter its rows as one matvec; its own
-    nodes are one dense (leaf * dim)^2 solve, whose diagonal blocks
-    I + delta/2 * v_x(t_i, m_{i-1}, x0) are checked for singularity
-    first.  The v_x samples come one row block of the quadrature walk at
-    a time and are never held whole.  A kernel with lag factors is
-    solved by halves instead (_lag_collocation), at O(N log^2 N).  The
-    discrete equations are satisfied to rounding, so the residual
-    measured with apply_T is at machine level.
+    Forward substitution over leaves of quadrature._LEAF nodes, left to
+    right.  The columns a leaf has solved enter its rows as its history,
+    v_x column chunks reduced against the solved cell values of h as
+    they are evaluated; its own nodes are one dense (leaf * dim)^2
+    solve, whose diagonal blocks I + delta/2 * v_x(t_i, m_{i-1}, x0) are
+    checked for singularity first.  A kernel with lag factors is solved
+    by halves instead (_lag_collocation), at O(N log^2 N).  The discrete
+    equations are satisfied to rounding, so the residual measured with
+    apply_T is at machine level.  A non-finite v_x sample that reaches
+    a leaf raises KernelContract naming the node.
     """
     _require_same(x0, g)
     _require_kernel_dim(kernel, x0)
@@ -269,18 +271,29 @@ def collocation_solve(kernel: KernelSpec, x0: GridFunction,
     d = grid.delta
     h = np.zeros_like(g.values)
     x0m = cell_midpoint_values(x0.values)
-    for r0, r1, W in _row_blocks(kernel.v_x, grid.nodes, grid.midpoints, x0m):
-        for c0 in range(r0, r1, quadrature._LEAF):
-            c1 = min(r1, c0 + quadrature._LEAF)
-            # Row i reads h_i + delta sum_{j<i} W_ij (h_j + h_{j+1}) / 2 = g_i.
-            # Columns j < c0 - 1 have both end values solved: one matvec.
-            Wc = W[c0 - r0 : c1 - r0]
-            hm = 0.5 * (h[: c0 - 1] + h[1:c0])
-            S = Wc[:, c0 - 1 : c1 - 1]
-            rhs = g.values[c0:c1] - d * np.einsum("ijab,jb->ia", Wc[:, : c0 - 1], hm) \
-                - 0.5 * d * (S[:, 0] @ h[c0 - 1])
-            h[c0:c1] = _solve_leaf(S, rhs, d, c0)
+    for c0 in range(1, grid.n_cells + 1, quadrature._LEAF):
+        c1 = min(grid.n_cells + 1, c0 + quadrature._LEAF)
+        rows = grid.nodes[c0:c1]
+        # Row i reads h_i + delta sum_{j<i} W_ij (h_j + h_{j+1}) / 2 = g_i.
+        # Cells j < c0 - 1 have both end values solved.
+        hm = cell_midpoint_values(h[:c0])
+        rhs = g.values[c0:c1].copy()
+        for j0, W in _rectangle(kernel.v_x, rows, grid.midpoints[: c0 - 1], x0m[: c0 - 1]):
+            rhs -= d * np.einsum("ijab,jb->ia", W, hm[j0 : j0 + W.shape[1]])
+        S = _leaf_triangle(kernel.v_x, rows, grid.midpoints[c0 - 1 : c1 - 1], x0m[c0 - 1 : c1 - 1])
+        rhs -= 0.5 * d * (S[:, 0] @ h[c0 - 1])
+        h[c0:c1] = _solve_leaf(S, rhs, d, c0)
     return GridFunction(grid, h)
+
+
+def _require_finite(a: np.ndarray, c0: int, what: str) -> None:
+    """Raise KernelContract naming node c0 + p for the first non-finite row p of a."""
+    if math.isfinite(a.sum()):  # the common case in one reduction
+        return
+    bad = np.flatnonzero(~np.isfinite(a.reshape(a.shape[0], -1)).all(axis=1))
+    if bad.size:
+        raise KernelContract(f"{what} at node {c0 + bad[0]} is not finite; "
+                             "the kernel must be finite on tau < t")
 
 
 def _solve_leaf(S: np.ndarray, rhs: np.ndarray, d: float, c0: int) -> np.ndarray:
@@ -292,10 +305,14 @@ def _solve_leaf(S: np.ndarray, rhs: np.ndarray, d: float, c0: int) -> np.ndarray
     SingularBlock at the first node whose diagonal block
     B = I + delta/2 S[p, p] has sigma_min(B) < 1e-14 max(1, sigma_max(B));
     unlike |det B|, which scales as the dim-th power of B, the test is
-    relative to B's size.
+    relative to B's size.  A non-finite right-hand side, diagonal block
+    or solution raises KernelContract at its first node: the samples
+    are checked per node, not one by one.
     """
     L, n = rhs.shape
+    _require_finite(rhs, c0, "the history of the row")
     diag = np.eye(n) + 0.5 * d * S[np.arange(L), np.arange(L)]
+    _require_finite(diag, c0, "the diagonal block")
     # A 1 x 1 block is its own singular value; LAPACK's SVD costs about
     # six times a det per block, which shows on long dim-1 grids.
     sv = np.abs(diag[:, 0]) if n == 1 else np.linalg.svd(diag, compute_uv=False)
@@ -307,7 +324,9 @@ def _solve_leaf(S: np.ndarray, rhs: np.ndarray, d: float, c0: int) -> np.ndarray
     A = S.copy()
     A[:, :-1] += S[:, 1:]
     M = 0.5 * d * A.transpose(0, 2, 1, 3).reshape(L * n, L * n) + np.eye(L * n)
-    return np.linalg.solve(M, rhs.ravel()).reshape(L, n)
+    h = np.linalg.solve(M, rhs.ravel()).reshape(L, n)
+    _require_finite(h, c0, "the solution")
+    return h
 
 
 def _lag_collocation(lag: LagFactors, x0: GridFunction, g: GridFunction) -> np.ndarray:

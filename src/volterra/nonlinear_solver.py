@@ -1,12 +1,20 @@
-"""Damped Newton and natural-gradient descent for V(x) = y.
+"""Marching, damped Newton and natural-gradient descent for V(x) = y.
+
+The discrete system apply_V(x) = y is lower triangular in time, so
+solve_march solves it step by step: leaf by leaf of quadrature._LEAF
+nodes, each a damped Newton on its own unknowns after the solved cells
+have entered its rows once as history.  That walks the causal triangle
+of v about once per solve.  Kernels with lag factors go to Newton,
+whose sums are Toeplitz products.
 
 Newton solves the linearized discrete system by collocation and damps
 each step by backtracking on the derivative norm of that same residual
-y - V(x), so a trial costs one apply_V.  The gradient route descends
-the least-squares functional F, its merit, along the Riesz
-representative of its gradient in the derivative inner product, which
-costs two cumulative sums per step and avoids assembling any second
-derivative of the kernel.
+y - V(x), so a trial costs one apply_V; it takes any start, which
+multistart_uniqueness needs.  The gradient route descends the
+least-squares functional F, its merit, along the Riesz representative
+of its gradient in the derivative inner product, which costs two
+cumulative sums per step and avoids assembling any second derivative
+of the kernel.
 """
 
 from __future__ import annotations
@@ -15,10 +23,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import quadrature
 from .errors import LineSearchStalled, MaxIterExceeded
 from .function_space import GridFunction, ac_norm, axpy, random_anchored
-from .linear_solver import collocation_solve
+from .linear_solver import (
+    _require_finite,
+    _require_kernel_dim,
+    _require_same,
+    _solve_leaf,
+    collocation_solve,
+)
 from .operator import apply_V, directional_dF, functional_F, functional_gradient
+from .quadrature import _leaf_triangle, _rectangle, cell_midpoint_values
 
 _MIN_STEP = 2.0**-20
 
@@ -92,6 +108,111 @@ def solve_newton(kernel, y: GridFunction, x_init: GridFunction | None = None,
         f"newton: residual {res:.3e} > tol {tol:.1e} after {max_iter} iterations",
         report=report,
     )
+
+
+def solve_march(kernel, y: GridFunction, x_init: GridFunction | None = None,
+                tol: float = 1e-10, max_iter: int = 50
+                ) -> tuple[GridFunction, SolveReport]:
+    """Solve V(x) = y leaf by leaf in time; returns (solution, report).
+
+    Row i of the discrete system apply_V(x) = y involves the node values
+    up to x_i only, so the nodes are solved in leaves [c0, c1) of
+    quadrature._LEAF rows, left to right.  The cells j < c0 - 1 are
+    solved already: their v samples enter the leaf's rows once, as its
+    history.  The leaf's own values then solve a damped Newton on its
+    rows alone, whose Jacobian is collocation's leaf matrix of v_x on
+    the leaf's own cells; a trial is accepted once it strictly lowers
+    the 2-norm of the leaf residual.  With b_i = y_i - delta * history_i
+    fixed, row i reads b_i - x_i - delta * sum over the leaf's own cells
+    of v; a leaf is done when every row residual is at the rounding
+    floor of that sum, 8 eps times |b_i| + |x_i| + delta * sum |v|.
+
+    A leaf starts from x_init, or by default from y minus its history.
+    Kernels with lag factors are handed to solve_newton, whose residual
+    and Jacobian are Toeplitz products.  The report's iterations count
+    the local Newton steps of all leaves, and residual_history holds the
+    derivative norm of the leaves' final row residuals, y - apply_V(x)
+    up to rounding.  max_iter caps each leaf's steps.  A leaf that
+    exhausts it raises MaxIterExceeded, one whose line search stalls
+    raises LineSearchStalled, and a final residual above tol raises
+    LineSearchStalled too, each with the partial report attached.  A
+    non-finite sample of v or v_x raises KernelContract naming its node.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if kernel.lag is not None:
+        return solve_newton(kernel, y, x_init=x_init, tol=tol, max_iter=max_iter)
+    _require_kernel_dim(kernel, y)
+    if x_init is not None:
+        _require_same(x_init, y)
+    grid = y.grid
+    N, d = grid.n_cells, grid.delta
+    floor = 8.0 * np.finfo(float).eps
+    x = (y if x_init is None else x_init).values.copy()
+    r = np.zeros_like(x)  # each leaf's final row residuals
+    report = SolveReport("march", 0, [], [], False)
+
+    for c0 in range(1, N + 1, quadrature._LEAF):
+        c1 = min(N + 1, c0 + quadrature._LEAF)
+        rows, cols = grid.nodes[c0:c1], grid.midpoints[c0 - 1 : c1 - 1]
+        history = np.zeros_like(x[c0:c1])
+        for _, V in _rectangle(kernel.v, rows, grid.midpoints[: c0 - 1],
+                               cell_midpoint_values(x[:c0])):
+            history += V.sum(axis=1)
+        base = y.values[c0:c1] - d * history
+        _require_finite(base, c0, "the history of the row")
+
+        def residual(xl):
+            # rows [c0, c1) less the history, and the rounding floor of each
+            xm = cell_midpoint_values(np.concatenate([x[c0 - 1 : c0], xl]))
+            V = _leaf_triangle(kernel.v, rows, cols, xm)
+            R = base - xl - d * V.sum(axis=1)
+            _require_finite(R, c0, "the residual of the row")
+            return R, floor * (np.abs(base) + np.abs(xl) + d * np.abs(V).sum(axis=1)), xm
+
+        xl = base if x_init is None else x[c0:c1]
+        R, tiny, xm = residual(xl)
+        steps = 0
+        while np.any(np.abs(R) > tiny):
+            # a failure reports the residual of the rows marched so far
+            r[c0:c1] = R
+            if steps == max_iter:
+                report.residual_history = [_ac_rows(r[:c1], d)]
+                raise MaxIterExceeded(f"march: leaf at node {c0}: residual above its "
+                                      f"rounding floor after {max_iter} iterations",
+                                      report=report)
+            step = _solve_leaf(_leaf_triangle(kernel.v_x, rows, cols, xm), R, d, c0)
+            res, s = np.linalg.norm(R), 1.0
+            while True:
+                trial = residual(xl + s * step)
+                if np.linalg.norm(trial[0]) < res:
+                    break
+                s *= 0.5
+                if s < _MIN_STEP:
+                    report.residual_history = [_ac_rows(r[:c1], d)]
+                    raise LineSearchStalled(f"march: leaf at node {c0}: no decrease "
+                                            f"above step {_MIN_STEP}", report=report)
+            xl = xl + s * step
+            R, tiny, xm = trial
+            steps += 1
+            report.iterations += 1
+        x[c0:c1], r[c0:c1] = xl, R
+
+    res = _ac_rows(r, d)
+    report.residual_history = [res]
+    if res > tol:
+        raise LineSearchStalled(
+            f"march: residual {res:.3e} at the rounding floor exceeds tol {tol:.1e}",
+            report=report,
+        )
+    report.converged = True
+    return GridFunction(grid, x), report
+
+
+def _ac_rows(r: np.ndarray, d: float) -> float:
+    # ac_norm of node values r on cells of width d
+    diff = np.diff(r, axis=0)
+    return float(np.sqrt((diff * diff).sum() / d))
 
 
 def _ac_riesz(grid, g_nodes: np.ndarray) -> GridFunction:

@@ -18,8 +18,13 @@ _BLOCK_SAMPLES samples, so memory grows as N.  It fills each block in
 leaves of at most _LEAF rows [c0, c1): the dense rectangle of columns
 [0, c0), passed to the evaluator as broadcast views, plus the leaf's
 own small triangle.  Summing the blocks along rows gives the rules;
-summing along columns gives their transpose.  collocation_solve solves
-by the same leaves.
+summing along columns gives their transpose.
+
+The solves (collocation_solve and solve_march) take the node rows in
+leaves of _LEAF rows from row 1, left to right.  The cells j < c0 - 1
+of a leaf have both end values solved: they are its history, one
+_rectangle of column chunks that the solver reduces as they come.  The
+leaf's own cells j >= c0 - 1 are one _leaf_triangle.
 
 The second route serves integrands w(t - tau) z(x) passed as a
 LagIntegrand (KernelSpec.integrand gives one for kernels that declare
@@ -101,6 +106,37 @@ def _row_blocks(f, rows: np.ndarray, cols: np.ndarray, xc: np.ndarray):
             block[ii, r0 + jj] = f(rows[r0 + ii], cols[r0 + jj], xc[r0 + jj])
         yield r0, r1, block
         r0 = r1
+
+
+def _rectangle(f, rows: np.ndarray, cols: np.ndarray, xc: np.ndarray):
+    """Walk f(rows[i], cols[j], xc[j]) over every row i and column j.
+
+    Yields (j0, samples) for consecutive column chunks [j0, j0 + width)
+    of at most _BLOCK_SAMPLES samples (one column at least), passed to
+    the evaluator as broadcast views; samples has shape
+    (rows.size, width) + value shape.  Each pair is evaluated once, and
+    no chunk is kept after the caller moves on.
+    """
+    width = max(1, _BLOCK_SAMPLES // max(1, rows.size))
+    for j0 in range(0, cols.size, width):
+        j1 = min(cols.size, j0 + width)
+        shape = (rows.size, j1 - j0)
+        yield j0, np.asarray(f(np.broadcast_to(rows[:, None], shape),
+                               np.broadcast_to(cols[None, j0:j1], shape),
+                               np.broadcast_to(xc[None, j0:j1], shape + xc.shape[1:])), float)
+
+
+def _leaf_triangle(f, rows: np.ndarray, cols: np.ndarray, xc: np.ndarray) -> np.ndarray:
+    """f(rows[p], cols[q], xc[q]) for q <= p, in one evaluator call.
+
+    rows, cols and xc are L long; the result has shape (L, L) + value
+    shape and is zero for q > p.
+    """
+    p, q = np.tril_indices(rows.size)
+    samples = np.asarray(f(rows[p], cols[q], xc[q]), float)
+    out = np.zeros((rows.size, rows.size) + samples.shape[1:])
+    out[p, q] = samples
+    return out
 
 
 def _fft_size(n: int) -> int:

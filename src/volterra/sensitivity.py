@@ -6,7 +6,8 @@ one triangular linear solve yields the derivative.  The finite-difference
 check re-solves the nonlinear problem at a +/- eps*h and compares; on a
 shared grid the two constructions discretize the same map, so the
 discrepancy measures only solver tolerance and the O(eps^2) quotient
-truncation.
+truncation.  Every nonlinear solve here is solve_march, which solves
+to the rounding floor (and hands kernels with lag factors to Newton).
 """
 
 from __future__ import annotations
@@ -15,13 +16,13 @@ import numpy as np
 
 from .function_space import GridFunction, ac_norm, axpy, random_anchored, scale, sub
 from .linear_solver import collocation_solve
-from .nonlinear_solver import solve_newton
+from .nonlinear_solver import solve_march
 
 
 def directional_sensitivity(kernel, a: GridFunction, h: GridFunction,
                             tol: float = 1e-10, max_iter: int = 50) -> GridFunction:
     """Derivative of the solution map at a in direction h."""
-    x_a, _ = solve_newton(kernel, a, tol=tol, max_iter=max_iter)
+    x_a, _ = solve_march(kernel, a, tol=tol, max_iter=max_iter)
     return collocation_solve(kernel, x_a, h)
 
 
@@ -41,8 +42,8 @@ def fd_discrepancy(kernel, a: GridFunction, h: GridFunction, s_lin: GridFunction
     quotient of the solution map; two nonlinear solves."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    x_plus, _ = solve_newton(kernel, axpy(epsilon, h, a), tol=tol, max_iter=max_iter)
-    x_minus, _ = solve_newton(kernel, axpy(-epsilon, h, a), tol=tol, max_iter=max_iter)
+    x_plus, _ = solve_march(kernel, axpy(epsilon, h, a), tol=tol, max_iter=max_iter)
+    x_minus, _ = solve_march(kernel, axpy(-epsilon, h, a), tol=tol, max_iter=max_iter)
     s_fd = scale(1.0 / (2.0 * epsilon), sub(x_plus, x_minus))
     gap = ac_norm(sub(s_lin, s_fd))
     denom = max(ac_norm(s_fd), ac_norm(s_lin))
@@ -64,12 +65,12 @@ def robustness_modulus(kernel, a: GridFunction, n_probes: int, delta: float,
         raise ValueError("n_probes must be positive")
     if delta <= 0:
         raise ValueError("delta must be positive")
-    x_a, _ = solve_newton(kernel, a, tol=tol, max_iter=max_iter)
+    x_a, _ = solve_march(kernel, a, tol=tol, max_iter=max_iter)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_probes):
         h = random_anchored(a.grid, a.dim, rng, norm=1.0)
-        x_shift, _ = solve_newton(kernel, axpy(delta, h, a), x_init=x_a,
-                                  tol=tol, max_iter=max_iter)
+        x_shift, _ = solve_march(kernel, axpy(delta, h, a), x_init=x_a,
+                                 tol=tol, max_iter=max_iter)
         worst = max(worst, ac_norm(sub(x_shift, x_a)) / delta)
     return worst

@@ -136,6 +136,25 @@ class TestNonFiniteInput:
                      "-o", str(tmp_path / "s.csv")]) == 2
 
 
+    @pytest.mark.parametrize("broken", ["v", "v_x"])
+    def test_nonfinite_kernel_exits_one(self, tmp_path, capsys, monkeypatch, broken):
+        # v = sin(x) / 2 with one evaluator nan for t > 1/2
+        from volterra.config import ProblemConfig
+
+        formulas = {"v": lambda t, tau, x: 0.5 * np.sin(x),
+                    "v_x": lambda t, tau, x: 0.5 * np.cos(x)}
+        good = formulas[broken]
+        formulas[broken] = lambda t, tau, x: np.where(t > 0.5, np.nan, good(t, tau, x))
+        ker = vt.scalar_kernel(formulas["v"], lambda t, tau, x: 0.0 * x,
+                               formulas["v_x"], lambda t, tau, x: 0.0 * x)
+        monkeypatch.setattr(ProblemConfig, "build_kernel", lambda self: ker)
+        out = tmp_path / "x.csv"
+        assert main(["solve", str(_write_cfg(tmp_path)), "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "error: " in err and "node 51 " in err
+        assert not out.exists()
+
+
 class TestSensitivity:
     def test_zero_kernel_returns_direction(self, tmp_path):
         cfg = _write_cfg(tmp_path, kernel={"name": "zero", "params": {}})
@@ -165,20 +184,26 @@ class TestSensitivity:
 
     @pytest.mark.parametrize("argv", [["sensitivity"], ["demo", "example2"]])
     def test_base_problem_solved_once(self, tmp_path, monkeypatch, argv):
-        # one base solve plus the two of the finite-difference check
+        # one base solve plus the two of the finite-difference check, by
+        # whichever nonlinear solver the CLI and the sensitivity module
+        # call: example1 marches, the lag kernel of example2 takes Newton
         import volterra.cli as cli
         import volterra.sensitivity as sens
 
-        calls = []
+        methods = []
 
         def counted(fn):
             def solve(*args, **kwargs):
-                calls.append(1)
-                return fn(*args, **kwargs)
+                x, rep = fn(*args, **kwargs)
+                methods.append(rep.method)
+                return x, rep
             return solve
 
         for mod in (cli, sens):
-            monkeypatch.setattr(mod, "solve_newton", counted(mod.solve_newton))
+            for name in ("solve_march", "solve_newton"):
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, counted(getattr(mod, name)))
+        method = "march" if argv == ["sensitivity"] else "newton"
         if argv == ["sensitivity"]:
             cfg = _write_cfg(tmp_path, kernel={"name": "example1", "params": {"a_bar": 1.0}})
             vt.write_csv(vt.from_callable(lambda t: t * t, vt.Grid(0.0, 1.0, 100)),
@@ -188,7 +213,7 @@ class TestSensitivity:
         else:
             argv = argv + ["--out-dir", str(tmp_path)]
         assert main(argv) == 0
-        assert len(calls) == 3
+        assert methods == [method] * 3
 
     def test_direction_resampled_from_other_grid(self, tmp_path):
         cfg = _write_cfg(tmp_path, kernel={"name": "zero", "params": {}}, n_cells=64)

@@ -2,6 +2,7 @@
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -305,6 +306,25 @@ class TestCollocation:
         h = collocation_solve(ker, x0, rhs)
         assert np.allclose(h.values[1:], dense, rtol=1e-12, atol=1e-13)
 
+    def test_evaluates_each_pair_once(self, monkeypatch):
+        # leaf histories in chunks of at most 60 samples, plus the leaves'
+        # own triangles: the N(N+1)/2 pairs j < i, each once
+        monkeypatch.setattr(quadrature, "_BLOCK_SAMPLES", 60)
+        monkeypatch.setattr(quadrature, "_LEAF", 3)
+        sizes = []
+        generic = replace(linear_kernel(0.5), lag=None)
+
+        def v_x(t, tau, x):
+            sizes.append(np.broadcast(np.asarray(t), np.asarray(tau)).size)
+            return generic.v_x(t, tau, x)
+
+        g = Grid(0.0, 1.0, 30)
+        rhs = from_callable(lambda t: t, g)
+        h = collocation_solve(replace(generic, v_x=v_x), zeros(g), rhs)
+        assert sum(sizes) == 30 * 31 // 2
+        assert max(sizes) <= 60
+        assert ac_norm(sub(h, collocation_solve(linear_kernel(0.5), zeros(g), rhs))) <= 1e-14
+
     def test_singular_block_found_in_a_later_block(self, monkeypatch):
         monkeypatch.setattr(quadrature, "_BLOCK_SAMPLES", 60)
         g = Grid(0.0, 1.0, 16)
@@ -315,9 +335,10 @@ class TestCollocation:
             collocation_solve(ker, zeros(g), from_callable(lambda t: t, g))
 
     def test_singular_block_found_inside_a_later_leaf(self, monkeypatch):
-        # blocks [1, 8), [8, 12), ...; 2-row leaves put node 11 second in [10, 12)
+        # 3-row leaves [1, 4), [4, 7), [7, 10), [10, 13), ...: node 11 is
+        # second in the fourth
         monkeypatch.setattr(quadrature, "_BLOCK_SAMPLES", 60)
-        monkeypatch.setattr(quadrature, "_LEAF", 2)
+        monkeypatch.setattr(quadrature, "_LEAF", 3)
         g = Grid(0.0, 1.0, 16)
         ker = scalar_kernel(lambda t, tau, x: 0.0 * x, lambda t, tau, x: 0.0 * x,
                             lambda t, tau, x: np.where(np.abs(t - 11 / 16) < 1e-9, -32.0, 0.5)

@@ -8,11 +8,15 @@ import pytest
 from pytest import approx
 
 import volterra as vt
-from volterra import nonlinear_solver
+from volterra import nonlinear_solver, quadrature
 from volterra import (
     Grid,
+    GridFunction,
+    KernelContract,
+    KernelSpec,
     LineSearchStalled,
     MaxIterExceeded,
+    SolverError,
     ac_norm,
     apply_V,
     axpy,
@@ -24,6 +28,7 @@ from volterra import (
     random_anchored,
     scalar_kernel,
     solve_gradient,
+    solve_march,
     solve_newton,
     sub,
     zero_kernel,
@@ -139,6 +144,216 @@ class TestNewton:
         x, rep = solve_newton(ker, y, x_init=x0, tol=1e-10, max_iter=50)
         x_ref, _ = solve_newton(ker, y, tol=1e-10)
         assert ac_norm(sub(x, x_ref)) < 1e-8
+
+
+def _stiff(c, kappa):
+    # v = c atan(kappa x): global Newton needs 10, 26, 49 and 99 iterations
+    # for (c, kappa) = (20, 5), (100, 20), (200, 50), (500, 100) on sin 6t
+    return scalar_kernel(lambda t, tau, x: c * np.arctan(kappa * x),
+                         lambda t, tau, x: 0.0 * x,
+                         lambda t, tau, x: c * kappa / (1.0 + (kappa * x) ** 2),
+                         lambda t, tau, x: 0.0 * x)
+
+
+def _nan_after_half(values):
+    # an evaluator that breaks the kernel contract for t > 1/2
+    def f(t, tau, x):
+        out = values(t, tau, x)
+        late = np.asarray(t) > 0.5
+        return np.where(late.reshape(late.shape + (1,) * (out.ndim - late.ndim)), np.nan, out)
+
+    return f
+
+
+def _dim_kernel(dim, broken):
+    # v = 0.3 x, with the evaluator named by broken non-finite for t > 1/2
+    def v(t, tau, x):
+        return 0.3 * np.broadcast_to(x, np.broadcast_shapes(np.shape(t), np.shape(tau)) + (dim,))
+
+    def v_x(t, tau, x):
+        shape = np.broadcast_shapes(np.shape(t), np.shape(tau)) + (dim, dim)
+        return np.broadcast_to(0.3 * np.eye(dim), shape)
+
+    ev = {"v": v, "v_x": v_x}
+    ev[broken] = _nan_after_half(ev[broken])
+    return KernelSpec(dim=dim, v=ev["v"], v_t=None, v_x=ev["v_x"], v_tx=None)
+
+
+def _check_march(ker, y, tol=1e-10):
+    # the march solves to its rounding floor; Newton, run to 1e-12, is
+    # the reference (at 1e-10 it may stop with a residual near 1e-10)
+    x, rep = solve_march(ker, y, tol=tol)
+    x_ref, _ = solve_newton(ker, y, tol=1e-12)
+    measured = ac_norm(sub(y, apply_V(ker, x)))
+    assert rep.method == "march" and rep.converged
+    assert rep.residual_history == [approx(measured, abs=1e-12)]
+    assert max(rep.residual_history[0], measured) <= tol
+    assert ac_norm(sub(x, x_ref)) <= 1e-12
+
+
+class TestMarch:
+    @pytest.mark.parametrize("n_cells", [100, 500, 2000])
+    @pytest.mark.parametrize("a_bar", [0.5, 1.0, 1.5, 2.0])
+    def test_agrees_with_newton_on_example1(self, a_bar, n_cells):
+        g = Grid(0.0, 1.0, n_cells)
+        for f in (lambda t: t, lambda t: np.sin(5.0 * t), lambda t: 3.0 * t * t):
+            _check_march(example1_kernel(a_bar), from_callable(f, g))
+
+    @pytest.mark.parametrize("n_cells", [100, 500])
+    def test_generic_dim_two_kernel(self, n_cells):
+        # the linear kernel without its lag factors takes the generic route
+        ker = replace(linear_kernel(0.7, 2), lag=None)
+        g = Grid(0.0, 1.0, n_cells)
+        t = g.nodes
+        for values in (np.stack([t, np.sin(5.0 * t)], axis=1), np.stack([3.0 * t * t, t], axis=1)):
+            _check_march(ker, GridFunction(g, values))
+
+    def test_lag_kernels_take_newton(self):
+        g = Grid(0.0, 1.0, 300)
+        y = from_callable(lambda t: np.sin(5.0 * t), g)
+        x, rep = solve_march(linear_kernel(0.5), y)
+        x_ref, rep_ref = solve_newton(linear_kernel(0.5), y)
+        assert rep.method == "newton"
+        assert np.array_equal(x.values, x_ref.values)
+        assert rep.to_dict() == rep_ref.to_dict()
+
+    def test_initial_guess_is_honoured(self, rng):
+        g = Grid(0.0, 1.0, 300)
+        ker = example1_kernel(1.0)
+        y = from_callable(lambda t: np.sin(5.0 * t), g)
+        x, rep = solve_march(ker, y)
+        # from its own solution every leaf is already at its floor
+        x_again, rep_again = solve_march(ker, y, x_init=x)
+        assert rep_again.iterations == 0
+        assert np.array_equal(x_again.values, x.values)
+        x_far, rep_far = solve_march(ker, y, x_init=random_anchored(g, 1, rng, norm=5.0))
+        assert rep_far.iterations > rep.iterations
+        assert ac_norm(sub(x_far, x)) <= 1e-12
+
+    @pytest.mark.parametrize("c, kappa", [(20.0, 5.0), (100.0, 20.0), (200.0, 50.0)])
+    def test_stiff_kernels_converge(self, c, kappa):
+        ker = _stiff(c, kappa)
+        y = from_callable(lambda t: np.sin(6.0 * t), Grid(0.0, 1.0, 200))
+        x, rep = solve_march(ker, y)
+        assert rep.converged
+        assert ac_norm(sub(y, apply_V(ker, x))) <= 1e-10
+
+    def test_stiffest_kernel_fails_typed_like_newton(self):
+        ker = _stiff(500.0, 100.0)
+        y = from_callable(lambda t: np.sin(6.0 * t), Grid(0.0, 1.0, 200))
+        with pytest.raises(SolverError):
+            solve_newton(ker, y)
+        with pytest.raises(MaxIterExceeded, match="leaf at node 1:") as err:
+            solve_march(ker, y)
+        rep = err.value.report
+        assert rep.method == "march" and not rep.converged
+        assert rep.iterations == 50
+        assert rep.residual_history[0] > 1e-10
+
+    def test_stalled_leaf_is_named(self, monkeypatch):
+        # v = 0 but v_x claims diagonal blocks of -1 for t > 1/2: the
+        # steps of the leaf [9, 13) are no descent directions
+        monkeypatch.setattr(quadrature, "_LEAF", 4)
+        g = Grid(0.0, 1.0, 16)
+        ker = scalar_kernel(lambda t, tau, x: 0.0 * x, lambda t, tau, x: 0.0 * x,
+                            lambda t, tau, x: np.where(t > 0.5, -64.0, 0.0) + 0.0 * x,
+                            lambda t, tau, x: 0.0 * x)
+        with pytest.raises(LineSearchStalled, match="leaf at node 9:") as err:
+            solve_march(ker, from_callable(lambda t: t, g), x_init=vt.zeros(g))
+        assert not err.value.report.converged
+
+    def test_walks_the_triangle_about_once(self):
+        # the history walk is N(N+1)/2 v samples in all; the leaves' own
+        # triangles add one trial per local step, v_x only those steps
+        counts = {"v": 0, "v_x": 0}
+
+        def counted(name, f):
+            def ev(t, tau, x):
+                counts[name] += np.broadcast(np.asarray(t), np.asarray(tau)).size
+                return f(t, tau, x)
+            return ev
+
+        ker = example1_kernel(1.0)
+        ker = replace(ker, v=counted("v", ker.v), v_x=counted("v_x", ker.v_x))
+        N = 2000
+        _, rep = solve_march(ker, from_callable(lambda t: t, Grid(0.0, 1.0, N)))
+        triangle = N * (N + 1) // 2
+        assert rep.converged
+        assert counts["v"] <= 1.05 * triangle
+        assert counts["v_x"] <= 0.05 * triangle
+
+    def test_nonfinite_sample_next_to_the_diagonal(self):
+        # only the samples at t - tau = delta/2 are nan: every row of the
+        # first leaf, and no history, sees one
+        g = Grid(0.0, 1.0, 16)
+        ker = scalar_kernel(lambda t, tau, x: np.where(t - tau < 0.05, np.nan, 0.3 * x),
+                            lambda t, tau, x: 0.0 * x,
+                            lambda t, tau, x: 0.3 + 0.0 * x,
+                            lambda t, tau, x: 0.0 * x)
+        with pytest.raises(KernelContract, match="node 1 "):
+            solve_march(ker, from_callable(lambda t: t, g))
+
+    def test_tol_below_the_rounding_floor_raises(self):
+        g = Grid(0.0, 1.0, 500)
+        with pytest.raises(LineSearchStalled, match="rounding floor") as err:
+            solve_march(example1_kernel(1.0), from_callable(lambda t: t, g), tol=1e-15)
+        rep = err.value.report
+        assert not rep.converged
+        assert 1e-15 < rep.residual_history[0] < 1e-12
+
+    def test_rejects_bad_tolerance(self, unit_grid):
+        y = from_callable(lambda t: t, unit_grid)
+        with pytest.raises(ValueError):
+            solve_march(example1_kernel(1.0), y, tol=0.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("solve, broken", [("collocation", "v_x"), ("march", "v"),
+                                           ("march", "v_x")])
+def test_nonfinite_kernel_samples_raise_kernel_contract(dim, solve, broken):
+    # node 9 is the first node past t = 1/2 on 16 cells
+    g = Grid(0.0, 1.0, 16)
+    ker = _dim_kernel(dim, broken)
+    t = g.nodes[:, None] * np.ones(dim)
+    with pytest.raises(KernelContract, match="node 9 "):
+        if solve == "collocation":
+            collocation_solve(ker, GridFunction(g, t), GridFunction(g, t * t))
+        else:
+            solve_march(ker, GridFunction(g, t))
+
+
+@pytest.mark.parametrize("solve", ["collocation", "march"])
+def test_nonfinite_history_is_named(monkeypatch, solve):
+    # samples nan for t - tau > 1/2 reach the leaf [9, 13) through its
+    # history alone: its diagonal blocks and own cells stay finite
+    monkeypatch.setattr(quadrature, "_LEAF", 4)
+
+    def v(t, tau, x):
+        return 0.3 * x
+
+    def v_x(t, tau, x):
+        return 0.3 + 0.0 * x
+
+    def far(f):
+        return lambda t, tau, x: np.where(t - tau > 0.5, np.nan, f(t, tau, x))
+
+    y = from_callable(lambda t: t, Grid(0.0, 1.0, 16))
+    with pytest.raises(KernelContract, match="history of the row at node 9 "):
+        if solve == "collocation":
+            collocation_solve(scalar_kernel(v, v, far(v_x), v_x), y, y)
+        else:
+            solve_march(scalar_kernel(far(v), v, v_x, v_x), y)
+
+
+def test_overflowing_leaf_solution_raises_kernel_contract():
+    # finite but huge off-diagonal samples: the leaf's solve overflows
+    g = Grid(0.0, 1.0, 4)
+    ker = scalar_kernel(lambda t, tau, x: 0.0 * x, lambda t, tau, x: 0.0 * x,
+                        lambda t, tau, x: np.where(t - tau > 0.2, 1e300, 1.0) + 0.0 * x,
+                        lambda t, tau, x: 0.0 * x)
+    y = from_callable(lambda t: t, g)
+    with pytest.raises(KernelContract, match="the solution at node"):
+        collocation_solve(ker, y, y)
 
 
 class TestGradient:

@@ -12,12 +12,14 @@ from pytest import approx
 from volterra import (
     Grid,
     ac_norm,
+    apply_V,
     collocation_solve,
     directional_dF,
     functional_gradient,
     neumann_solve,
     random_anchored,
     scalar_kernel,
+    solve_march,
     solve_newton,
     sub,
 )
@@ -74,3 +76,14 @@ def test_newton_residual_strictly_decreases(kernel, seed):
     hist = rep.residual_history
     assert rep.converged
     assert all(b < a for a, b in zip(hist, hist[1:]))
+
+
+@given(kernel=kernels, seed=seeds)
+@settings(max_examples=25, deadline=None)
+def test_march_agrees_with_newton(kernel, seed):
+    y = random_anchored(_GRID, 1, np.random.default_rng(seed))
+    x_newton, _ = solve_newton(kernel, y, tol=1e-10)
+    x, rep = solve_march(kernel, y, tol=1e-10)
+    assert rep.converged
+    assert rep.residual_history[0] == approx(ac_norm(sub(y, apply_V(kernel, x))), abs=1e-12)
+    assert ac_norm(sub(x, x_newton)) <= 1e-10 * max(1.0, ac_norm(x_newton))
