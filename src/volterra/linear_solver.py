@@ -23,7 +23,9 @@ from .quadrature import (
     _fft_size,
     _lag_symbol,
     _leaf_triangle,
+    _leaves,
     _rectangle,
+    _require_finite,
     cell_midpoint_values,
     node_integral,
 )
@@ -159,6 +161,7 @@ def estimate_l_rho(kernel: KernelSpec, rho: float, samples: int,
     by a fixed safety factor of 1.1.  With include_time_derivative the
     max also covers v_tx; the Neumann tail certificate needs that joint
     bound because the derivative norm of each term runs through v_tx.
+    A non-finite sample raises KernelContract: max() would skip a nan.
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
@@ -174,15 +177,17 @@ def estimate_l_rho(kernel: KernelSpec, rho: float, samples: int,
     if np.any(over):
         x[over] *= (rho / mag[over])[:, None]
 
-    def max_spectral(fn):
-        mats = np.asarray(fn(t, tau, x), float)
+    def max_spectral(name):
+        mats = np.asarray(getattr(kernel, name)(t, tau, x), float)
+        if not np.isfinite(mats).all():
+            raise KernelContract(f"{name} is not finite at a sample; l_rho cannot be estimated")
         if kernel.dim == 1:
             return float(np.abs(mats[..., 0, 0]).max())
         return float(np.linalg.svd(mats, compute_uv=False)[..., 0].max())
 
-    best = max_spectral(kernel.v_x)
+    best = max_spectral("v_x")
     if include_time_derivative:
-        best = max(best, max_spectral(kernel.v_tx))
+        best = max(best, max_spectral("v_tx"))
     return 1.1 * best
 
 
@@ -271,8 +276,7 @@ def collocation_solve(kernel: KernelSpec, x0: GridFunction,
     d = grid.delta
     h = np.zeros_like(g.values)
     x0m = cell_midpoint_values(x0.values)
-    for c0 in range(1, grid.n_cells + 1, quadrature._LEAF):
-        c1 = min(grid.n_cells + 1, c0 + quadrature._LEAF)
+    for c0, c1 in _leaves(grid.n_cells + 1):
         rows = grid.nodes[c0:c1]
         # Row i reads h_i + delta sum_{j<i} W_ij (h_j + h_{j+1}) / 2 = g_i.
         # Cells j < c0 - 1 have both end values solved.
@@ -284,16 +288,6 @@ def collocation_solve(kernel: KernelSpec, x0: GridFunction,
         rhs -= 0.5 * d * (S[:, 0] @ h[c0 - 1])
         h[c0:c1] = _solve_leaf(S, rhs, d, c0)
     return GridFunction(grid, h)
-
-
-def _require_finite(a: np.ndarray, c0: int, what: str) -> None:
-    """Raise KernelContract naming node c0 + p for the first non-finite row p of a."""
-    if math.isfinite(a.sum()):  # the common case in one reduction
-        return
-    bad = np.flatnonzero(~np.isfinite(a.reshape(a.shape[0], -1)).all(axis=1))
-    if bad.size:
-        raise KernelContract(f"{what} at node {c0 + bad[0]} is not finite; "
-                             "the kernel must be finite on tau < t")
 
 
 def _solve_leaf(S: np.ndarray, rhs: np.ndarray, d: float, c0: int) -> np.ndarray:

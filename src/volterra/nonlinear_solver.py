@@ -23,18 +23,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import quadrature
 from .errors import LineSearchStalled, MaxIterExceeded
 from .function_space import GridFunction, ac_norm, axpy, random_anchored
-from .linear_solver import (
-    _require_finite,
-    _require_kernel_dim,
-    _require_same,
-    _solve_leaf,
-    collocation_solve,
-)
+from .linear_solver import _require_kernel_dim, _require_same, _solve_leaf, collocation_solve
 from .operator import apply_V, directional_dF, functional_F, functional_gradient
-from .quadrature import _leaf_triangle, _rectangle, cell_midpoint_values
+from .quadrature import _leaf_triangle, _leaves, _rectangle, _require_finite, cell_midpoint_values
 
 _MIN_STEP = 2.0**-20
 
@@ -146,14 +139,13 @@ def solve_march(kernel, y: GridFunction, x_init: GridFunction | None = None,
     if x_init is not None:
         _require_same(x_init, y)
     grid = y.grid
-    N, d = grid.n_cells, grid.delta
+    d = grid.delta
     floor = 8.0 * np.finfo(float).eps
     x = (y if x_init is None else x_init).values.copy()
     r = np.zeros_like(x)  # each leaf's final row residuals
     report = SolveReport("march", 0, [], [], False)
 
-    for c0 in range(1, N + 1, quadrature._LEAF):
-        c1 = min(N + 1, c0 + quadrature._LEAF)
+    for c0, c1 in _leaves(grid.n_cells + 1):
         rows, cols = grid.nodes[c0:c1], grid.midpoints[c0 - 1 : c1 - 1]
         history = np.zeros_like(x[c0:c1])
         for _, V in _rectangle(kernel.v, rows, grid.midpoints[: c0 - 1],

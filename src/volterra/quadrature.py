@@ -12,19 +12,17 @@ Every integral in the package is discretized with one family of rules:
   (weight delta) with the inner rule above.
 
 The full-cell part of both rules sums samples f(r_i, m_j, x(m_j)) over
-the strict lower triangle j < i, with r the nodes or the midpoints.
-_row_blocks walks it in blocks of rows [r0, r1) holding at most
-_BLOCK_SAMPLES samples, so memory grows as N.  It fills each block in
-leaves of at most _LEAF rows [c0, c1): the dense rectangle of columns
-[0, c0), passed to the evaluator as broadcast views, plus the leaf's
-own small triangle.  Summing the blocks along rows gives the rules;
-summing along columns gives their transpose.
-
-The solves (collocation_solve and solve_march) take the node rows in
-leaves of _LEAF rows from row 1, left to right.  The cells j < c0 - 1
-of a leaf have both end values solved: they are its history, one
-_rectangle of column chunks that the solver reduces as they come.  The
-leaf's own cells j >= c0 - 1 are one _leaf_triangle.
+the strict lower triangle j < i, with r the nodes or the midpoints.  One
+partition serves the sums and the solves: _leaves cuts the rows from
+row 1 into leaves [c0, c1) of _LEAF rows.  A leaf's cells j < c0 - 1
+are one _rectangle of column chunks, its own cells one _leaf_triangle.
+The solves (collocation_solve, solve_march) take the leaves left to
+right, a leaf's rectangle being its solved history.  The sums reduce
+each piece as it comes, along rows or, for the transpose, along
+columns, so memory grows as N; they raise KernelContract at the first
+non-finite row (column) of their result.  Not checked: the lag route,
+whose FFT spreads one bad sample over every row, and the single
+diagonal and half-cell samples outside the triangle.
 
 The second route serves integrands w(t - tau) z(x) passed as a
 LagIntegrand (KernelSpec.integrand gives one for kernels that declare
@@ -41,19 +39,20 @@ slack, so it holds to rounding error for every grid.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
+from .errors import KernelContract
 from .function_space import Grid
 from .kernels import LagIntegrand
 
-# Cap on the (t, tau) samples one block evaluates and holds; a block
-# still takes a whole row when a single row is longer.
+# Cap on the (t, tau) samples of one rectangle chunk; a chunk still
+# takes one whole column when a leaf has more rows than that.
 _BLOCK_SAMPLES = 1 << 18
 
-# Rows per leaf: the walk fills its blocks, and both collocation routes
-# solve, in leaves of at most this many rows.
+# Rows per leaf of the one partition that every generic sum and solve walks.
 _LEAF = 64
 
 
@@ -71,41 +70,10 @@ def quarter_nodes(grid: Grid) -> np.ndarray:
     return grid.nodes[:-1] + 0.25 * grid.delta
 
 
-def _row_blocks(f, rows: np.ndarray, cols: np.ndarray, xc: np.ndarray):
-    """Walk the strict lower triangle j < i of f(rows[i], cols[j], xc[j]).
-
-    Yields (r0, r1, block) for consecutive row blocks starting at row 1
-    (row 0 has no samples).  block has shape (r1 - r0, r1 - 1) + value
-    shape: block[i - r0, j] is the sample for j < i and zero elsewhere.
-    Every pair j < i is evaluated exactly once: each leaf of rows gets
-    its columns below it as one broadcast rectangle, and the small
-    triangles inside the leaves go to the evaluator in one call.
-    """
-    r0 = 1
-    while r0 < rows.size:
-        b = max(1, (math.isqrt(r0 * r0 + 4 * _BLOCK_SAMPLES) - r0) // 2)
-        r1 = min(rows.size, r0 + b)
-        block = None
-        for c0 in range(r0, r1, _LEAF):
-            c1 = min(r1, c0 + _LEAF)
-            shape = (c1 - c0, c0)
-            rect = np.asarray(f(np.broadcast_to(rows[c0:c1, None], shape),
-                                np.broadcast_to(cols[None, :c0], shape),
-                                np.broadcast_to(xc[None, :c0], shape + xc.shape[1:])), float)
-            if block is None:
-                block = np.zeros((r1 - r0, r1 - 1) + rect.shape[2:])
-            block[c0 - r0 : c1 - r0, :c0] = rect
-        # the pairs j < i inside each leaf, as offsets from r0
-        m = r1 - r0
-        ii, jj = np.tril_indices(min(m, _LEAF), k=-1)
-        starts = np.arange(0, m, _LEAF)[:, None]
-        ii, jj = (ii + starts).ravel(), (jj + starts).ravel()
-        keep = ii < m  # the last leaf may be partial
-        ii, jj = ii[keep], jj[keep]
-        if ii.size:
-            block[ii, r0 + jj] = f(rows[r0 + ii], cols[r0 + jj], xc[r0 + jj])
-        yield r0, r1, block
-        r0 = r1
+def _leaves(n: int):
+    """Yield the leaves [c0, c1) of rows [1, n), _LEAF rows each (the last may be short)."""
+    for c0 in range(1, n, _LEAF):
+        yield c0, min(n, c0 + _LEAF)
 
 
 def _rectangle(f, rows: np.ndarray, cols: np.ndarray, xc: np.ndarray):
@@ -126,17 +94,35 @@ def _rectangle(f, rows: np.ndarray, cols: np.ndarray, xc: np.ndarray):
                                np.broadcast_to(xc[None, j0:j1], shape + xc.shape[1:])), float)
 
 
+@functools.cache
+def _tril(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.tril_indices(size), built once per leaf size and read-only."""
+    p, q = np.tril_indices(size)
+    p.flags.writeable = q.flags.writeable = False
+    return p, q
+
+
 def _leaf_triangle(f, rows: np.ndarray, cols: np.ndarray, xc: np.ndarray) -> np.ndarray:
     """f(rows[p], cols[q], xc[q]) for q <= p, in one evaluator call.
 
     rows, cols and xc are L long; the result has shape (L, L) + value
     shape and is zero for q > p.
     """
-    p, q = np.tril_indices(rows.size)
+    p, q = _tril(rows.size)
     samples = np.asarray(f(rows[p], cols[q], xc[q]), float)
     out = np.zeros((rows.size, rows.size) + samples.shape[1:])
     out[p, q] = samples
     return out
+
+
+def _require_finite(a: np.ndarray, c0: int, what: str, at: str = "node") -> None:
+    """Raise KernelContract naming row c0 + p for the first non-finite row p of a."""
+    if math.isfinite(a.sum()):  # the common case in one reduction
+        return
+    bad = np.flatnonzero(~np.isfinite(a.reshape(a.shape[0], -1)).all(axis=1))
+    if bad.size:
+        raise KernelContract(f"{what} at {at} {c0 + bad[0]} is not finite; "
+                             "the kernel must be finite on tau < t")
 
 
 def _fft_size(n: int) -> int:
@@ -161,7 +147,23 @@ def _lag_symbol(w, rows: np.ndarray, grid: Grid) -> np.ndarray:
     return a
 
 
-def _row_sums(f, rows, grid: Grid, values, hvalues):
+def _pieces(f, rows: np.ndarray, cols: np.ndarray, xc: np.ndarray):
+    """Yield (c0, j0, samples) covering each pair j < i once, for the sums:
+    samples[p, q] = f(rows[c0 + p], cols[j0 + q], xc[j0 + q]).
+
+    All rectangles come first, then the leaves' triangles (zero above the
+    diagonal): a caller's loop variable then holds each chunk while the
+    next is evaluated, so the allocator does not hand the walk's pages
+    back to the system between leaves and fault them in again.
+    """
+    for c0, c1 in _leaves(rows.size):
+        for j0, samples in _rectangle(f, rows[c0:c1], cols[: c0 - 1], xc[: c0 - 1]):
+            yield c0, j0, samples
+    for c0, c1 in _leaves(rows.size):
+        yield c0, c0 - 1, _leaf_triangle(f, rows[c0:c1], cols[c0 - 1 : c1 - 1], xc[c0 - 1 : c1 - 1])
+
+
+def _row_sums(f, rows, grid: Grid, values, hvalues, at: str):
     """delta * sum over j < i of f(rows[i], m_j, x(m_j)), times h(m_j) if given."""
     xm = cell_midpoint_values(values)
     hm = None if hvalues is None else cell_midpoint_values(hvalues)
@@ -172,9 +174,10 @@ def _row_sums(f, rows, grid: Grid, values, hvalues):
         out[0] = 0.0  # row 0 has no samples; clear the FFT's rounding
         return grid.delta * out
     out = np.zeros((rows.size, values.shape[1]))
-    for r0, r1, block in _row_blocks(f, rows, grid.midpoints, xm):
-        out[r0:r1] = block.sum(axis=1) if hm is None else \
-            np.einsum("ijab,jb->ia", block, hm[: r1 - 1])
+    for c0, j0, S in _pieces(f, rows, grid.midpoints, xm):
+        out[c0 : c0 + len(S)] += S.sum(axis=1) if hm is None else \
+            np.einsum("ijab,jb->ia", S, hm[j0 : j0 + S.shape[1]])
+    _require_finite(out, 0, "the sum of the row", at)
     return grid.delta * out
 
 
@@ -186,7 +189,7 @@ def node_integral(f, grid: Grid, values: np.ndarray,
     shape (dim,) per sample; with hvalues it returns a matrix per sample
     that is applied to h(tau).  Output shape (N + 1, dim); row 0 is zero.
     """
-    return _row_sums(f, grid.nodes, grid, values, hvalues)
+    return _row_sums(f, grid.nodes, grid, values, hvalues, "node")
 
 
 def inner_integral(f, grid: Grid, values: np.ndarray,
@@ -197,7 +200,7 @@ def inner_integral(f, grid: Grid, values: np.ndarray,
     half cell at t_i + delta/4.  With hvalues, f is matrix-valued and
     applied to h(tau) as in node_integral.  Output shape (N, dim).
     """
-    out = _row_sums(f, grid.midpoints, grid, values, hvalues)
+    out = _row_sums(f, grid.midpoints, grid, values, hvalues, "cell")
     tail = np.asarray(f(grid.midpoints, quarter_nodes(grid), cell_quarter_values(values)), float)
     if hvalues is not None:
         tail = np.einsum("pab,pb->pa", tail, cell_quarter_values(hvalues))
@@ -218,8 +221,9 @@ def inner_integral_adjoint(fmat, grid: Grid, values: np.ndarray,
         col = np.einsum("jba,jb->ja", np.asarray(fmat.z(xm), float), back)
     else:
         col = np.zeros((grid.n_cells, weights.shape[1]))
-        for r0, r1, block in _row_blocks(fmat, grid.midpoints, grid.midpoints, xm):
-            col[: r1 - 1] += np.einsum("ijba,ib->ja", block, weights[r0:r1])
+        for c0, j0, S in _pieces(fmat, grid.midpoints, grid.midpoints, xm):
+            col[j0 : j0 + S.shape[1]] += np.einsum("ijba,ib->ja", S, weights[c0 : c0 + len(S)])
+        _require_finite(col, 0, "the column sum", "cell")
     tail = np.asarray(fmat(grid.midpoints, quarter_nodes(grid), cell_quarter_values(values)), float)
     q = 0.5 * d * np.einsum("pba,pb->pa", tail, weights)
     u = np.zeros((grid.n_cells + 1, weights.shape[1]))

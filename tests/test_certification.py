@@ -1,6 +1,7 @@
 """Well-posedness checks: triangle-norm conditions and coercivity constants."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -76,6 +77,15 @@ class TestCheckA3:
     def test_requires_declared_bounds(self):
         with pytest.raises(MissingBounds):
             check_A3(linear_kernel(0.5), Grid(0.0, 1.0, 50))
+
+    def test_nonfinite_bound_raises(self):
+        # a nan margin would pass into the report as invalid JSON
+        ker = example1_kernel(1.0)
+        c0 = ker.bounds.c0
+        bounds = replace(ker.bounds,
+                         c0=lambda t, tau: np.where(np.asarray(t) > 0.5, np.nan, c0(t, tau)))
+        with pytest.raises(vt.KernelContract):
+            check_A3(replace(ker, bounds=bounds), Grid(0.0, 1.0, 100))
 
     def test_zero_kernel_passes(self):
         rep = check_A3(zero_kernel(), Grid(0.0, 1.0, 50))

@@ -175,6 +175,20 @@ class TestEstimateLRho:
                                include_time_derivative=True)
         assert joint > base
 
+    @pytest.mark.parametrize("broken", ["v_x", "v_tx"])
+    def test_nonfinite_samples_raise(self, broken):
+        # a max that skipped the nan samples would understate the bound
+        ker = example1_kernel(1.0)
+        f = getattr(ker, broken)
+
+        def late_nan(t, tau, x):
+            return f(t, tau, x) * np.where(np.asarray(t) > 0.5, np.nan, 1.0)[..., None, None]
+
+        ker = replace(ker, **{broken: late_nan})
+        with pytest.raises(vt.KernelContract, match=broken):
+            estimate_l_rho(ker, 1.0, 2048, domain=TriangularDomain(0.0, 1.0),
+                           include_time_derivative=True)
+
     def test_rejects_bad_arguments(self):
         ker = linear_kernel(1.0)
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Operator application, its time derivative, linearization, and the functional."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from volterra import (
     from_callable,
     functional_F,
     functional_gradient,
+    KernelContract,
     linear_kernel,
     example1_kernel,
     random_anchored,
@@ -164,3 +166,43 @@ def test_functional_decreases_along_newton_direction():
     r = sub(y, apply_V(ker, x))
     step = vt.collocation_solve(ker, x, r)
     assert functional_F(ker, axpy(1.0, step, x), y) < F0
+
+
+# The sums each function walks, by the evaluator they read.  The
+# diagonal samples outside the walks are not checked: v in functional_F
+# and v_x in functional_gradient only give non-finite results there.
+_WALKED = {
+    "apply_V": ("v",),
+    "apply_T": ("v_x",),
+    "functional_F": ("v_t",),
+    "functional_gradient": ("v", "v_t", "v_tx"),  # v through D, the adjoint's weights
+    "solve_gradient": ("v", "v_t", "v_tx"),
+    "neumann_solve": ("v_x", "v_tx"),  # estimate_l_rho samples both
+}
+
+
+@pytest.mark.parametrize("name, broken", [(n, b) for n, evs in _WALKED.items() for b in evs])
+def test_nonfinite_samples_in_a_walk_raise_kernel_contract(name, broken):
+    ker = example1_kernel(1.0)
+    f = getattr(ker, broken)
+
+    def late_nan(t, tau, x):
+        out = f(t, tau, x)
+        late = np.asarray(t) > 0.5
+        return np.where(late.reshape(late.shape + (1,) * (out.ndim - late.ndim)), np.nan, out)
+
+    ker = replace(ker, **{broken: late_nan})
+    g = Grid(0.0, 1.0, 100)
+    x, y = from_callable(lambda t: np.sin(3.0 * t), g), from_callable(lambda t: t, g)
+    call = {
+        "apply_V": lambda: apply_V(ker, x),
+        "apply_T": lambda: vt.apply_T(ker, x, y),
+        "functional_F": lambda: functional_F(ker, x, y),
+        "functional_gradient": lambda: functional_gradient(ker, x, y),
+        "solve_gradient": lambda: vt.solve_gradient(ker, y),
+        "neumann_solve": lambda: vt.neumann_solve(ker, x, y, tol=1e-10),
+    }[name]
+    # node 51 is the first node past t = 1/2 on 100 cells
+    match = "node 51 " if name in ("apply_V", "apply_T") else None
+    with pytest.raises(KernelContract, match=match):
+        call()

@@ -2,9 +2,10 @@
 
 The rules are exact for integrands linear in tau on each cell; several
 tests pin that exactness because the coercivity check relies on it.
-The block walk behind both rules is checked against a plain double loop
-with a block cap small enough that every walk crosses block boundaries,
-and leaves small enough that a block holds several of them.
+The leaf walk behind both rules and their transpose is checked against
+a plain double loop, with leaves small enough that each walk has
+several and a chunk cap small enough that the later leaves' rectangles
+split into several chunks; the sums must not depend on the leaf size.
 """
 
 import numpy as np
@@ -32,9 +33,10 @@ def _triangle(f2, g):
 
 @pytest.fixture
 def small_blocks(monkeypatch):
-    # 60 samples per block: blocks of 7 rows down to 2 on a 23-cell grid;
-    # 3-row leaves, so the 7- and 4-row blocks end in a partial leaf
-    monkeypatch.setattr(quadrature, "_BLOCK_SAMPLES", 60)
+    # 3-row leaves on a 23-cell grid, the last one partial; 30 samples
+    # per chunk, so the rectangles of the leaves from row 13 on take
+    # 10 columns a chunk and split in two
+    monkeypatch.setattr(quadrature, "_BLOCK_SAMPLES", 30)
     monkeypatch.setattr(quadrature, "_LEAF", 3)
 
 
@@ -116,7 +118,7 @@ def test_integrals_start_at_zero():
     assert out[0, 0] == 0.0
 
 
-# -- the block walk against a plain double loop ------------------------------
+# -- the leaf walk against a plain double loop ------------------------------
 
 def _vec(dim):
     """Vector integrand of the evaluator convention, coupling t, tau and x."""
@@ -212,24 +214,33 @@ def test_walk_evaluates_each_pair_once(monkeypatch, cap):
     monkeypatch.setattr(quadrature, "_LEAF", 3)
     pairs = []
 
-    def f(t, tau, x):
-        pairs.extend(zip(np.ravel(t), np.ravel(tau)))
-        return np.ones(np.shape(t) + (1,))
+    def counted(value_shape):
+        def f(t, tau, x):
+            pairs.extend(zip(np.ravel(t), np.ravel(tau)))
+            return np.ones(np.shape(t) + value_shape)
+        return f
 
     N = 37
     g = Grid(0.0, 1.0, N)
-    node_integral(f, g, np.zeros((N + 1, 1)))
-    assert len(pairs) == N * (N + 1) // 2
-    assert len(set(pairs)) == len(pairs)
-    assert all(tau < t for t, tau in pairs)
-    pairs.clear()
-    inner_integral(f, g, np.zeros((N + 1, 1)))
-    assert len(pairs) == N * (N - 1) // 2 + N
-    assert len(set(pairs)) == len(pairs)
+    zero = np.zeros((N + 1, 1))
+    walks = [(lambda: node_integral(counted((1,)), g, zero), N * (N + 1) // 2),
+             (lambda: node_integral(counted((1, 1)), g, zero, zero), N * (N + 1) // 2),
+             (lambda: inner_integral(counted((1,)), g, zero), N * (N - 1) // 2 + N),
+             (lambda: inner_integral_adjoint(counted((1, 1)), g, zero, zero[:-1]),
+              N * (N - 1) // 2 + N)]
+    for walk, count in walks:
+        pairs.clear()
+        walk()
+        assert len(pairs) == count
+        assert len(set(pairs)) == len(pairs)
+        assert all(tau < t for t, tau in pairs)
 
 
 def test_block_cap_bounds_samples_per_call(monkeypatch):
+    # a leaf's own triangle is one call of _LEAF (_LEAF + 1) / 2 = 36
+    # samples; the cap bounds the rectangle chunks
     monkeypatch.setattr(quadrature, "_BLOCK_SAMPLES", 100)
+    monkeypatch.setattr(quadrature, "_LEAF", 8)
     sizes = []
 
     def f(t, tau, x):
@@ -243,18 +254,21 @@ def test_block_cap_bounds_samples_per_call(monkeypatch):
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-def test_leaves_fill_the_same_blocks(monkeypatch, dim):
-    # leaves change how a block is filled, not one bit of it
-    monkeypatch.setattr(quadrature, "_BLOCK_SAMPLES", 300)
-    g = Grid(0.0, 1.3, 61)
-    xm = cell_midpoint_values(_state(g, dim, 8))
+def test_leaf_size_does_not_change_the_sums(monkeypatch, dim):
+    # one-row leaves, short leaves, the default and one leaf for the whole
+    # walk group the same samples differently; the sums agree to rounding
+    N = 150
+    g = Grid(0.0, 1.3, N)
+    x, h = _state(g, dim, 8), _state(g, dim, 9)
+    w = np.random.default_rng(10).standard_normal((N, dim))
 
-    def walk(leaf):
+    def sums(leaf):
         monkeypatch.setattr(quadrature, "_LEAF", leaf)
-        return list(quadrature._row_blocks(_mat(dim), g.nodes, g.midpoints, xm))
+        return [node_integral(_vec(dim), g, x), node_integral(_mat(dim), g, x, h),
+                inner_integral(_vec(dim), g, x), inner_integral(_mat(dim), g, x, h),
+                inner_integral_adjoint(_mat(dim), g, x, w)]
 
-    whole, leaves = walk(10**9), walk(4)
-    assert len(whole) > 2
-    assert [b[:2] for b in leaves] == [b[:2] for b in whole]
-    for (_, _, a), (_, _, b) in zip(whole, leaves):
-        assert np.array_equal(a, b)
+    reference = sums(64)
+    for leaf in (1, 3, N + 1):
+        for a, b in zip(sums(leaf), reference):
+            assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max()
