@@ -1,9 +1,11 @@
 """Grid-refinement study for the two solver paths.
 
 Sweeps n_cells and prints AC-norm errors against the closed-form
-resolvent for the linear kernel (solved by Newton), plus
-self-convergence of the log-kernel solution (solved by marching)
-against a fine reference.  Expected slope: second order for the
+resolvent for the linear kernel, plus self-convergence of the
+log-kernel solution against a fine reference.  Both are solved by
+solve_march, the CLI's solver: the linear kernel declares lag factors,
+so its march takes Toeplitz products, and the log kernel marches on
+the generic route.  Expected slope: second order for the
 linear problem, a bit under that for the weakly singular time
 derivative of the log kernel.
 """
@@ -20,8 +22,8 @@ def linear_sweep(cells):
     prev = None
     for n in cells:
         g = vt.Grid(0.0, 1.0, n)
-        x, _ = vt.solve_newton(vt.linear_kernel(0.5),
-                               vt.from_callable(lambda t: t, g), tol=1e-13)
+        x, _ = vt.solve_march(vt.linear_kernel(0.5),
+                              vt.from_callable(lambda t: t, g), tol=1e-13)
         exact = vt.from_callable(lambda t: 2.0 * (1.0 - math.exp(-t / 2.0)), g)
         err = vt.ac_norm(vt.sub(x, exact)) / vt.ac_norm(exact)
         rate = "" if prev is None else f"{math.log2(prev / err):.2f}"

@@ -76,7 +76,8 @@ def _inner_bound(f2, grid: Grid) -> np.ndarray:
         def f(t, tau, x):
             return np.broadcast_to(np.asarray(f2(t, tau), float), np.shape(t))[..., None]
 
-    return inner_integral(f, grid, np.zeros((grid.n_cells + 1, 1)))[:, 0]
+    return inner_integral(f, grid, np.zeros((grid.n_cells + 1, 1)),
+                          why="the declared bounds must be finite on tau < t")[:, 0]
 
 
 def _squared(f2):

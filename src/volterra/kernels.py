@@ -11,17 +11,17 @@ Evaluators are numpy-vectorized over leading axes: t and tau are float
 arrays of a common broadcast shape S, x has shape S + (dim,).  v and
 v_t return shape S + (dim,); v_x and v_tx return S + (dim, dim).
 Quadrature never samples tau = t, so evaluators whose time derivative is
-singular on the diagonal (Example 1 below) are safe; they only need to
-be finite on tau < t.
+singular on the diagonal (Example 1 below) are safe: v_t and v_tx need
+only be finite on tau < t, v and v_x on tau <= t.
 
 Lag kernels
 -----------
 A kernel of the form v(t, tau, x) = w(t - tau) z(x) declares its
 factors in KernelSpec.lag; lag_kernel builds the four evaluators from
 them.  On the uniform grid every quadrature sum of such a kernel is a
-Toeplitz product, which quadrature and collocation_solve take by
-FFT.  The route follows the field, not the evaluator objects, so a spec
-whose evaluators were swapped by dataclasses.replace keeps it.
+Toeplitz product, which quadrature and the solves take by FFT.  The
+route follows the field, not the evaluator objects, so a spec whose
+evaluators were swapped by dataclasses.replace keeps it.
 """
 
 from __future__ import annotations
@@ -107,12 +107,18 @@ class LagBound:
 
     def __call__(self, t, tau):
         lag = np.subtract(np.asarray(t, float), tau)
-        return np.broadcast_to(np.asarray(self.w(lag), float), lag.shape)
+        return _shaped(self.w(lag), lag.shape)
+
+
+def _shaped(a, shape) -> np.ndarray:
+    # a as floats of the shape; np.broadcast_to is slow on small arrays
+    a = np.asarray(a, float)
+    return a if a.shape == shape else np.broadcast_to(a, shape)
 
 
 def _lag_product(w, z, t, tau, x):
     lag = np.subtract(np.asarray(t, float), tau)
-    ws = np.broadcast_to(np.asarray(w(lag), float), lag.shape)
+    ws = _shaped(w(lag), lag.shape)
     zx = np.asarray(z(x), float)
     return ws.reshape(ws.shape + (1,) * (zx.ndim - np.ndim(x) + 1)) * zx
 
@@ -355,8 +361,8 @@ def example2_kernel(w, w_prime, z, z_prime, A: float, B: float,
 
     return lag_kernel(
         w, w_prime,
-        z=lambda x: np.broadcast_to(np.asarray(z(x), float), np.shape(x)),
-        z_prime=lambda x: np.broadcast_to(np.asarray(z_prime(x), float), np.shape(x))[..., None],
+        z=lambda x: _shaped(z(x), np.shape(x)),
+        z_prime=lambda x: _shaped(z_prime(x), np.shape(x))[..., None],
         diagonal_zero=True,
         bounds=GrowthBounds(c0=LagBound(lambda s: A * abs_w_prime(s)),
                             d0=LagBound(lambda s: B * abs_w_prime(s))),

@@ -15,20 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import quadrature
 from .errors import DimMismatch, KernelContract, SingularBlock
 from .function_space import GridFunction, ac_norm, sup_norm, zeros
-from .kernels import KernelSpec, LagFactors, TriangularDomain
-from .quadrature import (
-    _fft_size,
-    _lag_symbol,
-    _leaf_triangle,
-    _leaves,
-    _rectangle,
-    _require_finite,
-    cell_midpoint_values,
-    node_integral,
-)
+from .kernels import KernelSpec, TriangularDomain
+from .quadrature import (_block_sum, _by_halves, _leaf_triangle, _require_finite,
+                         cell_midpoint_values, node_integral)
 
 # Same grid and dim, or GridMismatch / DimMismatch.
 _require_same = GridFunction._require_compatible
@@ -257,36 +248,35 @@ def collocation_solve(kernel: KernelSpec, x0: GridFunction,
                       g: GridFunction) -> GridFunction:
     """Direct triangular solve of the discrete system h + T h = g.
 
-    Forward substitution over leaves of quadrature._LEAF nodes, left to
-    right.  The columns a leaf has solved enter its rows as its history,
-    v_x column chunks reduced against the solved cell values of h as
-    they are evaluated; its own nodes are one dense (leaf * dim)^2
-    solve, whose diagonal blocks I + delta/2 * v_x(t_i, m_{i-1}, x0) are
-    checked for singularity first.  A kernel with lag factors is solved
-    by halves instead (_lag_collocation), at O(N log^2 N).  The discrete
-    equations are satisfied to rounding, so the residual measured with
-    apply_T is at machine level.  A non-finite v_x sample that reaches
-    a leaf raises KernelContract naming the node.
+    Forward substitution by halves (quadrature._by_halves) over leaves
+    of quadrature._LEAF nodes: a solved range of nodes enters the rows
+    to its right as one block sum of v_x against h, in column chunks or,
+    with lag factors, one Toeplitz product (O(N log^2 N) in all).  A
+    leaf's own nodes are one dense (leaf * dim)^2 solve, whose diagonal
+    blocks I + delta/2 * v_x(t_i, m_{i-1}, x0) are checked for
+    singularity first.  The discrete equations are satisfied to
+    rounding, so the residual measured with apply_T is at machine
+    level.  A non-finite v_x sample raises KernelContract naming where.
     """
     _require_same(x0, g)
     _require_kernel_dim(kernel, x0)
     grid = g.grid
-    if kernel.lag is not None:
-        return GridFunction(grid, _lag_collocation(kernel.lag, x0, g))
-    d = grid.delta
-    h = np.zeros_like(g.values)
+    f, d, rows, cols = kernel.integrand("v_x"), grid.delta, grid.nodes, grid.midpoints
     x0m = cell_midpoint_values(x0.values)
-    for c0, c1 in _leaves(grid.n_cells + 1):
-        rows = grid.nodes[c0:c1]
+    h = np.zeros_like(g.values)
+    rhs = g.values.copy()  # g less the cells solved so far
+
+    def merge(lo, mid, hi):
         # Row i reads h_i + delta sum_{j<i} W_ij (h_j + h_{j+1}) / 2 = g_i.
-        # Cells j < c0 - 1 have both end values solved.
-        hm = cell_midpoint_values(h[:c0])
-        rhs = g.values[c0:c1].copy()
-        for j0, W in _rectangle(kernel.v_x, rows, grid.midpoints[: c0 - 1], x0m[: c0 - 1]):
-            rhs -= d * np.einsum("ijab,jb->ia", W, hm[j0 : j0 + W.shape[1]])
-        S = _leaf_triangle(kernel.v_x, rows, grid.midpoints[c0 - 1 : c1 - 1], x0m[c0 - 1 : c1 - 1])
-        rhs -= 0.5 * d * (S[:, 0] @ h[c0 - 1])
-        h[c0:c1] = _solve_leaf(S, rhs, d, c0)
+        rhs[mid:hi] -= d * _block_sum(f, rows[mid:hi], cols[lo - 1 : mid - 1],
+                                      x0m[lo - 1 : mid - 1], cell_midpoint_values(h[lo - 1 : mid]))
+
+    def leaf(c0, c1):
+        S = _leaf_triangle(f, rows[c0:c1], cols[c0 - 1 : c1 - 1], x0m[c0 - 1 : c1 - 1])
+        # the leaf's first cell has its left end value h_{c0-1} solved
+        h[c0:c1] = _solve_leaf(S, rhs[c0:c1] - 0.5 * d * (S[:, 0] @ h[c0 - 1]), d, c0)
+
+    _by_halves(grid.n_cells + 1, leaf, merge)
     return GridFunction(grid, h)
 
 
@@ -304,9 +294,9 @@ def _solve_leaf(S: np.ndarray, rhs: np.ndarray, d: float, c0: int) -> np.ndarray
     are checked per node, not one by one.
     """
     L, n = rhs.shape
-    _require_finite(rhs, c0, "the history of the row")
+    _require_finite(rhs, "the history of the row at node", range(c0, c0 + L))
     diag = np.eye(n) + 0.5 * d * S[np.arange(L), np.arange(L)]
-    _require_finite(diag, c0, "the diagonal block")
+    _require_finite(diag, "the diagonal block at node", range(c0, c0 + L))
     # A 1 x 1 block is its own singular value; LAPACK's SVD costs about
     # six times a det per block, which shows on long dim-1 grids.
     sv = np.abs(diag[:, 0]) if n == 1 else np.linalg.svd(diag, compute_uv=False)
@@ -317,59 +307,8 @@ def _solve_leaf(S: np.ndarray, rhs: np.ndarray, d: float, c0: int) -> np.ndarray
         )
     A = S.copy()
     A[:, :-1] += S[:, 1:]
-    M = 0.5 * d * A.transpose(0, 2, 1, 3).reshape(L * n, L * n) + np.eye(L * n)
+    M = 0.5 * d * A.transpose(0, 2, 1, 3).reshape(L * n, L * n)
+    M.flat[:: L * n + 1] += 1.0  # + I, without building it
     h = np.linalg.solve(M, rhs.ravel()).reshape(L, n)
-    _require_finite(h, c0, "the solution")
-    return h
-
-
-def _lag_collocation(lag: LagFactors, x0: GridFunction, g: GridFunction) -> np.ndarray:
-    """Node values of the collocation solution for v = w(t - tau) z(x).
-
-    With a_k = w((k - 1/2) delta), a_k = 0 for k <= 0, and
-    C_j = z'(x0(m_j)), row i of the discrete system reads
-
-        h_i + delta/2 sum_{k <= i} (a_{i-k} C_k + a_{i-k+1} C_{k-1}) h_k = g_i.
-
-    Rows [lo, hi) are solved by halves: once the first half is solved,
-    it enters the rows of the second as two causal convolutions with
-    the Toeplitz symbol a, by FFT.  Blocks of at most quadrature._LEAF
-    rows are the dense solves of the generic route, taken leftmost
-    first, so SingularBlock names the same node as there.
-    """
-    grid = g.grid
-    N, d = grid.n_cells, grid.delta
-    a = np.append(_lag_symbol(lag.w, grid.nodes, grid), 0.0)  # a[N + 1] = 0 pads a[1 : L + 1]
-    C = np.asarray(lag.z_prime(cell_midpoint_values(x0.values)), float)
-
-    h = np.zeros_like(g.values)
-    rhs = g.values.copy()  # g minus the contributions of the solved rows
-    symbols: dict = {}
-    # Tasks (lo, None, hi) solve rows [lo, hi); (lo, mid, hi) adds the
-    # solved rows [lo, mid) to the right-hand sides of rows [mid, hi).
-    tasks = [(1, None, N + 1)]
-    while tasks:
-        lo, mid, hi = tasks.pop()
-        L = hi - lo
-        if mid is None and L <= quadrature._LEAF:
-            # S[p, q] = a_{p-q+1} C_{lo-1+q}; a_0 = 0 clears q > p
-            pq = np.maximum(np.subtract.outer(np.arange(L), np.arange(L)) + 1, 0)
-            S = a[pq][:, :, None, None] * C[lo - 1 : hi - 1]
-            h[lo:hi] = _solve_leaf(S, rhs[lo:hi], d, lo)
-        elif mid is None:
-            mid = (lo + hi) // 2
-            tasks += [(mid, None, hi), (lo, mid, hi), (lo, None, mid)]
-        else:
-            # Rows mid..hi-1 of the circular convolution of size >= L
-            # are free of wrap-around: the inputs are L and mid - lo long.
-            if L not in symbols:
-                size = _fft_size(L)
-                symbols[L] = (size, np.fft.rfft(a[:L], size)[:, None],
-                              np.fft.rfft(a[1 : L + 1], size)[:, None])
-            size, S0, S1 = symbols[L]
-            p = np.einsum("kab,kb->ka", C[lo:mid], h[lo:mid])
-            q = np.einsum("kab,kb->ka", C[lo - 1 : mid - 1], h[lo:mid])
-            y = np.fft.irfft(S0 * np.fft.rfft(p, size, axis=0)
-                             + S1 * np.fft.rfft(q, size, axis=0), size, axis=0)
-            rhs[mid:hi] -= 0.5 * d * y[mid - lo : L]
+    _require_finite(h, "the solution at node", range(c0, c0 + L))
     return h

@@ -3,9 +3,8 @@
 The discrete system apply_V(x) = y is lower triangular in time, so
 solve_march solves it step by step: leaf by leaf of quadrature._LEAF
 nodes, each a damped Newton on its own unknowns after the solved cells
-have entered its rows once as history.  That walks the causal triangle
-of v about once per solve.  Kernels with lag factors go to Newton,
-whose sums are Toeplitz products.
+have entered its rows once, by halves.  That walks the causal triangle
+of v about once per solve, or costs O(N log^2 N) with lag factors.
 
 Newton solves the linearized discrete system by collocation and damps
 each step by backtracking on the derivative norm of that same residual
@@ -27,7 +26,8 @@ from .errors import LineSearchStalled, MaxIterExceeded
 from .function_space import GridFunction, ac_norm, axpy, random_anchored
 from .linear_solver import _require_kernel_dim, _require_same, _solve_leaf, collocation_solve
 from .operator import apply_V, directional_dF, functional_F, functional_gradient
-from .quadrature import _leaf_triangle, _leaves, _rectangle, _require_finite, cell_midpoint_values
+from .quadrature import (_block_sum, _by_halves, _leaf_triangle, _require_finite,
+                         cell_midpoint_values)
 
 _MIN_STEP = 2.0**-20
 
@@ -108,58 +108,56 @@ def solve_march(kernel, y: GridFunction, x_init: GridFunction | None = None,
                 ) -> tuple[GridFunction, SolveReport]:
     """Solve V(x) = y leaf by leaf in time; returns (solution, report).
 
-    Row i of the discrete system apply_V(x) = y involves the node values
-    up to x_i only, so the nodes are solved in leaves [c0, c1) of
-    quadrature._LEAF rows, left to right.  The cells j < c0 - 1 are
-    solved already: their v samples enter the leaf's rows once, as its
-    history.  The leaf's own values then solve a damped Newton on its
-    rows alone, whose Jacobian is collocation's leaf matrix of v_x on
-    the leaf's own cells; a trial is accepted once it strictly lowers
-    the 2-norm of the leaf residual.  With b_i = y_i - delta * history_i
-    fixed, row i reads b_i - x_i - delta * sum over the leaf's own cells
-    of v; a leaf is done when every row residual is at the rounding
-    floor of that sum, 8 eps times |b_i| + |x_i| + delta * sum |v|.
+    Row i of apply_V(x) = y involves x_0, ..., x_i only, so the nodes
+    are solved in leaves [c0, c1) of quadrature._LEAF rows by halves
+    (quadrature._by_halves): a solved range of nodes enters the rows to
+    its right once, as history, in v column chunks or, with lag
+    factors, one Toeplitz product.  Each leaf then solves a damped
+    Newton on its own rows, with collocation's leaf matrix of v_x as
+    its Jacobian; a trial is accepted once it strictly lowers the
+    2-norm of the leaf residual.  With b_i = y_i - delta * history_i,
+    row i reads b_i - x_i - delta * sum over the leaf's own cells of v;
+    a leaf is done when every row residual is at the rounding floor of
+    that sum, 8 eps times |b_i| + |x_i| + delta * sum |v|.
 
-    A leaf starts from x_init, or by default from y minus its history.
-    Kernels with lag factors are handed to solve_newton, whose residual
-    and Jacobian are Toeplitz products.  The report's iterations count
-    the local Newton steps of all leaves, and residual_history holds the
-    derivative norm of the leaves' final row residuals, y - apply_V(x)
-    up to rounding.  max_iter caps each leaf's steps.  A leaf that
-    exhausts it raises MaxIterExceeded, one whose line search stalls
-    raises LineSearchStalled, and a final residual above tol raises
-    LineSearchStalled too, each with the partial report attached.  A
-    non-finite sample of v or v_x raises KernelContract naming its node.
+    A leaf starts from x_init, or by default from b.  The report's
+    iterations count the local Newton steps of all leaves, and
+    residual_history holds the derivative norm of the final row
+    residuals, y - apply_V(x) up to rounding.  max_iter caps each
+    leaf's steps: a leaf that exhausts it raises MaxIterExceeded; a
+    stalled line search, or a final residual above tol, raises
+    LineSearchStalled; each with the partial report attached.  A
+    non-finite sample of v or v_x raises KernelContract naming where.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if kernel.lag is not None:
-        return solve_newton(kernel, y, x_init=x_init, tol=tol, max_iter=max_iter)
     _require_kernel_dim(kernel, y)
     if x_init is not None:
         _require_same(x_init, y)
     grid = y.grid
-    d = grid.delta
+    d, nodes, mids = grid.delta, grid.nodes, grid.midpoints
+    fv, fvx = kernel.integrand("v"), kernel.integrand("v_x")
     floor = 8.0 * np.finfo(float).eps
     x = (y if x_init is None else x_init).values.copy()
+    history = np.zeros_like(x)
     r = np.zeros_like(x)  # each leaf's final row residuals
     report = SolveReport("march", 0, [], [], False)
 
-    for c0, c1 in _leaves(grid.n_cells + 1):
-        rows, cols = grid.nodes[c0:c1], grid.midpoints[c0 - 1 : c1 - 1]
-        history = np.zeros_like(x[c0:c1])
-        for _, V in _rectangle(kernel.v, rows, grid.midpoints[: c0 - 1],
-                               cell_midpoint_values(x[:c0])):
-            history += V.sum(axis=1)
-        base = y.values[c0:c1] - d * history
-        _require_finite(base, c0, "the history of the row")
+    def merge(lo, mid, hi):
+        history[mid:hi] += _block_sum(fv, nodes[mid:hi], mids[lo - 1 : mid - 1],
+                                      cell_midpoint_values(x[lo - 1 : mid]))
+
+    def leaf(c0, c1):
+        rows, cols = nodes[c0:c1], mids[c0 - 1 : c1 - 1]
+        base = _require_finite(y.values[c0:c1] - d * history[c0:c1],
+                               "the history of the row at node", range(c0, c1))
 
         def residual(xl):
             # rows [c0, c1) less the history, and the rounding floor of each
             xm = cell_midpoint_values(np.concatenate([x[c0 - 1 : c0], xl]))
-            V = _leaf_triangle(kernel.v, rows, cols, xm)
-            R = base - xl - d * V.sum(axis=1)
-            _require_finite(R, c0, "the residual of the row")
+            V = _leaf_triangle(fv, rows, cols, xm)
+            R = _require_finite(base - xl - d * V.sum(axis=1), "the residual of the row at node",
+                                range(c0, c1))
             return R, floor * (np.abs(base) + np.abs(xl) + d * np.abs(V).sum(axis=1)), xm
 
         xl = base if x_init is None else x[c0:c1]
@@ -173,7 +171,7 @@ def solve_march(kernel, y: GridFunction, x_init: GridFunction | None = None,
                 raise MaxIterExceeded(f"march: leaf at node {c0}: residual above its "
                                       f"rounding floor after {max_iter} iterations",
                                       report=report)
-            step = _solve_leaf(_leaf_triangle(kernel.v_x, rows, cols, xm), R, d, c0)
+            step = _solve_leaf(_leaf_triangle(fvx, rows, cols, xm), R, d, c0)
             res, s = np.linalg.norm(R), 1.0
             while True:
                 trial = residual(xl + s * step)
@@ -190,6 +188,7 @@ def solve_march(kernel, y: GridFunction, x_init: GridFunction | None = None,
             report.iterations += 1
         x[c0:c1], r[c0:c1] = xl, R
 
+    _by_halves(grid.n_cells + 1, leaf, merge)
     res = _ac_rows(r, d)
     report.residual_history = [res]
     if res > tol:

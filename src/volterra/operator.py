@@ -17,12 +17,8 @@ import numpy as np
 
 from .function_space import GridFunction
 from .linear_solver import _require_kernel_dim, _require_same, apply_T
-from .quadrature import (
-    cell_midpoint_values,
-    inner_integral,
-    inner_integral_adjoint,
-    node_integral,
-)
+from .quadrature import (_require_finite, cell_midpoint_values, inner_integral,
+                         inner_integral_adjoint, node_integral)
 
 
 def apply_V(kernel, x: GridFunction) -> GridFunction:
@@ -48,9 +44,15 @@ def apply_V_dt(kernel, x: GridFunction) -> np.ndarray:
     _require_kernel_dim(kernel, x)
     grid = x.grid
     slope = np.diff(x.values, axis=0) / grid.delta
-    xm = cell_midpoint_values(x.values)
-    diag = np.asarray(kernel.v(grid.midpoints, grid.midpoints, xm), float)
-    return slope + diag + inner_integral(kernel.integrand("v_t"), grid, x.values)
+    return slope + _diagonal(kernel.v, x) + inner_integral(kernel.integrand("v_t"), grid, x.values)
+
+
+def _diagonal(f, x: GridFunction) -> np.ndarray:
+    """f(m_i, m_i, x(m_i)) for every cell i, checked finite."""
+    m = x.grid.midpoints
+    return _require_finite(np.asarray(f(m, m, cell_midpoint_values(x.values)), float),
+                           "the diagonal sample at cell", range(len(m)),
+                           "v and v_x must be finite on tau = t")
 
 
 def frechet_apply(kernel, x0: GridFunction, h: GridFunction) -> GridFunction:
@@ -68,10 +70,7 @@ def frechet_dt(kernel, x0: GridFunction, h: GridFunction) -> np.ndarray:
     _require_kernel_dim(kernel, x0)
     grid = x0.grid
     slope = np.diff(h.values, axis=0) / grid.delta
-    xm = cell_midpoint_values(x0.values)
-    hm = cell_midpoint_values(h.values)
-    diag_mat = np.asarray(kernel.v_x(grid.midpoints, grid.midpoints, xm), float)
-    diag = np.einsum("pab,pb->pa", diag_mat, hm)
+    diag = np.einsum("pab,pb->pa", _diagonal(kernel.v_x, x0), cell_midpoint_values(h.values))
     inner = inner_integral(kernel.integrand("v_tx"), grid, x0.values, h.values)
     return slope + diag + inner
 
@@ -120,9 +119,7 @@ def functional_gradient(kernel, x: GridFunction, y: GridFunction) -> np.ndarray:
     g[1:] += D
     g[:-1] -= D
 
-    xm = cell_midpoint_values(x.values)
-    diag_mat = np.asarray(kernel.v_x(grid.midpoints, grid.midpoints, xm), float)
-    w_diag = 0.5 * d * np.einsum("pba,pb->pa", diag_mat, D)
+    w_diag = 0.5 * d * np.einsum("pba,pb->pa", _diagonal(kernel.v_x, x), D)
     g[:-1] += w_diag
     g[1:] += w_diag
 

@@ -14,22 +14,22 @@ Every integral in the package is discretized with one family of rules:
 The full-cell part of both rules sums samples f(r_i, m_j, x(m_j)) over
 the strict lower triangle j < i, with r the nodes or the midpoints.  One
 partition serves the sums and the solves: _leaves cuts the rows from
-row 1 into leaves [c0, c1) of _LEAF rows.  A leaf's cells j < c0 - 1
-are one _rectangle of column chunks, its own cells one _leaf_triangle.
-The solves (collocation_solve, solve_march) take the leaves left to
-right, a leaf's rectangle being its solved history.  The sums reduce
-each piece as it comes, along rows or, for the transpose, along
-columns, so memory grows as N; they raise KernelContract at the first
-non-finite row (column) of their result.  Not checked: the lag route,
-whose FFT spreads one bad sample over every row, and the single
-diagonal and half-cell samples outside the triangle.
+row 1 into leaves [c0, c1) of _LEAF rows, whose own cells are one
+_leaf_triangle.  The sums take a leaf's cells j < c0 - 1 as one
+_rectangle of column chunks, reduced as they come along rows (columns,
+for the transpose), so memory grows as N.  The solves take the leaves
+by halves (_by_halves), a solved half entering the next as one
+_block_sum.  A non-finite value raises KernelContract naming where it
+is: a walk's first bad row (column), a half-cell sample, or a factor
+of a lag integrand, checked before an FFT spreads it over every row.
 
 The second route serves integrands w(t - tau) z(x) passed as a
 LagIntegrand (KernelSpec.integrand gives one for kernels that declare
 lag factors).  On the uniform grid r_i - m_j = r_{i-j} - m_0, so the
 full-cell sum is the causal convolution of the symbol w(r_k - m_0) with
 z(x(m_j)) (times h(m_j)), taken by FFT at O(N log N); the transpose is
-the same convolution run backwards.
+the same convolution run backwards, a block sum a Toeplitz product,
+and a solve by halves O(N log^2 N).
 
 The certification module evaluates declared growth bounds on exactly
 these nodes.  That alignment matters: it turns the discrete coercivity
@@ -46,13 +46,13 @@ import numpy as np
 
 from .errors import KernelContract
 from .function_space import Grid
-from .kernels import LagIntegrand
+from .kernels import LagIntegrand, _shaped
 
 # Cap on the (t, tau) samples of one rectangle chunk; a chunk still
 # takes one whole column when a leaf has more rows than that.
 _BLOCK_SAMPLES = 1 << 18
 
-# Rows per leaf of the one partition that every generic sum and solve walks.
+# Rows per leaf of the one partition that every sum and solve walks.
 _LEAF = 64
 
 
@@ -76,6 +76,23 @@ def _leaves(n: int):
         yield c0, min(n, c0 + _LEAF)
 
 
+def _by_halves(n: int, solve_leaf, merge, lo: int = 1) -> None:
+    """Solve rows [lo, n) by halves, split only between leaves.
+
+    Rows of several leaves split at mid, the leaf boundary that halves
+    them: rows [lo, mid) are solved, merge(lo, mid, n) adds their cells
+    [lo - 1, mid - 1) to rows [mid, n), and rows [mid, n) are solved.
+    solve_leaf(c0, c1) visits the leaves of _leaves(n) in order.
+    """
+    leaves = -(-(n - lo) // _LEAF)
+    if leaves == 1:
+        return solve_leaf(lo, n)
+    mid = lo + (leaves + 1) // 2 * _LEAF
+    _by_halves(mid, solve_leaf, merge, lo)
+    merge(lo, mid, n)
+    _by_halves(n, solve_leaf, merge, mid)
+
+
 def _rectangle(f, rows: np.ndarray, cols: np.ndarray, xc: np.ndarray):
     """Walk f(rows[i], cols[j], xc[j]) over every row i and column j.
 
@@ -94,57 +111,90 @@ def _rectangle(f, rows: np.ndarray, cols: np.ndarray, xc: np.ndarray):
                                np.broadcast_to(xc[None, j0:j1], shape + xc.shape[1:])), float)
 
 
+def _block_sum(f, rows: np.ndarray, cols: np.ndarray, xc: np.ndarray,
+               hc: np.ndarray | None = None) -> np.ndarray:
+    """sum over j of f(rows[i], cols[j], xc[j]), applied to hc[j] if given.
+
+    A LagIntegrand is one Toeplitz product, rows[i] - cols[j] being
+    lags[i - j + cols.size - 1]; any other f is walked _LEAF rows at a time.
+    """
+    if isinstance(f, LagIntegrand):
+        lags = np.concatenate([rows[0] - cols[::-1], rows[1:] - cols[0]])
+        a, u = _lag_factors(f, lags, xc, cols)
+        u = u if hc is None else np.einsum("jab,jb->ja", u, hc)
+        return _causal_conv(a, u, _fft_size(lags.size))[cols.size - 1 :]
+    out = np.zeros((rows.size, xc.shape[1]))
+    for r0 in range(0, rows.size, _LEAF):
+        for j0, S in _rectangle(f, rows[r0 : r0 + _LEAF], cols, xc):
+            out[r0 : r0 + _LEAF] += S.sum(axis=1) if hc is None else \
+                np.einsum("ijab,jb->ia", S, hc[j0 : j0 + S.shape[1]])
+    return out
+
+
 @functools.cache
-def _tril(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """np.tril_indices(size), built once per leaf size and read-only."""
+def _leaf_index(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """np.tril_indices(size) and max(p - q + 1, 0) for all p, q < size,
+    built once per leaf size and read-only."""
     p, q = np.tril_indices(size)
-    p.flags.writeable = q.flags.writeable = False
-    return p, q
+    k = np.maximum(np.subtract.outer(np.arange(size), np.arange(size)) + 1, 0)
+    for a in (p, q, k):
+        a.flags.writeable = False
+    return p, q, k
 
 
 def _leaf_triangle(f, rows: np.ndarray, cols: np.ndarray, xc: np.ndarray) -> np.ndarray:
     """f(rows[p], cols[q], xc[q]) for q <= p, in one evaluator call.
 
     rows, cols and xc are L long; the result has shape (L, L) + value
-    shape and is zero for q > p.
+    shape and is zero for q > p.  A LagIntegrand is gathered from its L
+    lags rows[p - q] - cols[0] and L columns, checked (0 * nan is nan).
     """
-    p, q = _tril(rows.size)
+    L = rows.size
+    if isinstance(f, LagIntegrand):
+        a = np.zeros(L + 1)  # a[0] = 0 clears q > p
+        a[1:], zx = _lag_factors(f, rows - cols[0], xc, cols)
+        return a[_leaf_index(L)[2]].reshape((L, L) + (1,) * (zx.ndim - 1)) * zx
+    p, q, _ = _leaf_index(L)
     samples = np.asarray(f(rows[p], cols[q], xc[q]), float)
-    out = np.zeros((rows.size, rows.size) + samples.shape[1:])
+    out = np.zeros((L, L) + samples.shape[1:])
     out[p, q] = samples
     return out
 
 
-def _require_finite(a: np.ndarray, c0: int, what: str, at: str = "node") -> None:
-    """Raise KernelContract naming row c0 + p for the first non-finite row p of a."""
+_KERNEL = "the kernel must be finite on tau < t"
+
+
+def _require_finite(a: np.ndarray, what: str, where, why: str = _KERNEL) -> np.ndarray:
+    """Return a, or raise KernelContract naming where[p] for its first row p
+    with a non-finite entry; why says what must be finite."""
     if math.isfinite(a.sum()):  # the common case in one reduction
-        return
+        return a
     bad = np.flatnonzero(~np.isfinite(a.reshape(a.shape[0], -1)).all(axis=1))
     if bad.size:
-        raise KernelContract(f"{what} at {at} {c0 + bad[0]} is not finite; "
-                             "the kernel must be finite on tau < t")
+        raise KernelContract(f"{what} {where[bad[0]]:.10g} is not finite; {why}")
+    return a
+
+
+def _lag_factors(f: LagIntegrand, lags, xc, taus, why: str = _KERNEL):
+    """f.w(lags) and f.z(xc), a value per lag and per tau, each checked."""
+    return (_require_finite(_shaped(f.w(lags), lags.shape), "the factor w at t - tau =", lags, why),
+            _require_finite(np.asarray(f.z(xc), float), "the factor z at tau =", taus, why))
 
 
 def _fft_size(n: int) -> int:
     return 1 << max(0, n - 1).bit_length()
 
 
-def _causal_conv(a: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _causal_conv(a: np.ndarray, u: np.ndarray, size: int = 0) -> np.ndarray:
     """y[i] = sum over j <= i of a[i - j] u[j] for i < len(a), by FFT.
 
-    u has shape (m, ...) with m <= len(a); the sum runs along axis 0.
+    u has shape (m, ...) with m <= len(a); the sum runs along axis 0.  A
+    size below the default, but at least len(a), wraps into y[: m - 1].
     """
     n = a.size
-    size = _fft_size(n + u.shape[0] - 1)
+    size = size or _fft_size(n + u.shape[0] - 1)
     A = np.fft.rfft(a, size).reshape((-1,) + (1,) * (u.ndim - 1))
     return np.fft.irfft(A * np.fft.rfft(u, size, axis=0), size, axis=0)[:n]
-
-
-def _lag_symbol(w, rows: np.ndarray, grid: Grid) -> np.ndarray:
-    """w(rows[k] - m_0) for k >= 1, zero at k = 0 (no sample j < 0)."""
-    a = np.zeros(rows.size)
-    a[1:] = w(rows[1:] - grid.midpoints[0])
-    return a
 
 
 def _pieces(f, rows: np.ndarray, cols: np.ndarray, xc: np.ndarray):
@@ -163,21 +213,22 @@ def _pieces(f, rows: np.ndarray, cols: np.ndarray, xc: np.ndarray):
         yield c0, c0 - 1, _leaf_triangle(f, rows[c0:c1], cols[c0 - 1 : c1 - 1], xc[c0 - 1 : c1 - 1])
 
 
-def _row_sums(f, rows, grid: Grid, values, hvalues, at: str):
+def _row_sums(f, rows, grid: Grid, values, hvalues, at: str, why: str):
     """delta * sum over j < i of f(rows[i], m_j, x(m_j)), times h(m_j) if given."""
     xm = cell_midpoint_values(values)
     hm = None if hvalues is None else cell_midpoint_values(hvalues)
     if isinstance(f, LagIntegrand):
-        zx = np.asarray(f.z(xm), float)
+        # the symbol w(r_k - m_0), zero at k = 0 (no sample j < 0)
+        a, zx = _lag_factors(f, rows[1:] - grid.midpoints[0], xm, grid.midpoints, why)
         u = zx if hm is None else np.einsum("jab,jb->ja", zx, hm)
-        out = _causal_conv(_lag_symbol(f.w, rows, grid), u)
+        out = _causal_conv(np.concatenate([[0.0], a]), u)
         out[0] = 0.0  # row 0 has no samples; clear the FFT's rounding
         return grid.delta * out
     out = np.zeros((rows.size, values.shape[1]))
     for c0, j0, S in _pieces(f, rows, grid.midpoints, xm):
         out[c0 : c0 + len(S)] += S.sum(axis=1) if hm is None else \
             np.einsum("ijab,jb->ia", S, hm[j0 : j0 + S.shape[1]])
-    _require_finite(out, 0, "the sum of the row", at)
+    _require_finite(out, f"the sum of the row at {at}", range(rows.size), why)
     return grid.delta * out
 
 
@@ -189,19 +240,21 @@ def node_integral(f, grid: Grid, values: np.ndarray,
     shape (dim,) per sample; with hvalues it returns a matrix per sample
     that is applied to h(tau).  Output shape (N + 1, dim); row 0 is zero.
     """
-    return _row_sums(f, grid.nodes, grid, values, hvalues, "node")
+    return _row_sums(f, grid.nodes, grid, values, hvalues, "node", _KERNEL)
 
 
 def inner_integral(f, grid: Grid, values: np.ndarray,
-                   hvalues: np.ndarray | None = None) -> np.ndarray:
+                   hvalues: np.ndarray | None = None, why: str = _KERNEL) -> np.ndarray:
     """Quadrature of f(m_i, tau, x(tau)) over [alpha, m_i] for all cells.
 
     Full cells below t_i are sampled at their midpoints, the trailing
     half cell at t_i + delta/4.  With hvalues, f is matrix-valued and
-    applied to h(tau) as in node_integral.  Output shape (N, dim).
+    applied to h(tau) as in node_integral.  Output shape (N, dim).  A
+    non-finite sample raises KernelContract ending in why.
     """
-    out = _row_sums(f, grid.midpoints, grid, values, hvalues, "cell")
+    out = _row_sums(f, grid.midpoints, grid, values, hvalues, "cell", why)
     tail = np.asarray(f(grid.midpoints, quarter_nodes(grid), cell_quarter_values(values)), float)
+    _require_finite(tail, "the half-cell sample at cell", range(grid.n_cells), why)
     if hvalues is not None:
         tail = np.einsum("pab,pb->pa", tail, cell_quarter_values(hvalues))
     return out + 0.5 * grid.delta * tail
@@ -216,18 +269,20 @@ def inner_integral_adjoint(fmat, grid: Grid, values: np.ndarray,
     """
     d = grid.delta
     xm = cell_midpoint_values(values)
+    _require_finite(weights, "the weight at cell", range(grid.n_cells), "weights must be finite")
     if isinstance(fmat, LagIntegrand):
-        back = _causal_conv(_lag_symbol(fmat.w, grid.midpoints, grid), weights[::-1])[::-1]
-        col = np.einsum("jba,jb->ja", np.asarray(fmat.z(xm), float), back)
+        a, zx = _lag_factors(fmat, grid.midpoints[1:] - grid.midpoints[0], xm, grid.midpoints)
+        back = _causal_conv(np.concatenate([[0.0], a]), weights[::-1])[::-1]
+        col = np.einsum("jba,jb->ja", zx, back)
     else:
         col = np.zeros((grid.n_cells, weights.shape[1]))
         for c0, j0, S in _pieces(fmat, grid.midpoints, grid.midpoints, xm):
             col[j0 : j0 + S.shape[1]] += np.einsum("ijba,ib->ja", S, weights[c0 : c0 + len(S)])
-        _require_finite(col, 0, "the column sum", "cell")
+        _require_finite(col, "the column sum at cell", range(grid.n_cells))
     tail = np.asarray(fmat(grid.midpoints, quarter_nodes(grid), cell_quarter_values(values)), float)
+    _require_finite(tail, "the half-cell sample at cell", range(grid.n_cells))
     q = 0.5 * d * np.einsum("pba,pb->pa", tail, weights)
     u = np.zeros((grid.n_cells + 1, weights.shape[1]))
     u[:-1] += 0.5 * d * col + 0.75 * q
     u[1:] += 0.5 * d * col + 0.25 * q
     return u
-

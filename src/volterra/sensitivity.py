@@ -7,7 +7,7 @@ check re-solves the nonlinear problem at a +/- eps*h and compares; on a
 shared grid the two constructions discretize the same map, so the
 discrepancy measures only solver tolerance and the O(eps^2) quotient
 truncation.  Every nonlinear solve here is solve_march, which solves
-to the rounding floor (and hands kernels with lag factors to Newton).
+to the rounding floor, by Toeplitz products for kernels with lag factors.
 """
 
 from __future__ import annotations

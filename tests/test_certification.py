@@ -87,6 +87,15 @@ class TestCheckA3:
         with pytest.raises(vt.KernelContract):
             check_A3(replace(ker, bounds=bounds), Grid(0.0, 1.0, 100))
 
+    def test_nonfinite_bound_is_named(self):
+        # the culprit is the declared bound, not a kernel sample
+        ker = example1_kernel(1.0)
+        c0 = ker.bounds.c0
+        bounds = replace(ker.bounds,
+                         c0=lambda t, tau: np.where(np.asarray(t) > 0.5, np.nan, c0(t, tau)))
+        with pytest.raises(vt.KernelContract, match="cell 50 .*declared bounds must be finite"):
+            check_A3(replace(ker, bounds=bounds), Grid(0.0, 1.0, 100))
+
     def test_zero_kernel_passes(self):
         rep = check_A3(zero_kernel(), Grid(0.0, 1.0, 50))
         assert rep.passed

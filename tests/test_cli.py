@@ -83,8 +83,8 @@ class TestSolve:
         assert main(["solve", str(cfg), "-o", str(out)]) == 0
         x_cli = vt.read_csv(out)
         g = vt.Grid(0.0, 1.0, 100)
-        x_lib, _ = vt.solve_newton(vt.linear_kernel(0.5),
-                                   vt.from_callable(lambda t: t, g), tol=1e-10)
+        x_lib, _ = vt.solve_march(vt.linear_kernel(0.5),
+                                  vt.from_callable(lambda t: t, g), tol=1e-10)
         assert np.array_equal(x_cli.values, x_lib.values)
 
     def test_uncertified_still_solves_with_warning(self, tmp_path, capsys):
@@ -184,9 +184,9 @@ class TestSensitivity:
 
     @pytest.mark.parametrize("argv", [["sensitivity"], ["demo", "example2"]])
     def test_base_problem_solved_once(self, tmp_path, monkeypatch, argv):
-        # one base solve plus the two of the finite-difference check, by
-        # whichever nonlinear solver the CLI and the sensitivity module
-        # call: example1 marches, the lag kernel of example2 takes Newton
+        # one base solve plus the two of the finite-difference check, each
+        # a march: example1 on the generic route, the lag kernel of
+        # example2 by Toeplitz products
         import volterra.cli as cli
         import volterra.sensitivity as sens
 
@@ -203,7 +203,6 @@ class TestSensitivity:
             for name in ("solve_march", "solve_newton"):
                 if hasattr(mod, name):
                     monkeypatch.setattr(mod, name, counted(getattr(mod, name)))
-        method = "march" if argv == ["sensitivity"] else "newton"
         if argv == ["sensitivity"]:
             cfg = _write_cfg(tmp_path, kernel={"name": "example1", "params": {"a_bar": 1.0}})
             vt.write_csv(vt.from_callable(lambda t: t * t, vt.Grid(0.0, 1.0, 100)),
@@ -213,7 +212,7 @@ class TestSensitivity:
         else:
             argv = argv + ["--out-dir", str(tmp_path)]
         assert main(argv) == 0
-        assert methods == [method] * 3
+        assert methods == ["march"] * 3
 
     def test_direction_resampled_from_other_grid(self, tmp_path):
         cfg = _write_cfg(tmp_path, kernel={"name": "zero", "params": {}}, n_cells=64)

@@ -176,3 +176,59 @@ def test_import_loads_no_scipy_fft_or_signal():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_block_sum_matches_the_generic_walk(monkeypatch, dim):
+    # a 3-row strip and 10-sample chunks split the generic walk; the lag
+    # route is one Toeplitz product of 23 rows against 9 columns
+    monkeypatch.setattr(quadrature, "_LEAF", 3)
+    monkeypatch.setattr(quadrature, "_BLOCK_SAMPLES", 10)
+    lag = _lag(dim)
+    g = vt.Grid(0.0, 1.3, 40)
+    rng = np.random.default_rng(dim)
+    xc, hc = rng.standard_normal((9, dim)), rng.standard_normal((9, dim))
+    rows, cols = g.nodes[15:38], g.midpoints[4:13]
+    for which, h in (("v", None), ("v_x", hc)):
+        fast = quadrature._block_sum(lag.integrand(which), rows, cols, xc, h)
+        walk = quadrature._block_sum(_twin(lag).integrand(which), rows, cols, xc, h)
+        assert fast.shape == (23, dim)
+        assert _rel(fast, walk) <= 1e-13
+
+
+def _broken(factor, past):
+    # tanh z and sin 2s w; z nan for x past `past`, or w for lags past it
+    def z(x):
+        return np.where(x > past, np.nan, np.tanh(x))
+
+    def w(s):
+        return np.where(s > past, np.nan, np.sin(2.0 * s))
+
+    return vt.lag_kernel(w=w if factor == "w" else (lambda s: np.sin(2.0 * s)),
+                         w_prime=w if factor == "w" else (lambda s: 2.0 * np.cos(2.0 * s)),
+                         z=z if factor == "z" else np.tanh,
+                         z_prime=(lambda x: z(x)[..., None]) if factor == "z"
+                         else (lambda x: (1.0 / np.cosh(x) ** 2)[..., None]))
+
+
+@pytest.mark.parametrize("factor, past, named", [
+    ("z", 0.3, "factor z at tau = 0.305 "),
+    ("w", 0.5, "factor w at t - tau = 0.505 "),
+    ("w", 0.8, "factor w at t - tau = 0.805 "),
+], ids=["z", "w-near", "w-far"])
+@pytest.mark.parametrize("call", ["apply_V", "apply_T", "collocation_solve", "solve_march"])
+def test_nonfinite_lag_factors_raise_kernel_contract(call, factor, past, named):
+    # On 100 cells x = t passes 0.3 at cell 30 (tau = 0.305).  The first
+    # lag past 1/2 is t_51 - m_0, within the first 64-row leaf; the
+    # first past 0.8 is t_81 - m_0, which the solves meet in a merge
+    # alone.  Each factor is checked before an FFT would spread a bad
+    # value over every row, or a leaf would multiply it by 0.
+    ker = _broken(factor, past)
+    g = vt.Grid(0.0, 1.0, 100)
+    x = vt.from_callable(lambda t: t, g)
+    run = {"apply_V": lambda: vt.apply_V(ker, x),
+           "apply_T": lambda: vt.apply_T(ker, x, x),
+           "collocation_solve": lambda: vt.collocation_solve(ker, x, x),
+           "solve_march": lambda: vt.solve_march(ker, x)}[call]
+    with pytest.raises(vt.KernelContract, match=named):
+        run()

@@ -208,14 +208,29 @@ class TestMarch:
         for values in (np.stack([t, np.sin(5.0 * t)], axis=1), np.stack([3.0 * t * t, t], axis=1)):
             _check_march(ker, GridFunction(g, values))
 
-    def test_lag_kernels_take_newton(self):
-        g = Grid(0.0, 1.0, 300)
-        y = from_callable(lambda t: np.sin(5.0 * t), g)
-        x, rep = solve_march(linear_kernel(0.5), y)
-        x_ref, rep_ref = solve_newton(linear_kernel(0.5), y)
-        assert rep.method == "newton"
-        assert np.array_equal(x.values, x_ref.values)
-        assert rep.to_dict() == rep_ref.to_dict()
+    @pytest.mark.parametrize("leaf, n_cells", [(4, 37), (64, 500)])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_lag_kernels_march_like_their_generic_twin(self, monkeypatch, dim, leaf, n_cells):
+        # the Toeplitz route merges the same cells into the same leaves;
+        # its evaluators are removed, so it reads the lag factors alone.
+        # Each march stops at its own rounding floor, so the two agree
+        # to 1e-13 of the size of x, not absolutely.
+        monkeypatch.setattr(quadrature, "_LEAF", leaf)
+        mix = np.array([[1.0, 0.3], [-0.2, 0.8]])[:dim, :dim]
+        lag = vt.lag_kernel(w=lambda s: np.sin(2.0 * s) + s * s,
+                            w_prime=lambda s: 2.0 * np.cos(2.0 * s) + 2.0 * s,
+                            z=lambda x: np.tanh(x @ mix.T),
+                            z_prime=lambda x: (1.0 / np.cosh(x @ mix.T) ** 2)[..., :, None] * mix,
+                            dim=dim)
+        t = Grid(0.0, 1.3, n_cells).nodes
+        y = GridFunction(Grid(0.0, 1.3, n_cells),
+                         np.stack([np.sin(5.0 * t), t * t], axis=1)[:, :dim])
+        x, rep = solve_march(replace(lag, v=None, v_t=None, v_x=None, v_tx=None), y)
+        x_twin, rep_twin = solve_march(replace(lag, lag=None), y)
+        assert rep.method == "march" and rep.converged
+        assert rep.iterations == rep_twin.iterations
+        assert ac_norm(sub(x, x_twin)) <= 1e-13 * ac_norm(x)
+        assert ac_norm(sub(y, apply_V(lag, x))) <= 1e-10
 
     def test_initial_guess_is_honoured(self, rng):
         g = Grid(0.0, 1.0, 300)

@@ -28,6 +28,7 @@ from volterra import (
     zero_kernel,
     zeros,
 )
+from volterra.operator import frechet_dt
 
 
 def test_zero_kernel_is_identity(unit_grid, rng):
@@ -168,15 +169,14 @@ def test_functional_decreases_along_newton_direction():
     assert functional_F(ker, axpy(1.0, step, x), y) < F0
 
 
-# The sums each function walks, by the evaluator they read.  The
-# diagonal samples outside the walks are not checked: v in functional_F
-# and v_x in functional_gradient only give non-finite results there.
+# The evaluators each function reads, in its walks or, for v in
+# functional_F and v_x in functional_gradient, on the diagonal alone.
 _WALKED = {
     "apply_V": ("v",),
     "apply_T": ("v_x",),
-    "functional_F": ("v_t",),
-    "functional_gradient": ("v", "v_t", "v_tx"),  # v through D, the adjoint's weights
-    "solve_gradient": ("v", "v_t", "v_tx"),
+    "functional_F": ("v", "v_t"),
+    "functional_gradient": ("v", "v_t", "v_x", "v_tx"),
+    "solve_gradient": ("v", "v_t", "v_x", "v_tx"),
     "neumann_solve": ("v_x", "v_tx"),  # estimate_l_rho samples both
 }
 
@@ -206,3 +206,26 @@ def test_nonfinite_samples_in_a_walk_raise_kernel_contract(name, broken):
     match = "node 51 " if name in ("apply_V", "apply_T") else None
     with pytest.raises(KernelContract, match=match):
         call()
+
+
+@pytest.mark.parametrize("call, broken", [("apply_V_dt", "v"), ("frechet_dt", "v_x"),
+                                          ("functional_gradient", "v_x")])
+def test_nonfinite_diagonal_sample_names_its_cell(call, broken):
+    # nan on the diagonal tau = t alone, for t > 1/2: cell 50 is the first
+    # midpoint past it on 100 cells; the walks never sample tau = t
+    ker = example1_kernel(1.0)
+    f = getattr(ker, broken)
+
+    def diagonal_nan(t, tau, x):
+        out = f(t, tau, x)
+        bad = (np.asarray(t) == tau) & (np.asarray(t) > 0.5)
+        return np.where(bad.reshape(bad.shape + (1,) * (out.ndim - bad.ndim)), np.nan, out)
+
+    ker = replace(ker, **{broken: diagonal_nan})
+    g = Grid(0.0, 1.0, 100)
+    x, y = from_callable(lambda t: np.sin(3.0 * t), g), from_callable(lambda t: t, g)
+    run = {"apply_V_dt": lambda: apply_V_dt(ker, x),
+           "frechet_dt": lambda: frechet_dt(ker, x, y),
+           "functional_gradient": lambda: functional_gradient(ker, x, y)}[call]
+    with pytest.raises(KernelContract, match="diagonal sample at cell 50 .*tau = t"):
+        run()

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from volterra import Grid
+from volterra import Grid, KernelContract
 from volterra import quadrature
 from volterra.quadrature import (
     cell_midpoint_values,
@@ -272,3 +272,48 @@ def test_leaf_size_does_not_change_the_sums(monkeypatch, dim):
     for leaf in (1, 3, N + 1):
         for a, b in zip(sums(leaf), reference):
             assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max()
+
+
+@pytest.mark.parametrize("leaf", [1, 3, 64])
+@pytest.mark.parametrize("n", [2, 64, 65, 130, 1001])
+def test_by_halves_visits_the_leaves_and_takes_each_pair_once(monkeypatch, leaf, n):
+    # rows [1, n), cells [0, n - 1): row i needs each cell j < i once
+    monkeypatch.setattr(quadrature, "_LEAF", leaf)
+    visited = []
+    count = np.zeros((n, n - 1), int)
+
+    def solve_leaf(c0, c1):
+        assert (count[c0:c1, : c0 - 1] == 1).all()  # merged before the leaf
+        visited.append((c0, c1))
+        for i in range(c0, c1):
+            count[i, c0 - 1 : i] += 1
+
+    def merge(lo, mid, hi):
+        assert visited[-1][1] == mid  # the left half is solved
+        count[mid:hi, lo - 1 : mid - 1] += 1
+
+    quadrature._by_halves(n, solve_leaf, merge)
+    assert visited == list(quadrature._leaves(n))
+    assert (count == np.tri(n, n - 1, -1, int)).all()
+
+
+def test_nonfinite_weights_are_named():
+    g = Grid(0.0, 1.0, 20)
+    w = np.ones((20, 1))
+    w[7] = np.nan
+    with pytest.raises(KernelContract, match="weight at cell 7 .*weights must be finite"):
+        inner_integral_adjoint(_mat(1), g, np.zeros((21, 1)), w)
+
+
+def test_nonfinite_half_cell_sample_is_named():
+    # only the samples at t - tau = delta/4, in the half cells, are nan
+    g = Grid(0.0, 1.0, 20)
+
+    def f(t, tau, x):
+        return np.where(np.asarray(t) - tau < 0.3 * g.delta, np.nan, 1.0)[..., None, None]
+
+    zero = np.zeros((21, 1))
+    with pytest.raises(KernelContract, match="half-cell sample at cell 0 "):
+        inner_integral(f, g, zero, zero)
+    with pytest.raises(KernelContract, match="half-cell sample at cell 0 "):
+        inner_integral_adjoint(f, g, zero, zero[:-1])

@@ -34,7 +34,9 @@ def test_convergence_study_is_second_order():
     out = _run("convergence_study.py", "--cells", "25", "50", "100", "--ref-cells", "400")
     assert out.returncode == 0, out.stderr
     sweeps = out.stdout.strip().split("\n\n")
-    assert len(sweeps) == 2  # the linear kernel, then the log kernel
+    # the linear kernel's lag march against its closed-form resolvent,
+    # then the log kernel's generic march against a fine reference
+    assert len(sweeps) == 2
     for sweep in sweeps:
         rates = [float(r) for r in re.findall(r"^\s*\d+\s+\S+\s+(\d+\.\d+)\s*$", sweep, flags=re.M)]
         assert len(rates) == 2, sweep
