@@ -22,14 +22,14 @@ quadrature slack.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import MissingBounds
 from .function_space import Grid
 from .kernels import KernelSpec, LagBound, LagIntegrand
-from .quadrature import inner_integral
+from .quadrature import _require_finite, inner_integral
 
 _DIAG_SAMPLES = 50
 _DIAG_ATOL = 1e-10
@@ -53,15 +53,7 @@ class HypothesisReport:
     samples_used: int
 
     def to_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "diagonal_zero_ok": self.diagonal_zero_ok,
-            "norm_value": self.norm_value,
-            "threshold": self.threshold,
-            "margin": self.margin,
-            "passed": self.passed,
-            "samples_used": self.samples_used,
-        }
+        return asdict(self)
 
 
 def _inner_bound(f2, grid: Grid) -> np.ndarray:
@@ -131,9 +123,17 @@ def check_A3(kernel: KernelSpec, grid: Grid) -> HypothesisReport:
     )
 
 
+def _at_midpoints(f1, name: str, grid: Grid) -> np.ndarray:
+    """A declared bound f1(t) at each cell midpoint, checked finite."""
+    m = grid.midpoints
+    return _require_finite(np.broadcast_to(np.asarray(f1(m), float), m.shape),
+                           f"the bound {name} at the midpoint", m,
+                           "the declared bounds must be finite")
+
+
 def _ctilde_at_midpoints(c1, c2, grid: Grid) -> np.ndarray:
     inner = _inner_bound(_squared(c2), grid)
-    root = np.sqrt(grid.midpoints - grid.alpha) * np.asarray(c1(grid.midpoints), float)
+    root = np.sqrt(grid.midpoints - grid.alpha) * _at_midpoints(c1, "c1", grid)
     return root + grid.length / math.sqrt(2.0) * np.sqrt(np.maximum(inner, 0.0))
 
 
@@ -194,7 +194,7 @@ def coercivity_constants(kernel: KernelSpec, grid: Grid) -> tuple[float, float]:
         raise MissingBounds(f"kernel {kernel.name} bounds are incomplete")
 
     ct = _ctilde_at_midpoints(c1, c2, grid)
-    dt = np.asarray(d1(grid.midpoints), float) + _inner_bound(d2, grid)
+    dt = _at_midpoints(d1, "d1", grid) + _inner_bound(d2, grid)
     c_norm = math.sqrt(float(grid.delta * (ct * ct).sum()))
     d_norm = math.sqrt(float(grid.delta * (dt * dt).sum()))
     return c_norm, d_norm

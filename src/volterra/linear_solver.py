@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -192,14 +192,7 @@ class NeumannReport:
     tolerance: float
 
     def to_dict(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "residual_ac": self.residual_ac,
-            "tail_bound": self.tail_bound,
-            "converged": self.converged,
-            "l_rho": self.l_rho,
-            "tolerance": self.tolerance,
-        }
+        return asdict(self)
 
 
 def neumann_solve(kernel: KernelSpec, x0: GridFunction, g: GridFunction,
@@ -207,10 +200,11 @@ def neumann_solve(kernel: KernelSpec, x0: GridFunction, g: GridFunction,
                   samples: int = 2048) -> tuple[GridFunction, NeumannReport]:
     """Solve h + T h = g by the Neumann iteration h <- g - T h.
 
-    Stops once the computed residual ||h + T h - g|| drops to tol or the
-    a-priori factorial tail certifies the remaining gap is below tol.
-    On max_iter exhaustion the report is returned with converged=False;
-    no exception is raised.
+    It starts from h = 0, whose image T 0 = 0 needs no walk, so each
+    iteration makes one apply_T.  Stops once the computed residual
+    ||h + T h - g|| drops to tol or the a-priori factorial tail
+    certifies the remaining gap is below tol.  On max_iter exhaustion
+    the report is returned with converged=False; no exception is raised.
     """
     _require_same(x0, g)
     _require_kernel_dim(kernel, x0)
@@ -222,8 +216,7 @@ def neumann_solve(kernel: KernelSpec, x0: GridFunction, g: GridFunction,
                            domain=tri, include_time_derivative=True)
     bound = NeumannBound.for_interval(l_rho, sup_norm(g), grid.alpha, grid.beta)
 
-    h = zeros(grid, g.dim)
-    Th = apply_T(kernel, x0, h)
+    h = Th = zeros(grid, g.dim)
     residual = math.inf
     m = 0
     for m in range(1, max_iter + 1):

@@ -13,19 +13,20 @@ multistart_uniqueness needs.  The gradient route descends the
 least-squares functional F, its merit, along the Riesz representative
 of its gradient in the derivative inner product, which costs two
 cumulative sums per step and avoids assembling any second derivative
-of the kernel.
+of the kernel.  The line search's slope is that gradient's dot product
+with the step, so no forward-mode derivative is taken.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import LineSearchStalled, MaxIterExceeded
 from .function_space import GridFunction, ac_norm, axpy, random_anchored
 from .linear_solver import _require_kernel_dim, _require_same, _solve_leaf, collocation_solve
-from .operator import apply_V, directional_dF, functional_F, functional_gradient
+from .operator import apply_V, functional_F, functional_gradient
 from .quadrature import (_block_sum, _by_halves, _leaf_triangle, _require_finite,
                          cell_midpoint_values)
 
@@ -43,15 +44,7 @@ class SolveReport:
     failed_starts: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "iterations": self.iterations,
-            "residual_history": [float(r) for r in self.residual_history],
-            "functional_history": [float(f) for f in self.functional_history],
-            "converged": self.converged,
-            "multistart_spread": self.multistart_spread,
-            "failed_starts": list(self.failed_starts),
-        }
+        return asdict(self)
 
 
 def solve_newton(kernel, y: GridFunction, x_init: GridFunction | None = None,
@@ -222,8 +215,11 @@ def solve_gradient(kernel, y: GridFunction, x_init: GridFunction | None = None,
     """Minimize the least-squares functional by preconditioned descent.
 
     The descent direction is the negative gradient represented in the
-    derivative inner product.  Convergence means F(x) <= tol^2.  Slower
-    than Newton but needs no linear solves against the kernel.
+    derivative inner product; the slope of F along it is the gradient's
+    dot product with its node values (functional_gradient's identity
+    with directional_dF), so a step walks v_tx once.  Convergence means
+    F(x) <= tol^2.  Slower than Newton but needs no linear solves
+    against the kernel.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -239,7 +235,7 @@ def solve_gradient(kernel, y: GridFunction, x_init: GridFunction | None = None,
             return x, report
         g_nodes = functional_gradient(kernel, x, y)
         direction = -1.0 * _ac_riesz(x.grid, g_nodes)
-        slope = directional_dF(kernel, x, y, direction)
+        slope = float(np.sum(g_nodes * direction.values))
         if slope >= 0:
             break  # numerically stationary; fall through to the final check
         s = 1.0

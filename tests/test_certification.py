@@ -132,6 +132,15 @@ class TestCheckA4:
         rep = check_A4(linear_kernel(0.5), Grid(0.0, 2.0, 200))
         assert rep.norm_value == approx(0.5 * 2.0 / math.sqrt(2.0), rel=1e-12)
 
+    def test_nonfinite_c1_is_named(self):
+        # a nan c1 would give norm_value = margin = nan, not an error
+        ker = linear_kernel(0.5)
+        c1 = ker.bounds.c1
+        bounds = replace(ker.bounds, c1=lambda t: np.where(np.asarray(t) > 0.5, np.nan, c1(t)))
+        with pytest.raises(vt.KernelContract,
+                           match=r"c1 at the midpoint 0\.505 .*the declared bounds must be finite$"):
+            check_A4(replace(ker, bounds=bounds), Grid(0.0, 1.0, 100))
+
     def test_requires_all_four_bounds(self):
         with pytest.raises(MissingBounds):
             check_A4(example1_kernel(1.0), Grid(0.0, 1.0, 50))
@@ -154,6 +163,16 @@ class TestCoercivityConstants:
     def test_log_kernel_stays_below_half(self):
         cn, _ = coercivity_constants(example1_kernel(1.0), Grid(0.0, 1.0, 200))
         assert cn < 0.5
+
+    @pytest.mark.parametrize("name", ["c1", "d1"])
+    def test_nonfinite_declared_bound_is_named(self, name):
+        # unchecked, a nan bound gives a nan constant, not an error
+        ker = linear_kernel(0.5)
+        f = getattr(ker.bounds, name)
+        bounds = replace(ker.bounds, **{name: lambda t: np.where(np.asarray(t) > 0.5, np.nan, f(t))})
+        with pytest.raises(vt.KernelContract,
+                           match=rf"{name} at the midpoint 0\.505 .*the declared bounds must be finite$"):
+            coercivity_constants(replace(ker, bounds=bounds), Grid(0.0, 1.0, 100))
 
     def test_requires_bounds(self):
         bare = KernelSpec(

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -153,6 +154,23 @@ class TestNonFiniteInput:
         err = capsys.readouterr().err
         assert "error: " in err and "node 51 " in err
         assert not out.exists()
+
+    def test_nonfinite_declared_bound_exits_one(self, tmp_path, capsys, monkeypatch):
+        # linear(0.5) with c1 nan for t > 1/2: no NaN margin reaches a report
+        from volterra.config import ProblemConfig
+
+        ker = vt.linear_kernel(0.5)
+        c1 = ker.bounds.c1
+        bounds = replace(ker.bounds, c1=lambda t: np.where(np.asarray(t) > 0.5, np.nan, c1(t)))
+        monkeypatch.setattr(ProblemConfig, "build_kernel", lambda self: replace(ker, bounds=bounds))
+        rep_path = tmp_path / "report.json"
+        cfg = _write_cfg(tmp_path)
+        assert main(["check", str(cfg), "--report", str(rep_path)]) == 1
+        assert main(["check", str(cfg)]) == 1
+        out, err = capsys.readouterr()
+        assert err.count("error: ") == 2 and "declared bounds must be finite" in err
+        assert "NaN" not in out
+        assert not rep_path.exists()
 
 
 class TestSensitivity:
