@@ -80,7 +80,8 @@ def _squared(f2):
 
 
 def _sample_diagonal(kernel: KernelSpec, grid: Grid) -> tuple[bool, int]:
-    """Max |v(t, t, x)| over a t-lattice times an x-lattice (or ball)."""
+    """Max |v(t, t, x)| over a t-lattice times an x-lattice (or ball),
+    its samples checked finite."""
     t = np.linspace(grid.alpha, grid.beta, _DIAG_SAMPLES)
     if kernel.dim == 1:
         xs = np.linspace(-10.0, 10.0, _DIAG_SAMPLES)[:, None]
@@ -91,7 +92,8 @@ def _sample_diagonal(kernel: KernelSpec, grid: Grid) -> tuple[bool, int]:
         xs *= 10.0 * rng.uniform(0, 1, size=(_DIAG_SAMPLES, 1)) / np.maximum(mags, 1e-30)
     tt = np.repeat(t, _DIAG_SAMPLES)
     xx = np.tile(xs, (_DIAG_SAMPLES, 1))
-    vals = np.asarray(kernel.v(tt, tt, xx), float)
+    vals = _require_finite(np.asarray(kernel.v(tt, tt, xx), float), "the diagonal sample at t =",
+                           tt, "v must be finite on tau = t")
     ok = bool(np.abs(vals).max() <= _DIAG_ATOL)
     return ok, tt.size
 

@@ -22,6 +22,21 @@ them.  On the uniform grid every quadrature sum of such a kernel is a
 Toeplitz product, which quadrature and the solves take by FFT.  The
 route follows the field, not the evaluator objects, so a spec whose
 evaluators were swapped by dataclasses.replace keeps it.
+
+Kernels smooth in t
+-------------------
+KernelSpec.smooth_in_t = True promises that every evaluator is analytic
+in t on tau < t, for each tau and x.  Quadrature may then take a far
+rectangle of a leaf (columns at least the leaf's width below its first
+row) from 16 Chebyshev times in t per column instead of one sample per
+row.  The promise is checked, not trusted: each column chunk is also
+evaluated on the leaf's first row, and a chunk whose interpolant misses
+that row by more than 1e-13 of its largest value (or is not finite) is
+walked exactly.  The check is a guard against a false declaration, not
+a licence to declare a kernel with a kink or a singularity in t off the
+diagonal: such a kernel falls back only where the check sees it.  A
+lag declaration takes precedence, and the route follows the field as
+the lag route does.
 """
 
 from __future__ import annotations
@@ -96,6 +111,20 @@ class LagIntegrand:
 
 
 @dataclass(frozen=True)
+class SmoothInT:
+    """An evaluator f(t, tau, x) declared analytic in t on tau < t.
+
+    Calling it calls f; quadrature reads the wrapper as leave to try
+    Chebyshev interpolation in t on far rectangles, checked chunk by chunk.
+    """
+
+    f: Callable
+
+    def __call__(self, t, tau, x):
+        return self.f(t, tau, x)
+
+
+@dataclass(frozen=True)
 class LagBound:
     """A bound b(t, tau) = w(t - tau) of the lag alone, kept in factored form.
 
@@ -149,6 +178,7 @@ class KernelSpec:
     domain: Optional[TriangularDomain] = None
     name: str = "custom"
     lag: Optional[LagFactors] = None
+    smooth_in_t: bool = False
 
     def __post_init__(self):
         if self.dim < 1:
@@ -157,10 +187,11 @@ class KernelSpec:
     def integrand(self, which: str):
         """The evaluator named which ('v', 'v_t', 'v_x' or 'v_tx') as
         quadrature takes it: a LagIntegrand built from the declared lag
-        factors, else the evaluator itself."""
+        factors, else the evaluator wrapped in SmoothInT if the kernel
+        declares smooth_in_t, else the evaluator itself."""
         evaluator = {"v": self.v, "v_t": self.v_t, "v_x": self.v_x, "v_tx": self.v_tx}[which]
         if self.lag is None:
-            return evaluator
+            return SmoothInT(evaluator) if self.smooth_in_t else evaluator
         lag = self.lag
         w = lag.w_prime if which in ("v_t", "v_tx") else lag.w
         z = lag.z_prime if which in ("v_x", "v_tx") else lag.z
@@ -299,7 +330,8 @@ def example1_kernel(a_bar: float) -> KernelSpec:
     up like (t - tau)^(-1/3) but stays integrable, which is exactly the
     regime the half-cell-offset quadrature is built for.  Declared
     bounds: |v_t| <= c0 |x| + d0 with c0 = (2 sqrt2 / 3)|a_bar| s^(2/3)
-    and d0 = 2 |a_bar| s^(-1/3), s = t - tau.
+    and d0 = 2 |a_bar| s^(-1/3), s = t - tau.  Every evaluator is
+    analytic in t for t > tau, so the kernel declares smooth_in_t.
     """
     ab = float(a_bar)
 
@@ -337,6 +369,7 @@ def example1_kernel(a_bar: float) -> KernelSpec:
         bounds=GrowthBounds(c0=c0, d0=d0),
         domain=TriangularDomain(0.0, 1.0),
         name=f"example1({a_bar})",
+        smooth_in_t=True,
     )
 
 

@@ -23,6 +23,19 @@ _block_sum.  A non-finite value raises KernelContract naming where it
 is: a walk's first bad row (column), a half-cell sample, or a factor
 of a lag integrand, checked before an FFT spreads it over every row.
 
+An integrand passed as SmoothInT (KernelSpec.integrand gives one for
+kernels that declare smooth_in_t) is analytic in t off the diagonal.
+_rectangle then takes the far columns of a strip of more than _CHEB
+rows, those at least the strip's width below its first row, at _CHEB
+Chebyshev times in t and interpolates them to the rows (Fong & Darve's
+black-box interpolation, in t alone): 17 samples per column, the exact
+first row included, in place of 64.  A chunk whose interpolant misses
+that exact row by more than _CHEB_TOL of its largest value, or is not
+finite, is walked exactly, so a false declaration costs samples, not
+accuracy, wherever the first row sees it.  The sums apply the
+interpolation matrix after reducing a chunk, the transpose applies its
+transpose to the weights first.
+
 The second route serves integrands w(t - tau) z(x) passed as a
 LagIntegrand (KernelSpec.integrand gives one for kernels that declare
 lag factors).  On the uniform grid r_i - m_j = r_{i-j} - m_0, so the
@@ -46,7 +59,7 @@ import numpy as np
 
 from .errors import KernelContract
 from .function_space import Grid
-from .kernels import LagIntegrand, _shaped
+from .kernels import LagIntegrand, SmoothInT, _shaped
 
 # Cap on the (t, tau) samples of one rectangle chunk; a chunk still
 # takes one whole column when a leaf has more rows than that.
@@ -54,6 +67,12 @@ _BLOCK_SAMPLES = 1 << 18
 
 # Rows per leaf of the one partition that every sum and solve walks.
 _LEAF = 64
+
+# Chebyshev times in t per far column of a strip declared SmoothInT, and
+# the largest miss of the strip's exact first row, relative to that
+# row's largest value, at which a chunk's interpolant is accepted.
+_CHEB = 16
+_CHEB_TOL = 1e-13
 
 
 def cell_midpoint_values(values: np.ndarray) -> np.ndarray:
@@ -93,22 +112,70 @@ def _by_halves(n: int, solve_leaf, merge, lo: int = 1) -> None:
     _by_halves(n, solve_leaf, merge, mid)
 
 
-def _rectangle(f, rows: np.ndarray, cols: np.ndarray, xc: np.ndarray):
-    """Walk f(rows[i], cols[j], xc[j]) over every row i and column j.
-
-    Yields (j0, samples) for consecutive column chunks [j0, j0 + width)
-    of at most _BLOCK_SAMPLES samples (one column at least), passed to
-    the evaluator as broadcast views; samples has shape
-    (rows.size, width) + value shape.  Each pair is evaluated once, and
-    no chunk is kept after the caller moves on.
-    """
+def _walk(f, rows: np.ndarray, cols: np.ndarray, xc: np.ndarray, lo: int, hi: int):
+    """Yield (j0, f(rows[i], cols[j], xc[j]) for j in [j0, j0 + width)) for
+    consecutive chunks of columns [lo, hi), each of at most _BLOCK_SAMPLES
+    samples (one column at least), passed as broadcast views."""
     width = max(1, _BLOCK_SAMPLES // max(1, rows.size))
-    for j0 in range(0, cols.size, width):
-        j1 = min(cols.size, j0 + width)
+    for j0 in range(lo, hi, width):
+        j1 = min(hi, j0 + width)
         shape = (rows.size, j1 - j0)
         yield j0, np.asarray(f(np.broadcast_to(rows[:, None], shape),
                                np.broadcast_to(cols[None, j0:j1], shape),
                                np.broadcast_to(xc[None, j0:j1], shape + xc.shape[1:])), float)
+
+
+@functools.cache
+def _chebyshev(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The _CHEB first-kind Chebyshev points of [0, 1] and the (size, _CHEB)
+    barycentric matrix that interpolates from them to size equispaced
+    points from 0 to 1 (none of which is a Chebyshev point); built once
+    per strip size and read-only."""
+    theta = (np.arange(_CHEB) + 0.5) * np.pi / _CHEB
+    points = 0.5 + 0.5 * np.cos(theta)
+    c = (-1.0) ** np.arange(_CHEB) * np.sin(theta) / np.subtract.outer(np.linspace(0.0, 1.0, size), points)
+    M = c / c.sum(axis=1, keepdims=True)
+    for a in (points, M):
+        a.flags.writeable = False
+    return points, M
+
+
+def _rectangle(f, rows: np.ndarray, cols: np.ndarray, xc: np.ndarray):
+    """Walk f(rows[i], cols[j], xc[j]) over every row i and column j.
+
+    Yields (j0, samples, M) for consecutive column chunks [j0, j0 + width)
+    of _walk.  An exact chunk has M None and samples of shape
+    (rows.size, width) + value shape.  For a SmoothInT f on a strip of
+    more than _CHEB equispaced rows, the far columns (at least the
+    strip's width below rows[0]) are evaluated at the strip's _CHEB
+    Chebyshev times plus rows[0]; a chunk whose interpolant meets that
+    exact row to _CHEB_TOL of its largest value comes as the Chebyshev
+    samples and M, the strip's (rows.size, _CHEB) interpolation matrix,
+    and any other chunk (a non-finite one too) is walked exactly.  No
+    chunk is kept after the caller moves on.
+    """
+    far = 0
+    if isinstance(f, SmoothInT) and rows.size > _CHEB:
+        # a column exactly the width below rows[0] is far whatever the rounding
+        far = int(np.searchsorted(cols, 2 * rows[0] - rows[-1] + 0.25 * (rows[1] - rows[0])))
+        points, M = _chebyshev(rows.size)
+        times = np.concatenate([rows[:1], rows[0] + (rows[-1] - rows[0]) * points])
+        for j0, S in _walk(f, times, cols, xc, 0, far):
+            miss = np.abs(M[0] @ S[1:].reshape(_CHEB, -1) - S[0].reshape(-1)).max()
+            if miss <= _CHEB_TOL * np.abs(S[0]).max() < math.inf:
+                yield j0, S[1:], M
+            else:
+                for j, E in _walk(f, rows, cols, xc, j0, j0 + S.shape[1]):
+                    yield j, E, None
+    for j0, S in _walk(f, rows, cols, xc, far, cols.size):
+        yield j0, S, None
+
+
+def _reduce(S: np.ndarray, M, hc: np.ndarray | None, j0: int) -> np.ndarray:
+    """The row sums of a _rectangle chunk, applied to hc[j0 + j] if given,
+    on the strip's rows."""
+    r = S.sum(axis=1) if hc is None else np.einsum("ijab,jb->ia", S, hc[j0 : j0 + S.shape[1]])
+    return r if M is None else M @ r
 
 
 def _block_sum(f, rows: np.ndarray, cols: np.ndarray, xc: np.ndarray,
@@ -125,9 +192,8 @@ def _block_sum(f, rows: np.ndarray, cols: np.ndarray, xc: np.ndarray,
         return _causal_conv(a, u, _fft_size(lags.size))[cols.size - 1 :]
     out = np.zeros((rows.size, xc.shape[1]))
     for r0 in range(0, rows.size, _LEAF):
-        for j0, S in _rectangle(f, rows[r0 : r0 + _LEAF], cols, xc):
-            out[r0 : r0 + _LEAF] += S.sum(axis=1) if hc is None else \
-                np.einsum("ijab,jb->ia", S, hc[j0 : j0 + S.shape[1]])
+        for j0, S, M in _rectangle(f, rows[r0 : r0 + _LEAF], cols, xc):
+            out[r0 : r0 + _LEAF] += _reduce(S, M, hc, j0)
     return out
 
 
@@ -198,8 +264,9 @@ def _causal_conv(a: np.ndarray, u: np.ndarray, size: int = 0) -> np.ndarray:
 
 
 def _pieces(f, rows: np.ndarray, cols: np.ndarray, xc: np.ndarray):
-    """Yield (c0, j0, samples) covering each pair j < i once, for the sums:
-    samples[p, q] = f(rows[c0 + p], cols[j0 + q], xc[j0 + q]).
+    """Yield (c0, j0, samples, M) covering each pair j < i once, for the
+    sums: samples[p, q] = f(rows[c0 + p], cols[j0 + q], xc[j0 + q]), or
+    (M @ samples)[p, q] for a Chebyshev chunk of _rectangle.
 
     All rectangles come first, then the leaves' triangles (zero above the
     diagonal): a caller's loop variable then holds each chunk while the
@@ -207,10 +274,10 @@ def _pieces(f, rows: np.ndarray, cols: np.ndarray, xc: np.ndarray):
     back to the system between leaves and fault them in again.
     """
     for c0, c1 in _leaves(rows.size):
-        for j0, samples in _rectangle(f, rows[c0:c1], cols[: c0 - 1], xc[: c0 - 1]):
-            yield c0, j0, samples
+        for j0, samples, M in _rectangle(f, rows[c0:c1], cols[: c0 - 1], xc[: c0 - 1]):
+            yield c0, j0, samples, M
     for c0, c1 in _leaves(rows.size):
-        yield c0, c0 - 1, _leaf_triangle(f, rows[c0:c1], cols[c0 - 1 : c1 - 1], xc[c0 - 1 : c1 - 1])
+        yield c0, c0 - 1, _leaf_triangle(f, rows[c0:c1], cols[c0 - 1 : c1 - 1], xc[c0 - 1 : c1 - 1]), None
 
 
 def _row_sums(f, rows, grid: Grid, values, hvalues, at: str, why: str):
@@ -225,9 +292,9 @@ def _row_sums(f, rows, grid: Grid, values, hvalues, at: str, why: str):
         out[0] = 0.0  # row 0 has no samples; clear the FFT's rounding
         return grid.delta * out
     out = np.zeros((rows.size, values.shape[1]))
-    for c0, j0, S in _pieces(f, rows, grid.midpoints, xm):
-        out[c0 : c0 + len(S)] += S.sum(axis=1) if hm is None else \
-            np.einsum("ijab,jb->ia", S, hm[j0 : j0 + S.shape[1]])
+    for c0, j0, S, M in _pieces(f, rows, grid.midpoints, xm):
+        r = _reduce(S, M, hm, j0)
+        out[c0 : c0 + len(r)] += r
     _require_finite(out, f"the sum of the row at {at}", range(rows.size), why)
     return grid.delta * out
 
@@ -276,8 +343,9 @@ def inner_integral_adjoint(fmat, grid: Grid, values: np.ndarray,
         col = np.einsum("jba,jb->ja", zx, back)
     else:
         col = np.zeros((grid.n_cells, weights.shape[1]))
-        for c0, j0, S in _pieces(fmat, grid.midpoints, grid.midpoints, xm):
-            col[j0 : j0 + S.shape[1]] += np.einsum("ijba,ib->ja", S, weights[c0 : c0 + len(S)])
+        for c0, j0, S, M in _pieces(fmat, grid.midpoints, grid.midpoints, xm):
+            w = weights[c0 : c0 + (len(S) if M is None else len(M))]
+            col[j0 : j0 + S.shape[1]] += np.einsum("ijba,ib->ja", S, w if M is None else M.T @ w)
         _require_finite(col, "the column sum at cell", range(grid.n_cells))
     tail = np.asarray(fmat(grid.midpoints, quarter_nodes(grid), cell_quarter_values(values)), float)
     _require_finite(tail, "the half-cell sample at cell", range(grid.n_cells))

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from volterra import Grid
+
+# Property tests replay the same examples on every machine and run; each
+# test keeps its own max_examples.
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture

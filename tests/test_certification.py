@@ -96,6 +96,16 @@ class TestCheckA3:
         with pytest.raises(vt.KernelContract, match="cell 50 .*declared bounds must be finite"):
             check_A3(replace(ker, bounds=bounds), Grid(0.0, 1.0, 100))
 
+    def test_nonfinite_diagonal_sample_is_named(self):
+        # a nan v on the diagonal is a broken contract, not "does not vanish"
+        ker = example1_kernel(1.0)
+        v = ker.v
+        broken = replace(ker, v=lambda t, tau, x: np.where(np.asarray(t)[..., None] > 0.5,
+                                                           np.nan, v(t, tau, x)))
+        with pytest.raises(vt.KernelContract, match=r"diagonal sample at t = 0\.5102040816 "
+                                                    r"is not finite; v must be finite on tau = t"):
+            check_A3(broken, Grid(0.0, 1.0, 100))
+
     def test_zero_kernel_passes(self):
         rep = check_A3(zero_kernel(), Grid(0.0, 1.0, 50))
         assert rep.passed

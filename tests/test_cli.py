@@ -172,6 +172,21 @@ class TestNonFiniteInput:
         assert "NaN" not in out
         assert not rep_path.exists()
 
+    def test_nonfinite_diagonal_sample_exits_one(self, tmp_path, capsys, monkeypatch):
+        # example1 with v nan for t > 1/2: an error, not "not certified"
+        from volterra.config import ProblemConfig
+
+        ker = vt.example1_kernel(1.0)
+        v = ker.v
+        broken = replace(ker, v=lambda t, tau, x: np.where(np.asarray(t)[..., None] > 0.5,
+                                                           np.nan, v(t, tau, x)))
+        monkeypatch.setattr(ProblemConfig, "build_kernel", lambda self: broken)
+        rep_path = tmp_path / "report.json"
+        assert main(["check", str(_write_cfg(tmp_path)), "--report", str(rep_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "v must be finite on tau = t" in err
+        assert not rep_path.exists()
+
 
 class TestSensitivity:
     def test_zero_kernel_returns_direction(self, tmp_path):

@@ -224,22 +224,31 @@ class TestNeumann:
         assert not rep.converged
         assert rep.iterations == 3
 
-    def test_walks_v_x_once_per_iteration(self):
-        # one apply_T per iteration, none for T 0, plus the l_rho samples
+    @pytest.mark.parametrize("smooth", [False, True])
+    def test_walks_v_x_once_per_iteration(self, smooth):
+        # one apply_T per iteration, none for T 0, plus the l_rho samples;
+        # an apply_T takes fewer samples when far rectangles are
+        # interpolated in t
         counts = {"v_x": 0}
 
         def v_x(t, tau, x):
             counts["v_x"] += np.broadcast(np.asarray(t), np.asarray(tau)).size
             return ker.v_x(t, tau, x)
 
-        ker = example1_kernel(1.0)
+        ker = replace(example1_kernel(1.0), smooth_in_t=smooth)
         g = Grid(0.0, 1.0, 100)
         rng = np.random.default_rng(0)
         x0 = from_callable(lambda t: t, g)
         rhs = random_anchored(g, 1, rng, norm=0.5)
         _, rep = neumann_solve(replace(ker, v_x=v_x), x0, rhs, tol=1e-10, samples=512)
         assert rep.converged and rep.iterations >= 2
-        assert counts["v_x"] == rep.iterations * 100 * 101 // 2 + 512
+        if not smooth:
+            assert counts["v_x"] == rep.iterations * 100 * 101 // 2 + 512
+        else:
+            solve, counts["v_x"] = counts["v_x"], 0
+            apply_T(replace(ker, v_x=v_x), x0, rhs)
+            assert counts["v_x"] < 100 * 101 // 2
+            assert solve == rep.iterations * counts["v_x"] + 512
 
     def test_twenty_partial_sums_match_alternating_series(self):
         # sum_{k<20} (-1)^k T^k g with (T^k g)(t) = t^{k+1}/(k+1)!

@@ -412,22 +412,30 @@ class TestGradient:
         with pytest.raises(MaxIterExceeded):
             solve_gradient(ker, y, tol=1e-13, max_iter=2)
 
-    def test_walks_v_tx_once_per_step(self):
+    @pytest.mark.parametrize("smooth", [False, True])
+    def test_walks_v_tx_once_per_step(self, smooth):
         # the line-search slope is <gradient, direction>, so v_tx is
-        # walked only by the gradient: N(N+1)/2 samples per step
+        # walked only by the gradient: N(N+1)/2 samples per step, or one
+        # gradient's worth when far rectangles are interpolated in t
         counts = {"v_tx": 0}
 
         def v_tx(t, tau, x):
             counts["v_tx"] += np.broadcast(np.asarray(t), np.asarray(tau)).size
             return ker.v_tx(t, tau, x)
 
-        ker = example1_kernel(1.0)
+        ker = replace(example1_kernel(1.0), smooth_in_t=smooth)
         g = Grid(0.0, 1.0, 100)
         rng = np.random.default_rng(0)
         y = from_callable(lambda t: t, g) + random_anchored(g, 1, rng, norm=0.5)
         _, rep = solve_gradient(replace(ker, v_tx=v_tx), y, tol=1e-6)
         assert rep.converged and rep.iterations >= 2
-        assert counts["v_tx"] == rep.iterations * 100 * 101 // 2
+        if not smooth:
+            assert counts["v_tx"] == rep.iterations * 100 * 101 // 2
+        else:
+            steps, counts["v_tx"] = counts["v_tx"], 0
+            vt.functional_gradient(replace(ker, v_tx=v_tx), y, y)
+            assert counts["v_tx"] < 100 * 101 // 2
+            assert steps == rep.iterations * counts["v_tx"]
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_riesz_representative(self, dim):

@@ -4,6 +4,8 @@ Each kernel carries its exact derivatives, so the solvers, the
 functional and its gradient can be checked against one another.
 """
 
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from pytest import approx
 from volterra import (
     Grid,
     ac_norm,
+    apply_T,
     apply_V,
     collocation_solve,
     directional_dF,
@@ -44,6 +47,7 @@ kernels = st.builds(
 )
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 _GRID = Grid(0.0, 1.0, 40)
+_FAR_GRID = Grid(0.0, 1.0, 300)
 
 
 @given(kernel=kernels, seed=seeds)
@@ -87,3 +91,17 @@ def test_march_agrees_with_newton(kernel, seed):
     assert rep.converged
     assert rep.residual_history[0] == approx(ac_norm(sub(y, apply_V(kernel, x))), abs=1e-12)
     assert ac_norm(sub(x, x_newton)) <= 1e-10 * max(1.0, ac_norm(x_newton))
+
+
+@given(kernel=kernels, seed=seeds)
+@settings(max_examples=25, deadline=None)
+def test_declared_smooth_in_t_changes_nothing_but_rounding(kernel, seed):
+    # Chebyshev far rectangles, accepted or walked exactly, against the
+    # exact walk: each sum within 1e-13 of its largest entry
+    rng = np.random.default_rng(seed)
+    x, y, h = (random_anchored(_FAR_GRID, 1, rng) for _ in range(3))
+    smooth = replace(kernel, smooth_in_t=True)
+    for apply in (lambda k: apply_V(k, x).values, lambda k: apply_T(k, x, h).values,
+                  lambda k: functional_gradient(k, x, y)):
+        exact = apply(kernel)
+        assert np.abs(apply(smooth) - exact).max() <= 1e-13 * np.abs(exact).max()
