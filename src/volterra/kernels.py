@@ -219,20 +219,15 @@ def eval_checked(kernel: KernelSpec, which: str, t: float, tau: float, x) -> np.
     return np.asarray(fn(np.float64(t), np.float64(tau), xv), dtype=float)
 
 
-def _wrap_scalar_value(f):
+def _wrap_scalar(f, trailing: tuple):
+    """The evaluator of a scalar formula f(t, tau, xi): t and tau broadcast
+    only if their shapes differ, the value shaped S + trailing, (1,) for a
+    vector evaluator and (1, 1) for a matrix one."""
     def ev(t, tau, x):
-        t, tau = np.broadcast_arrays(np.asarray(t, float), np.asarray(tau, float))
-        out = np.broadcast_to(np.asarray(f(t, tau, np.asarray(x)[..., 0]), float), t.shape)
-        return out[..., None]
-
-    return ev
-
-
-def _wrap_scalar_slope(f):
-    def ev(t, tau, x):
-        t, tau = np.broadcast_arrays(np.asarray(t, float), np.asarray(tau, float))
-        out = np.broadcast_to(np.asarray(f(t, tau, np.asarray(x)[..., 0]), float), t.shape)
-        return out[..., None, None]
+        t, tau = np.asarray(t, float), np.asarray(tau, float)
+        if t.shape != tau.shape:
+            t, tau = np.broadcast_arrays(t, tau)
+        return _shaped(f(t, tau, np.asarray(x)[..., 0]), t.shape).reshape(t.shape + trailing)
 
     return ev
 
@@ -241,10 +236,10 @@ def scalar_kernel(v, v_t, v_x, v_tx, **kwargs) -> KernelSpec:
     """Build a dim-1 KernelSpec from plain scalar formulas f(t, tau, xi)."""
     return KernelSpec(
         dim=1,
-        v=_wrap_scalar_value(v),
-        v_t=_wrap_scalar_value(v_t),
-        v_x=_wrap_scalar_slope(v_x),
-        v_tx=_wrap_scalar_slope(v_tx),
+        v=_wrap_scalar(v, (1,)),
+        v_t=_wrap_scalar(v_t, (1,)),
+        v_x=_wrap_scalar(v_x, (1, 1)),
+        v_tx=_wrap_scalar(v_tx, (1, 1)),
         **kwargs,
     )
 
@@ -341,9 +336,10 @@ def example1_kernel(a_bar: float) -> KernelSpec:
 
     def v_t(t, tau, xi):
         s = t - tau
+        c = np.cbrt(s)  # s^(-1/3) = 1 / c and s^(2/3) = c * c, one root for both
         g = 2.0 * s * s * xi * xi
-        return (2.0 / 3.0) * ab * s ** (-1.0 / 3.0) * np.log1p(g) \
-            + ab * s ** (2.0 / 3.0) * 4.0 * s * xi * xi / (1.0 + g)
+        return (2.0 / 3.0) * ab / c * np.log1p(g) \
+            + ab * (c * c) * 4.0 * s * xi * xi / (1.0 + g)
 
     def v_x(t, tau, xi):
         s = t - tau

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DimMismatch, KernelContract, SingularBlock
 from .function_space import GridFunction, ac_norm, sup_norm, zeros
 from .kernels import KernelSpec, TriangularDomain
-from .quadrature import (_block_sum, _by_halves, _leaf_triangle, _require_finite,
+from .quadrature import (_block_sum, _by_halves, _lag_z, _leaf_triangle, _require_finite,
                          cell_midpoint_values, node_integral)
 
 # Same grid and dim, or GridMismatch / DimMismatch.
@@ -256,16 +256,22 @@ def collocation_solve(kernel: KernelSpec, x0: GridFunction,
     grid = g.grid
     f, d, rows, cols = kernel.integrand("v_x"), grid.delta, grid.nodes, grid.midpoints
     x0m = cell_midpoint_values(x0.values)
+    zc = _lag_z(f, x0m, cols)  # a lag kernel's z(x0(m_j)), once for every block
     h = np.zeros_like(g.values)
     rhs = g.values.copy()  # g less the cells solved so far
+
+    def z(lo, hi):
+        return None if zc is None else zc[lo:hi]
 
     def merge(lo, mid, hi):
         # Row i reads h_i + delta sum_{j<i} W_ij (h_j + h_{j+1}) / 2 = g_i.
         rhs[mid:hi] -= d * _block_sum(f, rows[mid:hi], cols[lo - 1 : mid - 1],
-                                      x0m[lo - 1 : mid - 1], cell_midpoint_values(h[lo - 1 : mid]))
+                                      x0m[lo - 1 : mid - 1], cell_midpoint_values(h[lo - 1 : mid]),
+                                      zc=z(lo - 1, mid - 1))
 
     def leaf(c0, c1):
-        S = _leaf_triangle(f, rows[c0:c1], cols[c0 - 1 : c1 - 1], x0m[c0 - 1 : c1 - 1])
+        S = _leaf_triangle(f, rows[c0:c1], cols[c0 - 1 : c1 - 1], x0m[c0 - 1 : c1 - 1],
+                           zc=z(c0 - 1, c1 - 1))
         # the leaf's first cell has its left end value h_{c0-1} solved
         h[c0:c1] = _solve_leaf(S, rhs[c0:c1] - 0.5 * d * (S[:, 0] @ h[c0 - 1]), d, c0)
 

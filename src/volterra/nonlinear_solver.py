@@ -25,9 +25,10 @@ import numpy as np
 
 from .errors import LineSearchStalled, MaxIterExceeded
 from .function_space import GridFunction, ac_norm, axpy, random_anchored
+from .kernels import LagIntegrand
 from .linear_solver import _require_kernel_dim, _require_same, _solve_leaf, collocation_solve
-from .operator import apply_V, functional_F, functional_gradient
-from .quadrature import (_block_sum, _by_halves, _leaf_triangle, _require_finite,
+from .operator import _merit, apply_V, functional_gradient
+from .quadrature import (_block_sum, _by_halves, _lag_z, _leaf_triangle, _require_finite,
                          cell_midpoint_values)
 
 _MIN_STEP = 2.0**-20
@@ -135,10 +136,13 @@ def solve_march(kernel, y: GridFunction, x_init: GridFunction | None = None,
     history = np.zeros_like(x)
     r = np.zeros_like(x)  # each leaf's final row residuals
     report = SolveReport("march", 0, [], [], False)
+    # a lag kernel's z(x(m_j)), evaluated once per solved leaf for every merge
+    zc = np.zeros_like(x[1:]) if isinstance(fv, LagIntegrand) else None
 
     def merge(lo, mid, hi):
         history[mid:hi] += _block_sum(fv, nodes[mid:hi], mids[lo - 1 : mid - 1],
-                                      cell_midpoint_values(x[lo - 1 : mid]))
+                                      cell_midpoint_values(x[lo - 1 : mid]),
+                                      zc=None if zc is None else zc[lo - 1 : mid - 1])
 
     def leaf(c0, c1):
         rows, cols = nodes[c0:c1], mids[c0 - 1 : c1 - 1]
@@ -180,6 +184,8 @@ def solve_march(kernel, y: GridFunction, x_init: GridFunction | None = None,
             steps += 1
             report.iterations += 1
         x[c0:c1], r[c0:c1] = xl, R
+        if zc is not None:
+            zc[c0 - 1 : c1 - 1] = _lag_z(fv, xm, cols)
 
     _by_halves(grid.n_cells + 1, leaf, merge)
     res = _ac_rows(r, d)
@@ -217,14 +223,16 @@ def solve_gradient(kernel, y: GridFunction, x_init: GridFunction | None = None,
     The descent direction is the negative gradient represented in the
     derivative inner product; the slope of F along it is the gradient's
     dot product with its node values (functional_gradient's identity
-    with directional_dF), so a step walks v_tx once.  Convergence means
+    with directional_dF), so a step walks v_tx once.  Each merit
+    evaluation walks v_t once; the gradient takes the defect D of the
+    accepted one, so it walks no v_t of its own.  Convergence means
     F(x) <= tol^2.  Slower than Newton but needs no linear solves
     against the kernel.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     x = x_init if x_init is not None else y
-    F = functional_F(kernel, x, y)
+    F, D = _merit(kernel, x, y)
     res = ac_norm(y - apply_V(kernel, x))
     report = SolveReport("gradient", 0, [res], [F], False)
     ftol = tol * tol
@@ -233,29 +241,29 @@ def solve_gradient(kernel, y: GridFunction, x_init: GridFunction | None = None,
         if F <= ftol:
             report.converged = True
             return x, report
-        g_nodes = functional_gradient(kernel, x, y)
+        g_nodes = functional_gradient(kernel, x, y, defect=D)
         direction = -1.0 * _ac_riesz(x.grid, g_nodes)
         slope = float(np.sum(g_nodes * direction.values))
         if slope >= 0:
             break  # numerically stationary; fall through to the final check
         s = 1.0
-        F_trial = functional_F(kernel, axpy(s, direction, x), y)
+        F_trial, D_trial = _merit(kernel, axpy(s, direction, x), y)
         # One parabolic refinement from phi(0), phi'(0), phi(s).
         denom = F_trial - F - slope * s
         if denom > 0:
             s_star = -slope * s * s / (2.0 * denom)
             if 0 < s_star:
-                F_star = functional_F(kernel, axpy(s_star, direction, x), y)
+                F_star, D_star = _merit(kernel, axpy(s_star, direction, x), y)
                 if F_star < F_trial:
-                    s, F_trial = s_star, F_star
+                    s, F_trial, D_trial = s_star, F_star, D_star
         while F_trial >= F:
             s *= 0.5
             if s < _MIN_STEP:
                 break
-            F_trial = functional_F(kernel, axpy(s, direction, x), y)
+            F_trial, D_trial = _merit(kernel, axpy(s, direction, x), y)
         if F_trial >= F:
             break
-        x, F = axpy(s, direction, x), F_trial
+        x, F, D = axpy(s, direction, x), F_trial, D_trial
         res = ac_norm(y - apply_V(kernel, x))
         report.iterations += 1
         report.residual_history.append(res)

@@ -75,15 +75,21 @@ def frechet_dt(kernel, x0: GridFunction, h: GridFunction) -> np.ndarray:
     return slope + diag + inner
 
 
-def _dy(y: GridFunction) -> np.ndarray:
-    return np.diff(y.values, axis=0) / y.grid.delta
+def _defect(kernel, x: GridFunction, y: GridFunction) -> np.ndarray:
+    """D = d/dt V(x) - y' at the cell midpoints; one walk of v_t."""
+    return apply_V_dt(kernel, x) - np.diff(y.values, axis=0) / y.grid.delta
+
+
+def _merit(kernel, x: GridFunction, y: GridFunction) -> tuple[float, np.ndarray]:
+    """F(x) and the defect D = d/dt V(x) - y' it squares, shape (n_cells, dim)."""
+    _require_same(x, y)
+    D = _defect(kernel, x, y)
+    return float(0.5 * x.grid.delta * (D * D).sum()), D
 
 
 def functional_F(kernel, x: GridFunction, y: GridFunction) -> float:
     """Half the squared derivative-norm defect of V(x) against y."""
-    _require_same(x, y)
-    r = apply_V_dt(kernel, x) - _dy(y)
-    return float(0.5 * x.grid.delta * (r * r).sum())
+    return _merit(kernel, x, y)[0]
 
 
 def directional_dF(kernel, x: GridFunction, y: GridFunction,
@@ -95,23 +101,34 @@ def directional_dF(kernel, x: GridFunction, y: GridFunction,
     """
     _require_same(x, y)
     _require_same(x, h)
-    D = apply_V_dt(kernel, x) - _dy(y)
+    D = _defect(kernel, x, y)
     S = frechet_dt(kernel, x, h)
     return float(x.grid.delta * (D * S).sum())
 
 
-def functional_gradient(kernel, x: GridFunction, y: GridFunction) -> np.ndarray:
+def functional_gradient(kernel, x: GridFunction, y: GridFunction,
+                        defect: np.ndarray | None = None) -> np.ndarray:
     """Euclidean gradient of the discrete functional in node values.
 
     Shape (n_cells + 1, dim); row 0 is zero since the anchored value is
     not a degree of freedom.  Satisfies <gradient, h.values> =
-    directional_dF(..., h) exactly.
+    directional_dF(..., h) exactly.  The gradient is the adjoint walk of
+    v_tx applied to the defect D = d/dt V(x) - y'.  A caller that has D
+    from the merit at x (solve_gradient does) passes it as defect, which
+    saves the v_t walk that computes it; it must have shape
+    (n_cells, dim) (ValueError) and be finite (KernelContract).
     """
     _require_same(x, y)
     _require_kernel_dim(kernel, x)
     grid = x.grid
     d = grid.delta
-    D = apply_V_dt(kernel, x) - _dy(y)
+    if defect is None:
+        D = _defect(kernel, x, y)
+    else:
+        D = np.asarray(defect, float)
+        if D.shape != (grid.n_cells, x.dim):
+            raise ValueError(f"defect must have shape {(grid.n_cells, x.dim)}, got {D.shape}")
+        _require_finite(D, "the defect at cell", range(grid.n_cells), "the defect must be finite")
 
     # Transpose of frechet_dt in h, term by term, weighted by delta D.
     g = inner_integral_adjoint(kernel.integrand("v_tx"), grid, x.values, d * D)

@@ -115,14 +115,16 @@ def _by_halves(n: int, solve_leaf, merge, lo: int = 1) -> None:
 def _walk(f, rows: np.ndarray, cols: np.ndarray, xc: np.ndarray, lo: int, hi: int):
     """Yield (j0, f(rows[i], cols[j], xc[j]) for j in [j0, j0 + width)) for
     consecutive chunks of columns [lo, hi), each of at most _BLOCK_SAMPLES
-    samples (one column at least), passed as broadcast views."""
+    samples (one column at least), passed as slices of broadcast views
+    built once per walk."""
     width = max(1, _BLOCK_SAMPLES // max(1, rows.size))
-    for j0 in range(lo, hi, width):
-        j1 = min(hi, j0 + width)
-        shape = (rows.size, j1 - j0)
-        yield j0, np.asarray(f(np.broadcast_to(rows[:, None], shape),
-                               np.broadcast_to(cols[None, j0:j1], shape),
-                               np.broadcast_to(xc[None, j0:j1], shape + xc.shape[1:])), float)
+    shape = (rows.size, hi - lo)
+    t = np.broadcast_to(rows[:, None], shape)
+    tau = np.broadcast_to(cols[None, lo:hi], shape)
+    x = np.broadcast_to(xc[None, lo:hi], shape + xc.shape[1:])
+    for j0 in range(0, hi - lo, width):
+        j1 = j0 + width
+        yield lo + j0, np.asarray(f(t[:, j0:j1], tau[:, j0:j1], x[:, j0:j1]), float)
 
 
 @functools.cache
@@ -179,15 +181,17 @@ def _reduce(S: np.ndarray, M, hc: np.ndarray | None, j0: int) -> np.ndarray:
 
 
 def _block_sum(f, rows: np.ndarray, cols: np.ndarray, xc: np.ndarray,
-               hc: np.ndarray | None = None) -> np.ndarray:
+               hc: np.ndarray | None = None, zc: np.ndarray | None = None) -> np.ndarray:
     """sum over j of f(rows[i], cols[j], xc[j]), applied to hc[j] if given.
 
     A LagIntegrand is one Toeplitz product, rows[i] - cols[j] being
-    lags[i - j + cols.size - 1]; any other f is walked _LEAF rows at a time.
+    lags[i - j + cols.size - 1]; zc, if given, is its f.z(xc) from _lag_z,
+    which a solve evaluates once and slices per block.  Any other f is
+    walked _LEAF rows at a time.
     """
     if isinstance(f, LagIntegrand):
         lags = np.concatenate([rows[0] - cols[::-1], rows[1:] - cols[0]])
-        a, u = _lag_factors(f, lags, xc, cols)
+        a, u = _lag_factors(f, lags, xc, cols, zc=zc)
         u = u if hc is None else np.einsum("jab,jb->ja", u, hc)
         return _causal_conv(a, u, _fft_size(lags.size))[cols.size - 1 :]
     out = np.zeros((rows.size, xc.shape[1]))
@@ -208,17 +212,19 @@ def _leaf_index(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return p, q, k
 
 
-def _leaf_triangle(f, rows: np.ndarray, cols: np.ndarray, xc: np.ndarray) -> np.ndarray:
+def _leaf_triangle(f, rows: np.ndarray, cols: np.ndarray, xc: np.ndarray,
+                   zc: np.ndarray | None = None) -> np.ndarray:
     """f(rows[p], cols[q], xc[q]) for q <= p, in one evaluator call.
 
     rows, cols and xc are L long; the result has shape (L, L) + value
     shape and is zero for q > p.  A LagIntegrand is gathered from its L
-    lags rows[p - q] - cols[0] and L columns, checked (0 * nan is nan).
+    lags rows[p - q] - cols[0] and L columns (zc as in _block_sum),
+    checked (0 * nan is nan).
     """
     L = rows.size
     if isinstance(f, LagIntegrand):
         a = np.zeros(L + 1)  # a[0] = 0 clears q > p
-        a[1:], zx = _lag_factors(f, rows - cols[0], xc, cols)
+        a[1:], zx = _lag_factors(f, rows - cols[0], xc, cols, zc=zc)
         return a[_leaf_index(L)[2]].reshape((L, L) + (1,) * (zx.ndim - 1)) * zx
     p, q, _ = _leaf_index(L)
     samples = np.asarray(f(rows[p], cols[q], xc[q]), float)
@@ -241,10 +247,18 @@ def _require_finite(a: np.ndarray, what: str, where, why: str = _KERNEL) -> np.n
     return a
 
 
-def _lag_factors(f: LagIntegrand, lags, xc, taus, why: str = _KERNEL):
-    """f.w(lags) and f.z(xc), a value per lag and per tau, each checked."""
+def _lag_z(f, xc, taus, why: str = _KERNEL) -> np.ndarray | None:
+    """f.z(xc), a value per tau, checked; None unless f is a LagIntegrand."""
+    if isinstance(f, LagIntegrand):
+        return _require_finite(np.asarray(f.z(xc), float), "the factor z at tau =", taus, why)
+    return None
+
+
+def _lag_factors(f: LagIntegrand, lags, xc, taus, why: str = _KERNEL, zc=None):
+    """f.w(lags) and f.z(xc), a value per lag and per tau, each checked;
+    zc, if given, is f.z(xc) from _lag_z."""
     return (_require_finite(_shaped(f.w(lags), lags.shape), "the factor w at t - tau =", lags, why),
-            _require_finite(np.asarray(f.z(xc), float), "the factor z at tau =", taus, why))
+            _lag_z(f, xc, taus, why) if zc is None else zc)
 
 
 def _fft_size(n: int) -> int:

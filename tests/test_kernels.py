@@ -19,6 +19,7 @@ from volterra import (
     scalar_kernel,
     zero_kernel,
 )
+from volterra.kernels import _wrap_scalar
 
 
 def _example2_demo(T=0.9, A=1.0, B=0.0):
@@ -50,6 +51,19 @@ class TestLogKernel:
         k = example1_kernel(1.0)
         v = k.v(np.array([1.0]), np.array([0.0]), np.array([[1.0]]))
         assert v[0, 0] == approx(math.log(3.0), rel=1e-14)
+
+    def test_time_derivative_matches_its_power_form(self):
+        # v_t takes s^(-1/3) and s^(2/3) from one cube root
+        rng = np.random.default_rng(5)
+        t = rng.uniform(0.0, 1.0, 10_000)
+        tau = t * rng.uniform(0.0, 0.999, t.size)
+        xi = rng.uniform(-3.0, 3.0, t.size)
+        s = t - tau
+        g = 2.0 * s * s * xi * xi
+        ref = (2.0 / 3.0) * s ** (-1.0 / 3.0) * np.log1p(g) \
+            + s ** (2.0 / 3.0) * 4.0 * s * xi * xi / (1.0 + g)
+        got = example1_kernel(1.0).v_t(t, tau, xi[:, None])[:, 0]
+        assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
 
     def test_scales_linearly_in_amplitude(self):
         k1 = example1_kernel(1.0)
@@ -208,6 +222,25 @@ class TestScalarKernel:
         assert np.allclose(k.v(t, tau, x)[:, 0], t)
 
 
+class TestWrapScalar:
+    @pytest.mark.parametrize("t, tau, shape", [
+        (0.7, np.linspace(0.0, 0.5, 4), (4,)),
+        (np.linspace(0.5, 1.0, 3)[:, None], np.linspace(0.0, 0.4, 5)[None, :], (3, 5)),
+        (np.full((2, 3), 0.9), np.full((2, 3), 0.1), (2, 3)),
+    ])
+    def test_output_shapes(self, t, tau, shape):
+        # t and tau broadcast when their shapes differ; a formula that
+        # returns a scalar is broadcast to their shape
+        x = np.full(shape + (1,), 0.5)
+        for f in (lambda t, tau, xi: t - tau + xi, lambda t, tau, xi: 2.0):
+            vec, mat = _wrap_scalar(f, (1,)), _wrap_scalar(f, (1, 1))
+            assert vec(t, tau, x).shape == shape + (1,)
+            assert mat(t, tau, x).shape == shape + (1, 1)
+        want = np.broadcast_to(np.asarray(t) - tau, shape) + 0.5
+        got = _wrap_scalar(lambda t, tau, xi: t - tau + xi, (1, 1))(t, tau, x)
+        assert np.array_equal(got[..., 0, 0], want)
+
+
 class TestEvalChecked:
     def test_accepts_triangle_points(self):
         k = linear_kernel(1.0)
@@ -218,6 +251,12 @@ class TestEvalChecked:
         k = linear_kernel(1.0)
         with pytest.raises(OutsideTriangle):
             eval_checked(k, "v", 0.2, 0.5, [1.0])
+
+    @pytest.mark.parametrize("which", ["v", "vt", "vx", "vtx"])
+    def test_example1_rejects_tau_above_t(self, which):
+        # np.cbrt is real for t < tau, where a fractional power was nan
+        with pytest.raises(OutsideTriangle):
+            eval_checked(example1_kernel(1.0), which, 0.2, 0.5, [1.0])
 
     def test_rejects_points_beyond_declared_domain(self):
         k = example1_kernel(1.0)  # lives on the unit triangle

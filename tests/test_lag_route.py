@@ -196,6 +196,76 @@ def test_block_sum_matches_the_generic_walk(monkeypatch, dim):
         assert _rel(fast, walk) <= 1e-13
 
 
+def _counting_z(calls):
+    # example2 with z = atan; calls["z"] counts the calls of z and of z'
+    def z(x):
+        calls["z"] += 1
+        return np.arctan(x)
+
+    def z_prime(x):
+        calls["z"] += 1
+        return 1.0 / (1.0 + x * x)
+
+    return vt.example2_kernel(w=lambda s: s, w_prime=np.ones_like, z=z,
+                              z_prime=z_prime, A=1.0, B=0.0, T=0.9)
+
+
+def _z_calls_in(monkeypatch, module, name, calls):
+    # count the z calls made inside module.name under calls[name]
+    inner = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        before = calls["z"]
+        out = inner(*args, **kwargs)
+        calls[name] += calls["z"] - before
+        return out
+
+    calls[name] = 0
+    monkeypatch.setattr(module, name, counted)
+
+
+def _unshared(monkeypatch, module, name):
+    # the quadrature routine with every block evaluating its own z
+    inner = getattr(quadrature, name)
+    monkeypatch.setattr(module, name, lambda *args, zc=None, **kwargs: inner(*args, **kwargs))
+
+
+@pytest.mark.parametrize("leaf", [8, 64])
+def test_collocation_evaluates_z_once(monkeypatch, leaf):
+    # collocation reads z' alone; sharing it between the blocks changes no bit
+    monkeypatch.setattr(quadrature, "_LEAF", leaf)
+    calls = {"z": 0}
+    ker = _counting_z(calls)
+    g = vt.Grid(0.0, 0.9, 500)
+    y = vt.from_callable(lambda t: t, g)
+    x0 = vt.random_anchored(g, 1, np.random.default_rng(leaf))
+    h = vt.collocation_solve(ker, x0, y)
+    assert calls["z"] == 1
+    for name in ("_block_sum", "_leaf_triangle"):
+        _unshared(monkeypatch, vt.linear_solver, name)
+    assert np.array_equal(vt.collocation_solve(ker, x0, y).values, h.values)
+    leaves = -(-500 // leaf)
+    assert calls["z"] == 1 + (1 + leaves + leaves - 1)  # unshared: every leaf and merge
+
+
+@pytest.mark.parametrize("leaf", [8, 64])
+def test_march_evaluates_z_once_per_solved_leaf(monkeypatch, leaf):
+    # besides the z of each leaf's own trials, z of a solved leaf is
+    # evaluated once, and no merge evaluates it; sharing changes no bit
+    monkeypatch.setattr(quadrature, "_LEAF", leaf)
+    calls = {"z": 0}
+    ker = _counting_z(calls)
+    g = vt.Grid(0.0, 0.9, 500)
+    y = vt.from_callable(lambda t: t, g)
+    _z_calls_in(monkeypatch, vt.nonlinear_solver, "_block_sum", calls)
+    _z_calls_in(monkeypatch, vt.nonlinear_solver, "_leaf_triangle", calls)
+    x, _ = vt.solve_march(ker, y)
+    assert calls["_block_sum"] == 0
+    assert calls["z"] - calls["_leaf_triangle"] == -(-500 // leaf)
+    _unshared(monkeypatch, vt.nonlinear_solver, "_block_sum")
+    assert np.array_equal(vt.solve_march(ker, y)[0].values, x.values)
+
+
 def _broken(factor, past):
     # tanh z and sin 2s w; z nan for x past `past`, or w for lags past it
     def z(x):

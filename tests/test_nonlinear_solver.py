@@ -8,7 +8,7 @@ import pytest
 from pytest import approx
 
 import volterra as vt
-from volterra import nonlinear_solver, quadrature
+from volterra import nonlinear_solver, operator, quadrature
 from volterra import (
     Grid,
     GridFunction,
@@ -436,6 +436,62 @@ class TestGradient:
             vt.functional_gradient(replace(ker, v_tx=v_tx), y, y)
             assert counts["v_tx"] < 100 * 101 // 2
             assert steps == rep.iterations * counts["v_tx"]
+
+    def test_defect_hand_over_changes_no_iterate(self, monkeypatch):
+        # the gradient recomputes D when it ignores the one handed over
+        g = Grid(0.0, 1.0, 200)
+        rng = np.random.default_rng(3)
+        y = from_callable(lambda t: t, g) + random_anchored(g, 1, rng, norm=0.5)
+        ker = example1_kernel(1.0)
+        x, rep = solve_gradient(ker, y, tol=1e-7)
+        gradient = nonlinear_solver.functional_gradient
+        monkeypatch.setattr(nonlinear_solver, "functional_gradient",
+                            lambda kernel, x, y, defect: gradient(kernel, x, y))
+        x_own, rep_own = solve_gradient(ker, y, tol=1e-7)
+        assert rep.iterations >= 3
+        assert np.array_equal(x.values, x_own.values)
+        assert rep.residual_history == rep_own.residual_history
+        assert rep.functional_history == rep_own.functional_history
+
+    def test_walks_v_t_once_per_merit(self, monkeypatch):
+        # each merit walks v_t once for its defect; the gradient reuses the
+        # accepted one and evaluates no v_t sample
+        counts = {"walks": 0, "merits": 0, "samples": 0, "in_gradient": 0}
+
+        def v_t(t, tau, x):
+            counts["samples"] += np.broadcast(np.asarray(t), np.asarray(tau)).size
+            return base.v_t(t, tau, x)
+
+        base = example1_kernel(1.0)
+        ker = replace(base, v_t=v_t)
+        inner, merit, gradient = operator.inner_integral, nonlinear_solver._merit, \
+            nonlinear_solver.functional_gradient
+
+        def counted_inner(f, *args, **kwargs):
+            counts["walks"] += f.f is v_t
+            return inner(f, *args, **kwargs)
+
+        def counted_merit(*args):
+            counts["merits"] += 1
+            return merit(*args)
+
+        def counted_gradient(*args, **kwargs):
+            before = counts["samples"]
+            out = gradient(*args, **kwargs)
+            counts["in_gradient"] += counts["samples"] - before
+            return out
+
+        monkeypatch.setattr(operator, "inner_integral", counted_inner)
+        monkeypatch.setattr(nonlinear_solver, "_merit", counted_merit)
+        monkeypatch.setattr(nonlinear_solver, "functional_gradient", counted_gradient)
+        g = Grid(0.0, 1.0, 1000)
+        rng = np.random.default_rng(0)
+        y = from_callable(lambda t: t, g) + random_anchored(g, 1, rng, norm=0.5)
+        _, rep = solve_gradient(ker, y, tol=1e-6)
+        assert rep.converged and rep.iterations >= 2
+        assert counts["merits"] > rep.iterations
+        assert counts["walks"] == counts["merits"]
+        assert counts["samples"] > 0 and counts["in_gradient"] == 0
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_riesz_representative(self, dim):

@@ -28,7 +28,7 @@ from volterra import (
     zero_kernel,
     zeros,
 )
-from volterra.operator import frechet_dt
+from volterra.operator import _merit, frechet_dt
 
 
 def test_zero_kernel_is_identity(unit_grid, rng):
@@ -150,6 +150,36 @@ class TestDirectionalDerivative:
         y = from_callable(lambda t: t + 0.25 * t * t, g)
         grad = functional_gradient(ker, x, y)
         assert np.max(np.abs(grad)) < 1e-14
+
+
+class TestDefectHandOver:
+    def _problem(self, dim=1):
+        g = Grid(0.0, 1.0, 80)
+        rng = np.random.default_rng(dim)
+        ker = example1_kernel(1.0) if dim == 1 else linear_kernel(0.5, dim=2)
+        return ker, random_anchored(g, dim, rng, norm=1.0), random_anchored(g, dim, rng, norm=1.0)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_gradient_from_the_merit_defect_is_the_recomputed_one(self, dim):
+        ker, x, y = self._problem(dim)
+        F, D = _merit(ker, x, y)
+        assert F == functional_F(ker, x, y)
+        assert np.array_equal(functional_gradient(ker, x, y, defect=D),
+                              functional_gradient(ker, x, y))
+
+    @pytest.mark.parametrize("shape", [(79, 1), (80,), (80, 2), (81, 1)])
+    def test_wrong_shape_defect_raises(self, shape):
+        ker, x, y = self._problem()
+        with pytest.raises(ValueError, match="defect must have shape"):
+            functional_gradient(ker, x, y, defect=np.zeros(shape))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_defect_raises_kernel_contract(self, bad):
+        ker, x, y = self._problem()
+        D = _merit(ker, x, y)[1]
+        D[17] = bad
+        with pytest.raises(KernelContract, match="the defect at cell 17 is not finite"):
+            functional_gradient(ker, x, y, defect=D)
 
 
 def test_apply_V_rejects_dim_mismatch(unit_grid):
