@@ -14,6 +14,17 @@ Quadrature never samples tau = t, so evaluators whose time derivative is
 singular on the diagonal (Example 1 below) are safe: v_t and v_tx need
 only be finite on tau < t, v and v_x on tau <= t.
 
+A walk calls an evaluator once per chunk of samples, with t, tau and x
+read-only broadcast views, so an evaluator must never write into its
+inputs.  In-place arithmetic (*=, /=, +=) on its own temporaries, each
+freed as soon as it is spent, keeps few chunk-sized arrays alive at
+once: the allocator then reuses the same heap pages from chunk to chunk
+instead of trimming the heap top and faulting fresh pages in, which can
+cost a walk a fifth of its time.  example1_kernel's evaluators are
+written so.  eval_checked passes 0-d input, whose arithmetic yields
+numpy scalars: augmented assignment rebinds those, an out= argument
+raises.
+
 Lag kernels
 -----------
 A kernel of the form v(t, tau, x) = w(t - tau) z(x) declares its
@@ -330,26 +341,75 @@ def example1_kernel(a_bar: float) -> KernelSpec:
     """
     ab = float(a_bar)
 
+    # Each evaluator takes its fractional powers of s = t - tau from one
+    # cube root c = s^(1/3), with g = 2 s^2 xi^2, and computes in place on
+    # its own temporaries as the module notes describe.
     def v(t, tau, xi):
+        # a c^2 log(1 + g)
         s = t - tau
-        return ab * s ** (2.0 / 3.0) * np.log1p(2.0 * s * s * xi * xi)
+        out = s * xi
+        out *= out
+        out *= 2.0
+        out = np.log1p(out)
+        c = np.cbrt(s)
+        c *= c
+        out *= c
+        out *= ab
+        return out
 
     def v_t(t, tau, xi):
+        # (a / c) ((2/3) log(1 + g) + 2 g / (1 + g)), since 4 s^(5/3) xi^2 = 2 g / c
         s = t - tau
-        c = np.cbrt(s)  # s^(-1/3) = 1 / c and s^(2/3) = c * c, one root for both
-        g = 2.0 * s * s * xi * xi
-        return (2.0 / 3.0) * ab / c * np.log1p(g) \
-            + ab * (c * c) * 4.0 * s * xi * xi / (1.0 + g)
+        g = s * xi
+        g *= g
+        g *= 2.0
+        out = np.log1p(g)
+        out *= 2.0 / 3.0
+        h = g + 1.0
+        g /= h
+        del h
+        g *= 2.0
+        out += g
+        del g
+        out /= np.cbrt(s)
+        out *= ab
+        return out
 
     def v_x(t, tau, xi):
+        # 4 a s^2 c^2 xi / (1 + g)
         s = t - tau
-        return ab * 4.0 * s ** (8.0 / 3.0) * xi / (1.0 + 2.0 * s * s * xi * xi)
+        q = s * xi
+        g = q * q
+        g *= 2.0
+        g += 1.0
+        q /= g
+        del g
+        q *= s
+        c = np.cbrt(s)
+        c *= c
+        q *= c
+        q *= 4.0 * ab
+        return q
 
     def v_tx(t, tau, xi):
+        # (8/3) a s c^2 xi (g + 4) / (1 + g)^2
         s = t - tau
-        g = 2.0 * s * s * xi * xi
-        return ab * 4.0 * xi * s ** (5.0 / 3.0) \
-            * (8.0 / 3.0 + (2.0 / 3.0) * g) / (1.0 + g) ** 2
+        g = s * xi
+        c = np.cbrt(s)
+        c *= c
+        c *= s
+        del s
+        q = c * xi
+        del c
+        g *= g
+        g *= 2.0
+        h = g + 1.0
+        g += 4.0
+        g /= h
+        g /= h
+        q *= g
+        q *= (8.0 / 3.0) * ab
+        return q
 
     c0_coef = 2.0 * math.sqrt(2.0) / 3.0 * abs(ab)
 

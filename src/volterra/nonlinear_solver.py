@@ -136,7 +136,7 @@ def solve_march(kernel, y: GridFunction, x_init: GridFunction | None = None,
     history = np.zeros_like(x)
     r = np.zeros_like(x)  # each leaf's final row residuals
     report = SolveReport("march", 0, [], [], False)
-    # a lag kernel's z(x(m_j)), evaluated once per solved leaf for every merge
+    # a lag kernel's z(x(m_j)): each leaf's last accepted trial, for every merge
     zc = np.zeros_like(x[1:]) if isinstance(fv, LagIntegrand) else None
 
     def merge(lo, mid, hi):
@@ -150,15 +150,17 @@ def solve_march(kernel, y: GridFunction, x_init: GridFunction | None = None,
                                "the history of the row at node", range(c0, c1))
 
         def residual(xl):
-            # rows [c0, c1) less the history, and the rounding floor of each
+            # rows [c0, c1) less the history, the rounding floor of each,
+            # the leaf's midpoint values and a lag kernel's z of them
             xm = cell_midpoint_values(np.concatenate([x[c0 - 1 : c0], xl]))
-            V = _leaf_triangle(fv, rows, cols, xm)
+            zl = _lag_z(fv, xm, cols)
+            V = _leaf_triangle(fv, rows, cols, xm, zc=zl)
             R = _require_finite(base - xl - d * V.sum(axis=1), "the residual of the row at node",
                                 range(c0, c1))
-            return R, floor * (np.abs(base) + np.abs(xl) + d * np.abs(V).sum(axis=1)), xm
+            return R, floor * (np.abs(base) + np.abs(xl) + d * np.abs(V).sum(axis=1)), xm, zl
 
         xl = base if x_init is None else x[c0:c1]
-        R, tiny, xm = residual(xl)
+        R, tiny, xm, zl = residual(xl)
         steps = 0
         while np.any(np.abs(R) > tiny):
             # a failure reports the residual of the rows marched so far
@@ -180,12 +182,12 @@ def solve_march(kernel, y: GridFunction, x_init: GridFunction | None = None,
                     raise LineSearchStalled(f"march: leaf at node {c0}: no decrease "
                                             f"above step {_MIN_STEP}", report=report)
             xl = xl + s * step
-            R, tiny, xm = trial
+            R, tiny, xm, zl = trial
             steps += 1
             report.iterations += 1
         x[c0:c1], r[c0:c1] = xl, R
         if zc is not None:
-            zc[c0 - 1 : c1 - 1] = _lag_z(fv, xm, cols)
+            zc[c0 - 1 : c1 - 1] = zl
 
     _by_halves(grid.n_cells + 1, leaf, merge)
     res = _ac_rows(r, d)
@@ -228,19 +230,23 @@ def solve_gradient(kernel, y: GridFunction, x_init: GridFunction | None = None,
     accepted one, so it walks no v_t of its own.  Convergence means
     F(x) <= tol^2.  Slower than Newton but needs no linear solves
     against the kernel.
+
+    The report's functional_history holds F at the start and after each
+    accepted step.  Its residual_history holds one entry, as the
+    march's does: ac_norm(y - apply_V(x)) at the x returned, or at the
+    last iterate when MaxIterExceeded is raised with the report
+    attached, so a solve walks v once, for its report.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     x = x_init if x_init is not None else y
     F, D = _merit(kernel, x, y)
-    res = ac_norm(y - apply_V(kernel, x))
-    report = SolveReport("gradient", 0, [res], [F], False)
+    report = SolveReport("gradient", 0, [], [F], False)
     ftol = tol * tol
 
     for _ in range(max_iter):
         if F <= ftol:
-            report.converged = True
-            return x, report
+            break
         g_nodes = functional_gradient(kernel, x, y, defect=D)
         direction = -1.0 * _ac_riesz(x.grid, g_nodes)
         slope = float(np.sum(g_nodes * direction.values))
@@ -264,11 +270,10 @@ def solve_gradient(kernel, y: GridFunction, x_init: GridFunction | None = None,
         if F_trial >= F:
             break
         x, F, D = axpy(s, direction, x), F_trial, D_trial
-        res = ac_norm(y - apply_V(kernel, x))
         report.iterations += 1
-        report.residual_history.append(res)
         report.functional_history.append(F)
 
+    report.residual_history = [ac_norm(y - apply_V(kernel, x))]
     if F <= ftol:
         report.converged = True
         return x, report

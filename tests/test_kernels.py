@@ -52,18 +52,46 @@ class TestLogKernel:
         v = k.v(np.array([1.0]), np.array([0.0]), np.array([[1.0]]))
         assert v[0, 0] == approx(math.log(3.0), rel=1e-14)
 
-    def test_time_derivative_matches_its_power_form(self):
-        # v_t takes s^(-1/3) and s^(2/3) from one cube root
+    @pytest.mark.parametrize("which", ["v", "v_t", "v_x", "v_tx"])
+    def test_evaluators_match_their_power_forms(self, which):
+        # each evaluator takes its fractional powers of s from one cube root
         rng = np.random.default_rng(5)
         t = rng.uniform(0.0, 1.0, 10_000)
         tau = t * rng.uniform(0.0, 0.999, t.size)
         xi = rng.uniform(-3.0, 3.0, t.size)
         s = t - tau
         g = 2.0 * s * s * xi * xi
-        ref = (2.0 / 3.0) * s ** (-1.0 / 3.0) * np.log1p(g) \
-            + s ** (2.0 / 3.0) * 4.0 * s * xi * xi / (1.0 + g)
-        got = example1_kernel(1.0).v_t(t, tau, xi[:, None])[:, 0]
+        ref = {
+            "v": 1.5 * s ** (2.0 / 3.0) * np.log1p(g),
+            "v_t": 1.5 * (2.0 / 3.0) * s ** (-1.0 / 3.0) * np.log1p(g)
+            + 1.5 * s ** (2.0 / 3.0) * 4.0 * s * xi * xi / (1.0 + g),
+            "v_x": 1.5 * 4.0 * s ** (8.0 / 3.0) * xi / (1.0 + g),
+            "v_tx": 1.5 * 4.0 * xi * s ** (5.0 / 3.0) * (8.0 / 3.0 + (2.0 / 3.0) * g) / (1.0 + g) ** 2,
+        }[which]
+        got = getattr(example1_kernel(1.5), which)(t, tau, xi[:, None]).reshape(t.size)
         assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("which", ["v", "vt", "vx", "vtx"])
+    def test_evaluators_take_a_scalar_point(self, which):
+        # eval_checked passes 0-d t and tau, which arithmetic turns into
+        # numpy scalars: nothing may write into them with out=
+        k = example1_kernel(1.5)
+        got = eval_checked(k, which, 0.8, 0.3, [0.7])
+        arrays = {"v": k.v, "vt": k.v_t, "vx": k.v_x, "vtx": k.v_tx}[which](
+            np.array([0.8]), np.array([0.3]), np.array([[0.7]]))
+        assert got.shape == arrays.shape[1:]
+        assert np.array_equal(got, arrays[0])
+
+    @pytest.mark.parametrize("which", ["v", "v_t", "v_x", "v_tx"])
+    def test_evaluators_leave_their_inputs_unchanged(self, which):
+        # the arithmetic in place is on the evaluator's own temporaries
+        t = np.linspace(0.5, 1.0, 12).reshape(3, 4)
+        tau = 0.4 * t
+        x = np.linspace(-2.0, 2.0, 12).reshape(3, 4, 1)
+        before = [a.copy() for a in (t, tau, x)]
+        getattr(example1_kernel(1.5), which)(t, tau, x)
+        for a, b in zip((t, tau, x), before):
+            assert np.array_equal(a, b)
 
     def test_scales_linearly_in_amplitude(self):
         k1 = example1_kernel(1.0)

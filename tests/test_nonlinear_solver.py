@@ -412,6 +412,44 @@ class TestGradient:
         with pytest.raises(MaxIterExceeded):
             solve_gradient(ker, y, tol=1e-13, max_iter=2)
 
+    @staticmethod
+    def _apply_V_points(monkeypatch) -> list:
+        # the points at which solve_gradient calls apply_V, in order
+        points, inner = [], nonlinear_solver.apply_V
+
+        def counted(kernel, x):
+            points.append(x)
+            return inner(kernel, x)
+
+        monkeypatch.setattr(nonlinear_solver, "apply_V", counted)
+        return points
+
+    def test_reports_the_residual_of_its_solution_by_one_apply_V(self, monkeypatch):
+        # F per step is the functional history; the residual is walked
+        # once, at the x returned
+        points = self._apply_V_points(monkeypatch)
+        g = Grid(0.0, 1.0, 200)
+        rng = np.random.default_rng(3)
+        y = from_callable(lambda t: t, g) + random_anchored(g, 1, rng, norm=0.5)
+        ker = example1_kernel(1.0)
+        x, rep = solve_gradient(ker, y, tol=1e-7)
+        assert rep.converged and rep.iterations >= 3
+        assert len(points) == 1 and points[0] is x
+        assert rep.residual_history == [ac_norm(y - apply_V(ker, x))]
+        assert len(rep.functional_history) == rep.iterations + 1
+
+    def test_budget_exhaustion_reports_its_last_iterate(self, monkeypatch, unit_grid):
+        points = self._apply_V_points(monkeypatch)
+        ker = example1_kernel(1.0)
+        y = from_callable(lambda t: t, unit_grid)
+        with pytest.raises(MaxIterExceeded) as err:
+            solve_gradient(ker, y, tol=1e-13, max_iter=2)
+        rep = err.value.report
+        [last] = points
+        assert rep.iterations == 2 and not rep.converged
+        assert vt.functional_F(ker, last, y) == rep.functional_history[-1]
+        assert rep.residual_history == [ac_norm(y - apply_V(ker, last))]
+
     @pytest.mark.parametrize("smooth", [False, True])
     def test_walks_v_tx_once_per_step(self, smooth):
         # the line-search slope is <gradient, direction>, so v_tx is
