@@ -9,13 +9,12 @@ satisfies the membership condition x(alpha) = 0 on any interval.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, KernelContract, NotAnchoredAtAlpha
-from .function_space import Grid, GridFunction, from_callable, read_csv
+from .function_space import Grid, GridFunction, read_csv
 from .kernels import (
     KernelSpec,
     example1_kernel,
@@ -28,7 +27,8 @@ _TOP_KEYS = {"kernel", "interval", "n_cells", "rhs", "tol", "max_iter", "seed"}
 _REQUIRED = {"kernel", "interval", "n_cells", "rhs", "tol"}
 _KERNEL_KEYS = {"name", "params"}
 _RHS_KEYS = {"expression", "csv"}
-_EXPRESSIONS = ("t", "t^2", "sin")
+# the built-in rhs expressions of s = t - alpha, evaluated on all nodes at once
+_RHS_EXPRESSIONS = {"t": lambda s: s, "t^2": lambda s: s ** 2, "sin": np.sin}
 _MIN_CELLS = 16
 
 KERNEL_NAMES = ("zero", "linear", "example1", "example2_linw_atan")
@@ -93,10 +93,9 @@ class ProblemConfig:
         rhs = raw["rhs"]
         if not isinstance(rhs, dict) or len(set(rhs) & _RHS_KEYS) != 1 or set(rhs) - _RHS_KEYS:
             raise ConfigError("rhs must carry exactly one of 'expression' or 'csv'")
-        if "expression" in rhs and rhs["expression"] not in _EXPRESSIONS:
-            raise ConfigError(
-                f"unknown rhs expression {rhs['expression']!r}; choose from {_EXPRESSIONS} or a csv"
-            )
+        if "expression" in rhs and rhs["expression"] not in _RHS_EXPRESSIONS:
+            raise ConfigError(f"unknown rhs expression {rhs['expression']!r}; "
+                              f"choose from {tuple(_RHS_EXPRESSIONS)} or a csv")
 
         tol = raw["tol"]
         if not isinstance(tol, (int, float)) or not tol > 0:
@@ -138,13 +137,8 @@ class ProblemConfig:
 
     def build_rhs(self, grid: Grid) -> GridFunction:
         if "expression" in self.rhs:
-            a = grid.alpha
-            f = {
-                "t": lambda t: t - a,
-                "t^2": lambda t: (t - a) ** 2,
-                "sin": lambda t: math.sin(t - a),
-            }[self.rhs["expression"]]
-            return from_callable(f, grid)
+            f = _RHS_EXPRESSIONS[self.rhs["expression"]]
+            return GridFunction(grid, f(grid.nodes - grid.alpha))
         return _resample_csv(self.rhs["csv"], grid)
 
 
@@ -191,18 +185,20 @@ def _build_kernel(name: str, params: dict, alpha: float, beta: float) -> KernelS
     raise ConfigError(f"unknown kernel {name!r}")
 
 
-def _resample_csv(path, grid: Grid) -> GridFunction:
+def _resample_csv(path, grid: Grid, role: str = "rhs csv") -> GridFunction:
+    """The csv at path interpolated to the grid's nodes; a ConfigError
+    names the file by its role ("rhs csv", "direction csv")."""
     try:
         data = read_csv(path)
     except OSError as exc:
-        raise ConfigError(f"cannot read rhs csv: {exc}") from exc
+        raise ConfigError(f"cannot read {role}: {exc}") from exc
     except (ValueError, NotAnchoredAtAlpha) as exc:
-        raise ConfigError(f"bad rhs csv: {exc}") from exc
+        raise ConfigError(f"bad {role}: {exc}") from exc
     src = data.grid
     pad = 1e-12 * max(1.0, abs(grid.alpha), abs(grid.beta))
     if src.alpha > grid.alpha + pad or src.beta < grid.beta - pad:
         raise ConfigError(
-            f"rhs csv covers [{src.alpha}, {src.beta}] but the grid needs "
+            f"{role} covers [{src.alpha}, {src.beta}] but the grid needs "
             f"[{grid.alpha}, {grid.beta}]"
         )
     cols = [
@@ -213,4 +209,4 @@ def _resample_csv(path, grid: Grid) -> GridFunction:
     try:
         return GridFunction(grid, vals)
     except NotAnchoredAtAlpha as exc:
-        raise ConfigError(f"rhs csv does not vanish at alpha: {exc}") from exc
+        raise ConfigError(f"{role} does not vanish at alpha: {exc}") from exc

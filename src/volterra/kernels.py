@@ -14,16 +14,16 @@ Quadrature never samples tau = t, so evaluators whose time derivative is
 singular on the diagonal (Example 1 below) are safe: v_t and v_tx need
 only be finite on tau < t, v and v_x on tau <= t.
 
-A walk calls an evaluator once per chunk of samples, with t, tau and x
-read-only broadcast views, so an evaluator must never write into its
-inputs.  In-place arithmetic (*=, /=, +=) on its own temporaries, each
-freed as soon as it is spent, keeps few chunk-sized arrays alive at
-once: the allocator then reuses the same heap pages from chunk to chunk
-instead of trimming the heap top and faulting fresh pages in, which can
-cost a walk a fifth of its time.  example1_kernel's evaluators are
-written so.  eval_checked passes 0-d input, whose arithmetic yields
-numpy scalars: augmented assignment rebinds those, an out= argument
-raises.
+A walk calls an evaluator once per chunk of at most 8192 samples, with
+t, tau and x read-only broadcast views (a leaf's triangle: gathered
+arrays), so an evaluator must never write into its inputs.  In-place
+arithmetic (*=, /=, +=) on its own temporaries, each freed as soon as
+it is spent, keeps few chunk-sized arrays alive at once: the allocator
+then reuses the same heap pages from chunk to chunk instead of trimming
+the heap top and faulting fresh pages in, which can cost a walk a fifth
+of its time.  example1_kernel's evaluators are written so.
+eval_checked passes 0-d input, whose arithmetic yields numpy scalars:
+augmented assignment rebinds those, an out= argument raises.
 
 Lag kernels
 -----------
@@ -37,17 +37,19 @@ evaluators were swapped by dataclasses.replace keeps it.
 Kernels smooth in t
 -------------------
 KernelSpec.smooth_in_t = True promises that every evaluator is analytic
-in t on tau < t, for each tau and x.  Quadrature may then take a far
-rectangle of a leaf (columns at least the leaf's width below its first
-row) from 16 Chebyshev times in t per column instead of one sample per
-row.  The promise is checked, not trusted: each column chunk is also
-evaluated on the leaf's first row, and a chunk whose interpolant misses
-that row by more than 1e-13 of its largest value (or is not finite) is
-walked exactly.  The check is a guard against a false declaration, not
-a licence to declare a kernel with a kink or a singularity in t off the
-diagonal: such a kernel falls back only where the check sees it.  A
-lag declaration takes precedence, and the route follows the field as
-the lag route does.
+in t on tau < t, for each tau and x.  Quadrature may then take the far
+columns of every row block of its tree, at every scale from a leaf of
+64 rows up (the columns at least the block's width below its first row),
+from 16 Chebyshev times in t per column instead of one sample per row;
+a walk then takes O(N log N) samples.  The promise is checked, not
+trusted: each block's far columns are also evaluated on its first row,
+and a block whose interpolant misses that row by more than 1e-13 of its
+largest value (or is not finite) is walked exactly, with one DEBUG
+record per walk on the "volterra.quadrature" logger.  The check is a
+guard against a false declaration, not a licence to declare a kernel
+with a kink or a singularity in t off the diagonal: such a kernel falls
+back only where the check sees it.  A lag declaration takes precedence,
+and the route follows the field as the lag route does.
 """
 
 from __future__ import annotations
@@ -126,7 +128,7 @@ class SmoothInT:
     """An evaluator f(t, tau, x) declared analytic in t on tau < t.
 
     Calling it calls f; quadrature reads the wrapper as leave to try
-    Chebyshev interpolation in t on far rectangles, checked chunk by chunk.
+    Chebyshev interpolation in t on far blocks, checked block by block.
     """
 
     f: Callable

@@ -243,8 +243,9 @@ def collocation_solve(kernel: KernelSpec, x0: GridFunction,
 
     Forward substitution by halves (quadrature._by_halves) over leaves
     of quadrature._LEAF nodes: a solved range of nodes enters the rows
-    to its right as one block sum of v_x against h, in column chunks or,
-    with lag factors, one Toeplitz product (O(N log^2 N) in all).  A
+    to its right as one block sum of v_x against h, over the tree of
+    those rows' blocks (quadrature._block_sum) or, with lag factors, one
+    Toeplitz product (O(N log^2 N) in all).  A
     leaf's own nodes are one dense (leaf * dim)^2 solve, whose diagonal
     blocks I + delta/2 * v_x(t_i, m_{i-1}, x0) are checked for
     singularity first.  The discrete equations are satisfied to

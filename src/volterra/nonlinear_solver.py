@@ -105,9 +105,9 @@ def solve_march(kernel, y: GridFunction, x_init: GridFunction | None = None,
     Row i of apply_V(x) = y involves x_0, ..., x_i only, so the nodes
     are solved in leaves [c0, c1) of quadrature._LEAF rows by halves
     (quadrature._by_halves): a solved range of nodes enters the rows to
-    its right once, as history, in v column chunks or, with lag
-    factors, one Toeplitz product.  Each leaf then solves a damped
-    Newton on its own rows, with collocation's leaf matrix of v_x as
+    its right once, as history, over the tree of those rows' blocks
+    (quadrature._block_sum) or, with lag factors, one Toeplitz product.
+    Each leaf then solves a damped Newton on its own rows, with collocation's leaf matrix of v_x as
     its Jacobian; a trial is accepted once it strictly lowers the
     2-norm of the leaf residual.  With b_i = y_i - delta * history_i,
     row i reads b_i - x_i - delta * sum over the leaf's own cells of v;

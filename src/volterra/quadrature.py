@@ -8,33 +8,47 @@ Every integral in the package is discretized with one family of rules:
   the full cells below t_i plus the half cell [t_i, m_i] sampled at its
   own midpoint t_i + delta/4 (weight delta/2), so the closest sample
   stays a distance delta/4 from the diagonal;
-* double integrals over the triangle combine the outer midpoints m_i
+* double integrals over the triangle combine the outer midpoint m_i
   (weight delta) with the inner rule above.
 
 The full-cell part of both rules sums samples f(r_i, m_j, x(m_j)) over
 the strict lower triangle j < i, with r the nodes or the midpoints.  One
-partition serves the sums and the solves: _leaves cuts the rows from
-row 1 into leaves [c0, c1) of _LEAF rows, whose own cells are one
-_leaf_triangle.  The sums take a leaf's cells j < c0 - 1 as one
-_rectangle of column chunks, reduced as they come along rows (columns,
-for the transpose), so memory grows as N.  The solves take the leaves
-by halves (_by_halves), a solved half entering the next as one
-_block_sum.  A non-finite value raises KernelContract naming where it
-is: a walk's first bad row (column), a half-cell sample, or a factor
-of a lag integrand, checked before an FFT spreads it over every row.
+partition serves the sums and the solves.  The rows from row 1 are cut
+into leaves of _LEAF rows, and the leaves are the bottom level of the
+aligned binary tree of row blocks, a block of level k holding 2^k
+leaves.  A leaf's own cells are one triangle.  Every block takes its
+far columns: those at least its own width below its first row that the
+block above it left, so each column of a row falls in one block; a leaf
+also takes, exactly, the fewer than _LEAF columns left between its far
+columns and its triangle.  The sums walk the whole tree at once.  The
+solves go by halves (_by_halves), a solved half entering the rows to
+its right as one _block_sum over the tree of those rows.
+
+A walk is built from a plan (_plan), cached per shape of the walk, that
+holds only block starts and widths.  On the uniform grid the blocks of
+one level have the same shape, so one evaluator call takes as many
+same-shape pieces (far, near or triangle) as fit under _BLOCK_SAMPLES.
+Each call's samples are reduced along rows (columns, for the transpose)
+before the next call, so memory grows as N.  A non-finite value raises
+KernelContract naming where it is: a walk's first bad row (column), a
+half-cell sample, or a factor of a lag integrand, checked before an FFT
+spreads it over every row.
 
 An integrand passed as SmoothInT (KernelSpec.integrand gives one for
-kernels that declare smooth_in_t) is analytic in t off the diagonal.
-_rectangle then takes the far columns of a strip of more than _CHEB
-rows, those at least the strip's width below its first row, at _CHEB
-Chebyshev times in t and interpolates them to the rows (Fong & Darve's
+kernels that declare smooth_in_t) is analytic in t off the diagonal.  A
+block of more than _CHEB rows then takes its far columns at _CHEB
+Chebyshev times in t and interpolates them to its rows (Fong & Darve's
 black-box interpolation, in t alone): 17 samples per column, the exact
-first row included, in place of 64.  A chunk whose interpolant misses
-that exact row by more than _CHEB_TOL of its largest value, or is not
-finite, is walked exactly, so a false declaration costs samples, not
-accuracy, wherever the first row sees it.  The sums apply the
-interpolation matrix after reducing a chunk, the transpose applies its
-transpose to the weights first.
+first row included, in place of one per row.  Every block's far columns
+lie at least its width away, so the interpolation is as accurate at
+every level, and a walk takes O(N log N) samples.  A block whose
+interpolant misses its exact first row by more than _CHEB_TOL of that
+row's largest value, or is not finite, is walked exactly, so a false
+declaration costs samples, not accuracy, wherever a block's first row
+sees it; a walk with such blocks logs one DEBUG record on
+volterra.quadrature.  The sums apply the interpolation matrix after
+reducing a block, the transpose applies its transpose to the weights
+first.
 
 The second route serves integrands w(t - tau) z(x) passed as a
 LagIntegrand (KernelSpec.integrand gives one for kernels that declare
@@ -61,18 +75,27 @@ from .errors import KernelContract
 from .function_space import Grid
 from .kernels import LagIntegrand, SmoothInT, _shaped
 
-# Cap on the (t, tau) samples of one rectangle chunk; a chunk still
-# takes one whole column when a leaf has more rows than that.
-_BLOCK_SAMPLES = 1 << 18
+# Cap on the (t, tau) samples of one evaluator call.  A float64
+# temporary of a full call then takes 64 KB, half glibc's default mmap
+# threshold of 128 KB.  Larger temporaries are mapped afresh, or the heap
+# top trimmed, from call to call, and their pages faulted in again: at
+# a cap of 2^18 a CLI sensitivity run at N = 2000 made about 2,000
+# minor faults, at 2^13 a few dozen.  It must exceed a leaf's triangle,
+# _LEAF (_LEAF + 1) / 2 samples, taken in one call.
+_BLOCK_SAMPLES = 1 << 13
 
 # Rows per leaf of the one partition that every sum and solve walks.
 _LEAF = 64
 
-# Chebyshev times in t per far column of a strip declared SmoothInT, and
-# the largest miss of the strip's exact first row, relative to that
-# row's largest value, at which a chunk's interpolant is accepted.
+# Chebyshev times in t per far column of a block declared SmoothInT, and
+# the largest miss of the block's exact first row, relative to that
+# row's largest value, at which its interpolant is accepted.
 _CHEB = 16
 _CHEB_TOL = 1e-13
+
+# The kinds of piece of a plan: rows by columns sampled exactly, a far
+# block sampled at its Chebyshev times, and a leaf's own triangle.
+_EXACT, _FAR, _TRI = range(3)
 
 
 def cell_midpoint_values(values: np.ndarray) -> np.ndarray:
@@ -89,19 +112,14 @@ def quarter_nodes(grid: Grid) -> np.ndarray:
     return grid.nodes[:-1] + 0.25 * grid.delta
 
 
-def _leaves(n: int):
-    """Yield the leaves [c0, c1) of rows [1, n), _LEAF rows each (the last may be short)."""
-    for c0 in range(1, n, _LEAF):
-        yield c0, min(n, c0 + _LEAF)
-
-
 def _by_halves(n: int, solve_leaf, merge, lo: int = 1) -> None:
     """Solve rows [lo, n) by halves, split only between leaves.
 
     Rows of several leaves split at mid, the leaf boundary that halves
     them: rows [lo, mid) are solved, merge(lo, mid, n) adds their cells
     [lo - 1, mid - 1) to rows [mid, n), and rows [mid, n) are solved.
-    solve_leaf(c0, c1) visits the leaves of _leaves(n) in order.
+    solve_leaf(c0, c1) visits the leaves [c0, c1) of _LEAF rows from
+    row 1 (the last may be short) in order.
     """
     leaves = -(-(n - lo) // _LEAF)
     if leaves == 1:
@@ -112,27 +130,12 @@ def _by_halves(n: int, solve_leaf, merge, lo: int = 1) -> None:
     _by_halves(n, solve_leaf, merge, mid)
 
 
-def _walk(f, rows: np.ndarray, cols: np.ndarray, xc: np.ndarray, lo: int, hi: int):
-    """Yield (j0, f(rows[i], cols[j], xc[j]) for j in [j0, j0 + width)) for
-    consecutive chunks of columns [lo, hi), each of at most _BLOCK_SAMPLES
-    samples (one column at least), passed as slices of broadcast views
-    built once per walk."""
-    width = max(1, _BLOCK_SAMPLES // max(1, rows.size))
-    shape = (rows.size, hi - lo)
-    t = np.broadcast_to(rows[:, None], shape)
-    tau = np.broadcast_to(cols[None, lo:hi], shape)
-    x = np.broadcast_to(xc[None, lo:hi], shape + xc.shape[1:])
-    for j0 in range(0, hi - lo, width):
-        j1 = j0 + width
-        yield lo + j0, np.asarray(f(t[:, j0:j1], tau[:, j0:j1], x[:, j0:j1]), float)
-
-
-@functools.cache
+@functools.lru_cache(maxsize=64)
 def _chebyshev(size: int) -> tuple[np.ndarray, np.ndarray]:
     """The _CHEB first-kind Chebyshev points of [0, 1] and the (size, _CHEB)
     barycentric matrix that interpolates from them to size equispaced
     points from 0 to 1 (none of which is a Chebyshev point); built once
-    per strip size and read-only."""
+    per block height (a few dozen per grid) and read-only."""
     theta = (np.arange(_CHEB) + 0.5) * np.pi / _CHEB
     points = 0.5 + 0.5 * np.cos(theta)
     c = (-1.0) ** np.arange(_CHEB) * np.sin(theta) / np.subtract.outer(np.linspace(0.0, 1.0, size), points)
@@ -142,42 +145,252 @@ def _chebyshev(size: int) -> tuple[np.ndarray, np.ndarray]:
     return points, M
 
 
-def _rectangle(f, rows: np.ndarray, cols: np.ndarray, xc: np.ndarray):
-    """Walk f(rows[i], cols[j], xc[j]) over every row i and column j.
+@functools.cache
+def _tril(size: int, by_column: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs (p, q), q <= p < size, in row order (by_column: column
+    order), and where each row's (column's) run of pairs starts; built
+    once per leaf size and read-only."""
+    if by_column:
+        q, p = np.triu_indices(size)
+    else:
+        p, q = np.tril_indices(size)
+    lead = q if by_column else p
+    starts = np.flatnonzero(np.diff(lead, prepend=-1))
+    for a in (p, q, starts):
+        a.flags.writeable = False
+    return p, q, starts
 
-    Yields (j0, samples, M) for consecutive column chunks [j0, j0 + width)
-    of _walk.  An exact chunk has M None and samples of shape
-    (rows.size, width) + value shape.  For a SmoothInT f on a strip of
-    more than _CHEB equispaced rows, the far columns (at least the
-    strip's width below rows[0]) are evaluated at the strip's _CHEB
-    Chebyshev times plus rows[0]; a chunk whose interpolant meets that
-    exact row to _CHEB_TOL of its largest value comes as the Chebyshev
-    samples and M, the strip's (rows.size, _CHEB) interpolation matrix,
-    and any other chunk (a non-finite one too) is walked exactly.  No
-    chunk is kept after the caller moves on.
+
+def _tiles(h: int, k: int, cap: int):
+    """Yield (dr, rows, dj, cols): the sub-rectangles of h rows by k
+    columns, each of at most cap samples (one sample at least)."""
+    rows = min(h, cap)
+    cols = max(1, cap // rows)
+    for dr in range(0, h, rows):
+        for dj in range(0, k, cols):
+            yield dr, min(rows, h - dr), dj, min(cols, k - dj)
+
+
+@functools.lru_cache(maxsize=64)
+def _plan(n_rows: int, n_cols: int, offset: int, tri: bool, smooth: bool, transpose: bool,
+          leaf: int, cap: int) -> tuple:
+    """The stacks (kind, h, k, n, b0, db, j0, dj) of one walk.
+
+    The walk's pieces cover rows [b0, b0 + h) by columns [j0, j0 + k), a
+    triangle the pairs j0 + q <= j0 + p of its h rows.  Row k lies offset
+    half cells after column k.  With tri, rows [1, n_rows) each take the
+    columns below them and a leaf [c0, c1) the triangle of columns
+    [c0 - 1, c1 - 1); else rows [0, n_rows) each take all n_cols columns.
+
+    A stack is n pieces of k columns for one evaluator call, as many as
+    fit under cap samples (a larger piece alone, in tiles), its m-th
+    piece at columns from j0 + m dj and, h rows high, at rows from
+    b0 + m db: every index of the call is a strided view.  Far pieces
+    enter by their Chebyshev times alone, so their heights may differ: h
+    and b0 are then arrays of each piece's and db is None.  No two
+    pieces of a stack share a row (a column, for the transpose), so a
+    call's sums add into a view without collisions.  Built once per walk
+    shape, by nested functions alone, so that every walk of a shape
+    makes the same calls; it holds a few integers per stack.
     """
-    far = 0
-    if isinstance(f, SmoothInT) and rows.size > _CHEB:
-        # a column exactly the width below rows[0] is far whatever the rounding
-        far = int(np.searchsorted(cols, 2 * rows[0] - rows[-1] + 0.25 * (rows[1] - rows[0])))
-        points, M = _chebyshev(rows.size)
-        times = np.concatenate([rows[:1], rows[0] + (rows[-1] - rows[0]) * points])
-        for j0, S in _walk(f, times, cols, xc, 0, far):
-            miss = np.abs(M[0] @ S[1:].reshape(_CHEB, -1) - S[0].reshape(-1)).max()
-            if miss <= _CHEB_TOL * np.abs(S[0]).max() < math.inf:
-                yield j0, S[1:], M
+    def pieces():
+        # (kind, h, k, b0, j0): the far columns of the blocks, level by
+        # level from the top, then each leaf's near columns and triangle
+        r0 = 1 if tri else 0
+        width = leaf
+        while r0 + width < n_rows:
+            width *= 2
+        columns = np.arange(n_cols)
+        taken = np.zeros(1, int)  # the far edge of each block of the level above
+        while width >= leaf:
+            b0 = np.arange(r0, n_rows, width)
+            h = np.minimum(b0 + width, n_rows) - b0
+            limit = b0 - 1 if tri else np.full(b0.size, n_cols)
+            # a column exactly the width below the first row is far whatever
+            # the rounding: columns lie on whole cells, rows on half cells
+            first = b0 + 0.5 * offset
+            edge = np.minimum(np.searchsorted(columns, 2 * first - (first + h - 1) + 0.25), limit)
+            start = taken[np.arange(b0.size) // 2]
+            taken = np.maximum(edge, start)
+            for hb, rb, a, e in zip(h.tolist(), b0.tolist(), start.tolist(), taken.tolist()):
+                if e > a:
+                    yield _FAR if smooth and hb > _CHEB else _EXACT, hb, e - a, rb, a
+            width //= 2
+        for hb, rb, a, lim in zip(h.tolist(), b0.tolist(), taken.tolist(), limit.tolist()):
+            if lim > a:
+                yield _EXACT, hb, lim - a, rb, a
+        if tri:
+            for hb, rb in zip(h.tolist(), b0.tolist()):
+                yield _TRI, hb, hb, rb, rb - 1
+
+    def joins(stack, h, b0, j0):
+        kind, heights, k, starts, j0s = stack
+        if len(j0s) > 1 and j0 - j0s[-1] != j0s[1] - j0s[0]:
+            return False  # the columns must stride on
+        if kind != _FAR and len(starts) > 1 and b0 - starts[-1] != starts[1] - starts[0]:
+            return False  # and the rows, but for far pieces
+        if transpose:
+            return abs(j0 - j0s[-1]) >= k
+        return all(b0 + h <= b or b + g <= b0 for b, g in zip(starts, heights))
+
+    stacks, open_ = [], {}
+    for kind, h, k, b0, j0 in pieces():
+        size = h * (h + 1) // 2 if kind == _TRI else (_CHEB + 1 if kind == _FAR else h) * k
+        group = open_.setdefault((kind, k) if kind == _FAR else (kind, h, k), [])
+        stack = next((s for s in group if joins(s, h, b0, j0)), None)
+        if stack is None:
+            stack = (kind, [], k, [], [])
+            group.append(stack)
+            stacks.append(stack)
+        stack[1].append(h)
+        stack[3].append(b0)
+        stack[4].append(j0)
+        if len(stack[3]) == max(1, cap // size):
+            group.remove(stack)
+    plan = []
+    for kind, heights, k, starts, j0s in stacks:
+        n = len(starts)
+        db, dj = (starts[1] - starts[0], j0s[1] - j0s[0]) if n > 1 else (0, 0)
+        if kind != _FAR:
+            plan.append((kind, heights[0], k, n, starts[0], db, j0s[0], dj))
+            continue
+        uniform = len(set(heights)) == 1 and all(b - a == db for a, b in zip(starts, starts[1:]))
+        plan.append((kind, np.array(heights), k, n, np.array(starts), db if uniform else None,
+                     j0s[0], dj))
+    return tuple(plan)
+
+
+def _plan_of(f, rows: np.ndarray, cols: np.ndarray, tri: bool, delta: float,
+             transpose: bool = False) -> tuple:
+    """The plan of a walk of f over rows and cols, equispaced by delta."""
+    offset = round(2.0 * (rows[0] - cols[0]) / delta)
+    return _plan(rows.size, cols.size, offset, tri, isinstance(f, SmoothInT), transpose,
+                 _LEAF, _BLOCK_SAMPLES)
+
+
+def _view(a: np.ndarray, start: int, shape: tuple, steps: tuple) -> np.ndarray:
+    """The view of the C-contiguous a whose element [i_0, ..., i_m] (then
+    a's trailing axes) is a[start + steps[0] i_0 + ... + steps[m] i_m]: a
+    strided window, broadcast along a zero step, writable if a is."""
+    s = a.strides[0]
+    return np.ndarray(shape + a.shape[1:], a.dtype, a, start * s,
+                      tuple([step * s for step in steps]) + a.strides[1:])
+
+
+def _far_ok(S: np.ndarray, first_row: np.ndarray) -> np.ndarray:
+    """Per far block of S (block, 1 + _CHEB, column, ...): whether the
+    interpolant, by the weights first_row, meets the exact first row
+    S[:, 0] to _CHEB_TOL of its largest value (false where either is
+    not finite)."""
+    first = S[:, 0].reshape(len(S), -1)
+    miss = np.abs(first_row @ S[:, 1:].reshape(len(S), _CHEB, -1) - first).max(axis=1)
+    tol = _CHEB_TOL * np.abs(first).max(axis=1)
+    return (miss <= tol) & (tol < math.inf)
+
+
+def _add(v: np.ndarray, r: np.ndarray, ok: np.ndarray) -> bool:
+    """v[m] += r[m] for each far block m that passed its check; whether
+    all passed."""
+    if ok.all():
+        v += r
+        return True
+    if ok.any():
+        v[ok] += r[ok]
+    return False
+
+
+def _sweep(f, plan: tuple, rows: np.ndarray, cols: np.ndarray, xc: np.ndarray,
+           hc: np.ndarray | None = None, w: np.ndarray | None = None) -> np.ndarray:
+    """The sums over the pairs of plan of f(rows[i], cols[j], xc[j]).
+
+    Along each row, applied to hc[j] if given; with w, along each column
+    of the transpose, sum over i of f(rows[i], cols[j], xc[j])^T w[i].
+    Rectangles reach the evaluator as read-only broadcast views.  A far
+    block that fails its check is walked exactly in tiles of at most
+    _BLOCK_SAMPLES samples.
+    """
+    rows, cols, xc = (np.ascontiguousarray(a) for a in (rows, cols, xc))
+    hc, w = (None if a is None else np.ascontiguousarray(a) for a in (hc, w))
+    out = np.zeros(((rows if w is None else cols).size, xc.shape[1]))
+
+    def evaluate(t, j0, dj):
+        # f on the broadcast rectangles of times t (n, h, k) and columns from j0 + m dj
+        views = (t, _view(cols, j0, t.shape, (dj, 0, 1)), _view(xc, j0, t.shape, (dj, 0, 1)))
+        for v in views:
+            v.flags.writeable = False
+        return np.asarray(f(*views), float)
+
+    def exact(h, k, n, b0, db, j0, dj):
+        S = evaluate(_view(rows, b0, (n, h, k), (db, 1, 0)), j0, dj)
+        if w is None:
+            v = _view(out, b0, (n, h), (db, 1))
+            v += S.sum(axis=2) if hc is None else np.einsum(
+                "nikab,nkb->nia", S, _view(hc, j0, (n, k), (dj, 1)))
+        else:
+            v = _view(out, j0, (n, k), (dj, 1))
+            v += np.einsum("nikba,nib->nka", S, _view(w, b0, (n, h), (db, 1)))
+
+    def far(h, k, n, b0, db, j0, dj):
+        # far blocks: the first row and the Chebyshev times of each
+        first, last = rows[b0][:, None], rows[b0 + h - 1][:, None]
+        points, M = _chebyshev(int(h[0]))
+        times = np.concatenate([first, first + (last - first) * points], axis=1)
+        S = evaluate(_view(times.reshape(-1), 0, (n, _CHEB + 1, k), (_CHEB + 1, 1, 0)), j0, dj)
+        ok = _far_ok(S, M[0])  # row 0 of each height's matrix: the first row
+        S = S[:, 1:]
+        if w is None:
+            r = S.sum(axis=2) if hc is None else np.einsum(
+                "nckab,nkb->nca", S, _view(hc, j0, (n, k), (dj, 1)))
+            if db is not None:
+                if _add(_view(out, int(b0[0]), (n, int(h[0])), (db, 1)), M @ r, ok):
+                    return
+            else:  # heights differ: each block's rows on their own
+                for m in np.flatnonzero(ok).tolist():
+                    out[b0[m] : b0[m] + h[m]] += _chebyshev(int(h[m]))[1] @ r[m]
+        else:
+            if db is None:
+                wc = np.stack([_chebyshev(g)[1].T @ w[b : b + g]
+                               for b, g in zip(b0.tolist(), h.tolist())])
             else:
-                for j, E in _walk(f, rows, cols, xc, j0, j0 + S.shape[1]):
-                    yield j, E, None
-    for j0, S in _walk(f, rows, cols, xc, far, cols.size):
-        yield j0, S, None
+                wc = M.T @ _view(w, int(b0[0]), (n, int(h[0])), (db, 1))
+            if _add(_view(out, j0, (n, k), (dj, 1)), np.einsum("nckba,ncb->nka", S, wc), ok):
+                return
+        for m in np.flatnonzero(~ok).tolist():
+            fell.append((b0[m], h[m], j0 + m * dj, k))
+            for dr, hh, dc, kk in _tiles(int(h[m]), k, _BLOCK_SAMPLES):
+                exact(hh, kk, 1, int(b0[m]) + dr, 0, j0 + m * dj + dc, 0)
 
+    fell = []
+    for kind, h, k, n, b0, db, j0, dj in plan:
+        if kind == _TRI:
+            p, q, starts = _tril(h, w is not None)
+            ri = (b0 + db * np.arange(n))[:, None] + p
+            ci = (j0 + dj * np.arange(n))[:, None] + q
+            S = np.asarray(f(rows[ri], cols[ci], xc[ci]), float)
+            if w is None:
+                if hc is not None:
+                    S = np.einsum("ntab,ntb->nta", S, hc[ci])
+                v = _view(out, b0, (n, h), (db, 1))
+            else:
+                S = np.einsum("ntba,ntb->nta", S, w[ri])
+                v = _view(out, j0, (n, h), (dj, 1))
+            v += np.add.reduceat(S, starts, axis=1)
+        elif kind == _EXACT:  # a piece too large for one call alone goes in tiles
+            for dr, hh, dc, kk in _tiles(h, k, _BLOCK_SAMPLES // n):
+                exact(hh, kk, n, b0 + dr, db, j0 + dc, dj)
+        else:  # a far block with too many columns for one call goes in chunks
+            step = max(1, _BLOCK_SAMPLES // (n * (_CHEB + 1)))
+            for dc in range(0, k, step):
+                far(h, min(step, k - dc), n, b0, db, j0 + dc, dj)
+    if fell:
+        import logging  # here, not at start-up, which it would cost 5 ms
 
-def _reduce(S: np.ndarray, M, hc: np.ndarray | None, j0: int) -> np.ndarray:
-    """The row sums of a _rectangle chunk, applied to hc[j0 + j] if given,
-    on the strip's rows."""
-    r = S.sum(axis=1) if hc is None else np.einsum("ijab,jb->ia", S, hc[j0 : j0 + S.shape[1]])
-    return r if M is None else M @ r
+        r0, h, j0, k = fell[0]
+        logging.getLogger(__name__).debug(
+            "%d far blocks fell back to exact samples; the first: rows [%d, %d) "
+            "(t from %.10g), columns [%d, %d) (tau from %.10g)",
+            len(fell), r0, r0 + h, rows[r0], j0, j0 + k, cols[j0])
+    return out
 
 
 def _block_sum(f, rows: np.ndarray, cols: np.ndarray, xc: np.ndarray,
@@ -187,29 +400,25 @@ def _block_sum(f, rows: np.ndarray, cols: np.ndarray, xc: np.ndarray,
     A LagIntegrand is one Toeplitz product, rows[i] - cols[j] being
     lags[i - j + cols.size - 1]; zc, if given, is its f.z(xc) from _lag_z,
     which a solve evaluates once and slices per block.  Any other f is
-    walked _LEAF rows at a time.
+    walked over the tree of the rows' blocks, rows and cols lying on one
+    uniform grid of cells and half cells.
     """
     if isinstance(f, LagIntegrand):
         lags = np.concatenate([rows[0] - cols[::-1], rows[1:] - cols[0]])
         a, u = _lag_factors(f, lags, xc, cols, zc=zc)
         u = u if hc is None else np.einsum("jab,jb->ja", u, hc)
         return _causal_conv(a, u, _fft_size(lags.size))[cols.size - 1 :]
-    out = np.zeros((rows.size, xc.shape[1]))
-    for r0 in range(0, rows.size, _LEAF):
-        for j0, S, M in _rectangle(f, rows[r0 : r0 + _LEAF], cols, xc):
-            out[r0 : r0 + _LEAF] += _reduce(S, M, hc, j0)
-    return out
+    spacing = cols[1] - cols[0] if cols.size > 1 else rows[1] - rows[0] if rows.size > 1 else 1.0
+    return _sweep(f, _plan_of(f, rows, cols, False, spacing), rows, cols, xc, hc)
 
 
 @functools.cache
-def _leaf_index(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """np.tril_indices(size) and max(p - q + 1, 0) for all p, q < size,
-    built once per leaf size and read-only."""
-    p, q = np.tril_indices(size)
+def _lag_index(size: int) -> np.ndarray:
+    """max(p - q + 1, 0) for all p, q < size, built once per leaf size
+    and read-only."""
     k = np.maximum(np.subtract.outer(np.arange(size), np.arange(size)) + 1, 0)
-    for a in (p, q, k):
-        a.flags.writeable = False
-    return p, q, k
+    k.flags.writeable = False
+    return k
 
 
 def _leaf_triangle(f, rows: np.ndarray, cols: np.ndarray, xc: np.ndarray,
@@ -225,8 +434,8 @@ def _leaf_triangle(f, rows: np.ndarray, cols: np.ndarray, xc: np.ndarray,
     if isinstance(f, LagIntegrand):
         a = np.zeros(L + 1)  # a[0] = 0 clears q > p
         a[1:], zx = _lag_factors(f, rows - cols[0], xc, cols, zc=zc)
-        return a[_leaf_index(L)[2]].reshape((L, L) + (1,) * (zx.ndim - 1)) * zx
-    p, q, _ = _leaf_index(L)
+        return a[_lag_index(L)].reshape((L, L) + (1,) * (zx.ndim - 1)) * zx
+    p, q, _ = _tril(L, False)
     samples = np.asarray(f(rows[p], cols[q], xc[q]), float)
     out = np.zeros((L, L) + samples.shape[1:])
     out[p, q] = samples
@@ -277,23 +486,6 @@ def _causal_conv(a: np.ndarray, u: np.ndarray, size: int = 0) -> np.ndarray:
     return np.fft.irfft(A * np.fft.rfft(u, size, axis=0), size, axis=0)[:n]
 
 
-def _pieces(f, rows: np.ndarray, cols: np.ndarray, xc: np.ndarray):
-    """Yield (c0, j0, samples, M) covering each pair j < i once, for the
-    sums: samples[p, q] = f(rows[c0 + p], cols[j0 + q], xc[j0 + q]), or
-    (M @ samples)[p, q] for a Chebyshev chunk of _rectangle.
-
-    All rectangles come first, then the leaves' triangles (zero above the
-    diagonal): a caller's loop variable then holds each chunk while the
-    next is evaluated, so the allocator does not hand the walk's pages
-    back to the system between leaves and fault them in again.
-    """
-    for c0, c1 in _leaves(rows.size):
-        for j0, samples, M in _rectangle(f, rows[c0:c1], cols[: c0 - 1], xc[: c0 - 1]):
-            yield c0, j0, samples, M
-    for c0, c1 in _leaves(rows.size):
-        yield c0, c0 - 1, _leaf_triangle(f, rows[c0:c1], cols[c0 - 1 : c1 - 1], xc[c0 - 1 : c1 - 1]), None
-
-
 def _row_sums(f, rows, grid: Grid, values, hvalues, at: str, why: str):
     """delta * sum over j < i of f(rows[i], m_j, x(m_j)), times h(m_j) if given."""
     xm = cell_midpoint_values(values)
@@ -305,10 +497,8 @@ def _row_sums(f, rows, grid: Grid, values, hvalues, at: str, why: str):
         out = _causal_conv(np.concatenate([[0.0], a]), u)
         out[0] = 0.0  # row 0 has no samples; clear the FFT's rounding
         return grid.delta * out
-    out = np.zeros((rows.size, values.shape[1]))
-    for c0, j0, S, M in _pieces(f, rows, grid.midpoints, xm):
-        r = _reduce(S, M, hm, j0)
-        out[c0 : c0 + len(r)] += r
+    mids = grid.midpoints
+    out = _sweep(f, _plan_of(f, rows, mids, True, grid.delta), rows, mids, xm, hm)
     _require_finite(out, f"the sum of the row at {at}", range(rows.size), why)
     return grid.delta * out
 
@@ -356,10 +546,9 @@ def inner_integral_adjoint(fmat, grid: Grid, values: np.ndarray,
         back = _causal_conv(np.concatenate([[0.0], a]), weights[::-1])[::-1]
         col = np.einsum("jba,jb->ja", zx, back)
     else:
-        col = np.zeros((grid.n_cells, weights.shape[1]))
-        for c0, j0, S, M in _pieces(fmat, grid.midpoints, grid.midpoints, xm):
-            w = weights[c0 : c0 + (len(S) if M is None else len(M))]
-            col[j0 : j0 + S.shape[1]] += np.einsum("ijba,ib->ja", S, w if M is None else M.T @ w)
+        mids = grid.midpoints
+        plan = _plan_of(fmat, mids, mids, True, d, transpose=True)
+        col = _sweep(fmat, plan, mids, mids, xm, w=weights)
         _require_finite(col, "the column sum at cell", range(grid.n_cells))
     tail = np.asarray(fmat(grid.midpoints, quarter_nodes(grid), cell_quarter_values(values)), float)
     _require_finite(tail, "the half-cell sample at cell", range(grid.n_cells))

@@ -264,6 +264,26 @@ class TestSensitivity:
         assert main(["sensitivity", str(cfg), "--direction", str(bad),
                      "-o", str(tmp_path / "s.csv")]) == 2
 
+    def test_bad_direction_file_is_named_as_the_direction(self, tmp_path, capsys):
+        # each error names the direction csv, never the rhs, and exits 2
+        cfg = _write_cfg(tmp_path)
+        lifted = tmp_path / "lifted.csv"
+        vt.write_csv(vt.from_callable(lambda t: t, vt.Grid(0.0, 1.0, 100)), lifted)
+        lifted.write_text(lifted.read_text().replace("\n0,0\n", "\n0,1\n", 1))
+        short = tmp_path / "short.csv"
+        vt.write_csv(vt.from_callable(lambda t: t, vt.Grid(0.0, 0.5, 50)), short)
+        cases = [(lifted, "config error: bad direction csv: |x(alpha)| = 1.000e+00"),
+                 (short, "config error: direction csv covers [0.0, 0.5] but the grid "
+                         "needs [0.0, 1.0]"),
+                 (tmp_path / "missing.csv", "config error: cannot read direction csv: ")]
+        for path, message in cases:
+            assert main(["sensitivity", str(cfg), "--direction", str(path),
+                         "-o", str(tmp_path / "s.csv")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(message), err
+            assert "rhs" not in err
+            assert not (tmp_path / "s.csv").exists()
+
 
 class TestDemo:
     def test_example1_artifacts_and_report(self, tmp_path):

@@ -132,6 +132,36 @@ class TestRhs:
             expect = [f(t) for t in cfg.build_grid().nodes]
             assert np.allclose(y.values[:, 0], expect, atol=1e-14)
 
+    def test_expressions_take_the_values_of_one_call_per_node(self):
+        # one numpy call on all nodes gives what from_callable's call per
+        # node gives: "t" bit for bit, sin within 2 ulp; "t^2" is the
+        # correctly rounded square, which the scalar pow behind (t - a) ** 2
+        # can miss by an ulp, but meets bit for bit from alpha = 0
+        for interval in ([0.0, 1.0], [0.1, 0.9], [-1.0, 2.0]):
+            g = vt.Grid(*interval, 2000)
+            a = g.alpha
+            for expr, f in [("t", lambda t: t - a), ("t^2", lambda t: (t - a) ** 2),
+                            ("sin", lambda t: math.sin(t - a))]:
+                cfg = ProblemConfig.from_dict(_base(interval=interval, n_cells=2000,
+                                                    rhs={"expression": expr}))
+                y, ref = cfg.build_rhs(g).values, vt.from_callable(f, g).values
+                ulp = np.abs(y - ref) / np.spacing(np.abs(ref))
+                if expr == "t" or (expr == "t^2" and a == 0.0):
+                    assert np.array_equal(y, ref), (interval, expr)
+                elif expr == "t^2":
+                    assert np.array_equal(y[:, 0], (g.nodes - a) * (g.nodes - a))
+                    assert ulp.max() <= 1
+                else:
+                    assert ulp.max() <= 2, (interval, expr)
+
+    def test_expression_not_anchored_is_rejected(self, monkeypatch):
+        from volterra import config
+
+        monkeypatch.setitem(config._RHS_EXPRESSIONS, "t", lambda s: s + 1.0)
+        cfg = ProblemConfig.from_dict(_base())
+        with pytest.raises(vt.NotAnchoredAtAlpha):
+            cfg.build_rhs(cfg.build_grid())
+
     def test_unknown_expression_rejected(self):
         with pytest.raises(ConfigError):
             ProblemConfig.from_dict(_base(rhs={"expression": "cosh"}))

@@ -180,8 +180,9 @@ def test_import_loads_no_scipy_fft_or_signal():
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_block_sum_matches_the_generic_walk(monkeypatch, dim):
-    # a 3-row strip and 10-sample chunks split the generic walk; the lag
-    # route is one Toeplitz product of 23 rows against 9 columns
+    # 3-row leaves and calls of 10 samples split the generic walk into
+    # tiles; the lag route is one Toeplitz product of 23 rows against 9
+    # columns
     monkeypatch.setattr(quadrature, "_LEAF", 3)
     monkeypatch.setattr(quadrature, "_BLOCK_SAMPLES", 10)
     lag = _lag(dim)

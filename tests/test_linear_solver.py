@@ -347,8 +347,8 @@ class TestCollocation:
         assert np.allclose(h.values[1:], dense, rtol=1e-12, atol=1e-13)
 
     def test_evaluates_each_pair_once(self, monkeypatch):
-        # leaf histories in chunks of at most 60 samples, plus the leaves'
-        # own triangles: the N(N+1)/2 pairs j < i, each once
+        # merges in calls of at most 60 samples, plus the leaves' own
+        # triangles: the N(N+1)/2 pairs j < i, each once
         monkeypatch.setattr(quadrature, "_BLOCK_SAMPLES", 60)
         monkeypatch.setattr(quadrature, "_LEAF", 3)
         sizes = []

@@ -2,10 +2,12 @@
 
 The rules are exact for integrands linear in tau on each cell; several
 tests pin that exactness because the coercivity check relies on it.
-The leaf walk behind both rules and their transpose is checked against
-a plain double loop, with leaves small enough that each walk has
-several and a chunk cap small enough that the later leaves' rectangles
-split into several chunks; the sums must not depend on the leaf size.
+The walk behind both rules and their transpose, a tree of row blocks
+over leaves, is checked against a plain double loop, with leaves small
+enough that each walk has several levels and a cap on the samples of a
+call small enough that the larger blocks split into tiles; the sums
+must not depend on the leaf size, and the partition must take each
+pair once.
 """
 
 import numpy as np
@@ -33,9 +35,9 @@ def _triangle(f2, g):
 
 @pytest.fixture
 def small_blocks(monkeypatch):
-    # 3-row leaves on a 23-cell grid, the last one partial; 30 samples
-    # per chunk, so the rectangles of the leaves from row 13 on take
-    # 10 columns a chunk and split in two
+    # 3-row leaves on a 23-cell grid, the last one partial, under blocks
+    # of 6, 12 and 24 rows; 30 samples per call, so leaves stack several
+    # to a call and the far columns of the larger blocks split into tiles
     monkeypatch.setattr(quadrature, "_BLOCK_SAMPLES", 30)
     monkeypatch.setattr(quadrature, "_LEAF", 3)
 
@@ -238,7 +240,8 @@ def test_walk_evaluates_each_pair_once(monkeypatch, cap):
 
 def test_block_cap_bounds_samples_per_call(monkeypatch):
     # a leaf's own triangle is one call of _LEAF (_LEAF + 1) / 2 = 36
-    # samples; the cap bounds the rectangle chunks
+    # samples, two of them to a call; the cap bounds every stack of
+    # blocks and every tile of a block too large for one call
     monkeypatch.setattr(quadrature, "_BLOCK_SAMPLES", 100)
     monkeypatch.setattr(quadrature, "_LEAF", 8)
     sizes = []
@@ -293,7 +296,7 @@ def test_by_halves_visits_the_leaves_and_takes_each_pair_once(monkeypatch, leaf,
         count[mid:hi, lo - 1 : mid - 1] += 1
 
     quadrature._by_halves(n, solve_leaf, merge)
-    assert visited == list(quadrature._leaves(n))
+    assert visited == [(c0, min(n, c0 + leaf)) for c0 in range(1, n, leaf)]
     assert (count == np.tri(n, n - 1, -1, int)).all()
 
 
@@ -317,3 +320,54 @@ def test_nonfinite_half_cell_sample_is_named():
         inner_integral(f, g, zero, zero)
     with pytest.raises(KernelContract, match="half-cell sample at cell 0 "):
         inner_integral_adjoint(f, g, zero, zero[:-1])
+
+
+def _coverage(plan, shape, offset):
+    """How often the pieces of plan take each (row, column) pair; also
+    checks that each far piece lies at least its block's width below it."""
+    count = np.zeros(shape, int)
+    for kind, h, k, n, b0, db, j0, dj in plan:
+        starts = b0 if kind == quadrature._FAR else b0 + db * np.arange(n)
+        for m, (b, g) in enumerate(zip(starts, np.broadcast_to(h, n))):
+            j = j0 + m * dj
+            if kind == quadrature._TRI:
+                count[b : b + g, j : j + g] += np.tri(g, dtype=int)
+                continue
+            count[b : b + g, j : j + k] += 1
+            if kind == quadrature._FAR:
+                first = b + 0.5 * offset
+                assert g > quadrature._CHEB and j + k - 1 < first - (g - 1) + 0.25
+    return count
+
+
+@pytest.mark.parametrize("cap", [50, quadrature._BLOCK_SAMPLES])
+@pytest.mark.parametrize("leaf", [3, 8, 64])
+@pytest.mark.parametrize("n", [2, 17, 18, 64, 65, 130, 1001])
+def test_partition_takes_each_pair_once(leaf, n, cap):
+    # node rows (half a cell before the columns), midpoint rows, and the
+    # rectangles of the solves' merges, rows right after their columns or
+    # apart; smooth or not, either scatter
+    for smooth in (True, False):
+        for transpose in (True, False):
+            plan = quadrature._plan(n, n - 1, -1, True, smooth, transpose, leaf, cap)
+            assert (_coverage(plan, (n, n - 1), -1) == np.tri(n, n - 1, -1, int)).all()
+            plan = quadrature._plan(n, n, 0, True, smooth, transpose, leaf, cap)
+            assert (_coverage(plan, (n, n), 0) == np.tri(n, n, -1, int)).all()
+            for cols, offset in ((n // 2 + 1, 2 * (n // 2 + 1) + 1), (9, 21)):
+                plan = quadrature._plan(n, cols, offset, False, smooth, transpose, leaf, cap)
+                assert (_coverage(plan, (n, cols), offset) == 1).all()
+
+
+def test_stacks_scatter_without_collisions():
+    # no two pieces of a call share a row of the sums or a column of the
+    # transpose, so each call adds into one strided view
+    for transpose in (True, False):
+        for kind, h, k, n, b0, db, j0, dj in quadrature._plan(1001, 1000, 0, True, True, transpose,
+                                                              64, quadrature._BLOCK_SAMPLES):
+            if transpose:
+                assert n == 1 or abs(dj) >= (h if kind == quadrature._TRI else k)
+            elif kind == quadrature._FAR:
+                spans = sorted(zip(b0, b0 + h))
+                assert all(hi <= lo for (_, hi), (lo, _) in zip(spans, spans[1:]))
+            else:
+                assert n == 1 or abs(db) >= h

@@ -1,14 +1,16 @@
 """The far field in t of kernels that declare smooth_in_t.
 
-A declared kernel's far rectangles are taken from 16 Chebyshev times in
-t per column and interpolated to the strip's rows, each chunk checked
-against its exact first row.  Every route that walks a rectangle must
-give the undeclared kernel's numbers to rounding, with fewer samples;
-a false declaration must fall back where the check sees it, and a
-non-finite sample must raise as it does without the declaration.
+A declared kernel's far columns, block by block of the tree over its
+rows, are taken from 16 Chebyshev times in t per column and interpolated
+to the block's rows, each block checked against its exact first row.
+Every route that walks the tree must give the undeclared kernel's
+numbers to rounding, with the samples of the dyadic rule; a false
+declaration must fall back where the check sees it, and a non-finite
+sample must raise as it does without the declaration.
 """
 
 import dataclasses
+import logging
 
 import numpy as np
 import pytest
@@ -80,24 +82,75 @@ def test_declared_and_undeclared_agree(kernel, n):
 
 def _count(kernel, which):
     """kernel with the evaluator which counting its (t, tau) samples, and the count."""
-    counts = {"samples": 0, "t": []}
+    counts = {"samples": 0, "t": [], "sizes": []}
     f = getattr(kernel, which)
 
     def ev(t, tau, x):
-        counts["samples"] += np.broadcast(np.asarray(t), np.asarray(tau)).size
+        counts["sizes"].append(np.broadcast(np.asarray(t), np.asarray(tau)).size)
+        counts["samples"] += counts["sizes"][-1]
         counts["t"].append(np.unique(t))
         return f(t, tau, x)
 
     return dataclasses.replace(kernel, **{which: ev}), counts
 
 
-def test_one_walk_takes_fewer_than_half_the_samples():
-    grid = vt.Grid(0.0, 1.0, 1000)
+def _rule(n_cells):
+    """The samples of one v walk over the nodes by the dyadic rule.
+
+    Each block of the aligned tree of 64-row leaves from node 1 takes the
+    columns at least its width below its first row that the block above
+    it left, at 17 samples a column (a row a column in a block of at
+    most 16 rows); a leaf then takes the columns left below its first
+    row, and its own triangle, exactly.
+    """
+    grid = vt.Grid(0.0, 1.0, n_cells)
+    nodes, mids, leaf = grid.nodes, grid.midpoints, quadrature._LEAF
+    width = leaf
+    while 1 + width < nodes.size:
+        width *= 2
+    samples, taken = 0, {}  # the far edge of each block of a level, by its first row
+    while width >= leaf:
+        above, taken = taken, {}
+        for c0 in range(1, nodes.size, width):
+            c1 = min(c0 + width, nodes.size)
+            edge = int(np.searchsorted(mids, 2 * nodes[c0] - nodes[c1 - 1] + 0.25 * grid.delta))
+            parent = above.get(c0 - (c0 - 1) % (2 * width), 0)
+            taken[c0] = max(parent, min(edge, c0 - 1))
+            samples += (taken[c0] - parent) * min(c1 - c0, 17)
+            if width == leaf:
+                samples += (c0 - 1 - taken[c0]) * (c1 - c0) + (c1 - c0) * (c1 - c0 + 1) // 2
+        width //= 2
+    return samples
+
+
+@pytest.mark.parametrize("n", [1000, 8000])
+def test_one_walk_takes_the_samples_of_the_dyadic_rule(n):
+    grid = vt.Grid(0.0, 1.0, n)
     x = vt.from_callable(lambda t: 2.0 * np.sin(3.0 * t), grid)
     ker, counts = _count(vt.example1_kernel(1.0), "v")
     node_integral(ker.integrand("v"), grid, x.values)
-    assert counts["samples"] < 1000 * 1001 // 2 / 2
     assert isinstance(ker.integrand("v"), SmoothInT)
+    assert counts["samples"] == _rule(n)
+    assert max(counts["sizes"]) <= quadrature._BLOCK_SAMPLES
+    if n == 1000:
+        # 204,250 samples in 46 calls for the one-level far field
+        assert counts["samples"] == 143_900
+        assert len(counts["sizes"]) <= 30
+    else:
+        assert counts["samples"] < 2_000_000  # 32.0M dense, 9.05M one-level
+
+
+@pytest.mark.parametrize("smooth", [True, False])
+def test_no_evaluator_call_exceeds_the_cap(smooth):
+    # every route's calls, far blocks, tiles of large blocks and leaf
+    # triangles alike, stay under _BLOCK_SAMPLES samples
+    ker = _declared(vt.example1_kernel(1.0), smooth)
+    counts = {}
+    for which in ("v", "v_t", "v_x", "v_tx"):
+        ker, counts[which] = _count(ker, which)
+    _routes(ker, vt.Grid(0.0, 1.0, 2000))
+    for which, c in counts.items():
+        assert 0 < max(c["sizes"]) <= quadrature._BLOCK_SAMPLES, which
 
 
 def test_merges_of_the_solves_take_fewer_samples():
@@ -119,25 +172,45 @@ def _kink(a, smooth):
                             lambda t, tau, x: 0.0 * x, smooth_in_t=smooth)
 
 
-def test_a_false_declaration_falls_back_on_the_leaf_with_the_kink():
+def test_a_false_declaration_falls_back_on_the_blocks_with_the_kink(caplog):
+    caplog.set_level(logging.DEBUG, logger="volterra.quadrature")
     grid = vt.Grid(0.0, 1.0, 1000)
     x = vt.from_callable(lambda t: 2.0 * np.sin(3.0 * t), grid)
     kink = lambda t: np.abs(np.asarray(t) - 0.5)
-    samples, sums = {}, {}
+    samples, sums, records = {}, {}, {}
     for name, a, smooth in [("kink", kink, True), ("exact", kink, False),
                             ("twin", lambda t: np.asarray(t) - 0.5, True)]:
         ker, counts = _count(_kink(a, smooth), "v")
+        caplog.clear()
         sums[name] = node_integral(ker.integrand("v"), grid, x.values)
-        samples[name] = counts["samples"]
-    # the leaf of nodes [449, 513) holds 1/2: its far columns, those at
-    # least 63 cells below node 449, are walked exactly as well
-    c0 = 1 + quadrature._LEAF * (499 // quadrature._LEAF)
-    far = np.searchsorted(grid.midpoints, grid.nodes[c0] - 63 * grid.delta)
-    assert (c0, far) == (449, 386)
-    assert samples["kink"] == samples["twin"] + quadrature._LEAF * far
+        samples[name], records[name] = counts["samples"], [r.getMessage() for r in caplog.records]
+    # node 500 (t = 1/2) lies inside the blocks of nodes [c0, 513) for c0
+    # = 449, 385, 257 and 1; each of the first three walks its own far
+    # columns [lo, hi) exactly as well, the last has none
+    nodes, mids, d = grid.nodes, grid.midpoints, grid.delta
+    blocks = {449: (258, 386), 385: (2, 258), 257: (0, 2)}
+    for c0, (lo, hi) in blocks.items():
+        parent = c0 - (c0 - 1) % (2 * (513 - c0))
+        assert np.searchsorted(mids, 2 * nodes[c0] - nodes[512] + d / 4) == hi
+        assert max(0, np.searchsorted(mids, 2 * nodes[parent] - nodes[512] + d / 4)) == lo
+    assert np.searchsorted(mids, 2 * nodes[1] - nodes[512] + d / 4) == 0
+    extra = sum((513 - c0) * (hi - lo) for c0, (lo, hi) in blocks.items())
+    assert extra == 41_472
+    assert samples["kink"] == samples["twin"] + extra
     assert samples["twin"] < samples["kink"] < samples["exact"]
     ref = sums["exact"]
     assert np.abs(sums["kink"] - ref).max() <= 1e-14 * np.abs(ref).max()
+    # one DEBUG record per walk that fell back, naming the first block
+    assert records["kink"] == ["3 far blocks fell back to exact samples; the first: "
+                               "rows [257, 513) (t from 0.257), columns [0, 2) (tau from 0.0005)"]
+    assert records["twin"] == records["exact"] == []
+
+
+def test_example1_logs_no_fallback(caplog):
+    caplog.set_level(logging.DEBUG, logger="volterra.quadrature")
+    grid = vt.Grid(0.0, 1.0, 1000)
+    _routes(vt.example1_kernel(1.0), grid)
+    assert caplog.records == []
 
 
 @pytest.mark.parametrize("smooth", [True, False])
@@ -150,6 +223,40 @@ def test_nonfinite_sample_raises_as_without_the_declaration(smooth):
     x = vt.from_callable(lambda t: 2.0 * np.sin(3.0 * t), grid)
     with pytest.raises(vt.KernelContract, match="row at node 751 is not finite"):
         vt.apply_V(ker, x)
+
+
+def _nan_past(kernel, which, t0):
+    """kernel with the evaluator which nan at t > t0."""
+    f = getattr(kernel, which)
+
+    def broken(t, tau, x):
+        out = f(t, tau, x)
+        t = np.asarray(t).reshape(np.shape(t) + (1,) * (out.ndim - np.ndim(t)))
+        return np.where(t > t0, np.nan, out)
+
+    return dataclasses.replace(kernel, **{which: broken})
+
+
+def test_nonfinite_messages_are_those_without_the_declaration():
+    # every route names the same first bad row, column or node whether
+    # its far blocks are interpolated or walked exactly
+    grid = vt.Grid(0.0, 1.0, 1000)
+    x = vt.from_callable(lambda t: 2.0 * np.sin(3.0 * t), grid)
+    w = np.ones((grid.n_cells, 1))
+    routes = {
+        "v_t": lambda k: inner_integral(k.integrand("v_t"), grid, x.values),
+        "v_tx": lambda k: inner_integral_adjoint(k.integrand("v_tx"), grid, x.values, w),
+        "v_x": lambda k: vt.collocation_solve(k, x, x),
+        "v": lambda k: vt.solve_march(k, x),
+    }
+    for which, route in routes.items():
+        messages = []
+        for smooth in (True, False):
+            ker = _nan_past(_declared(vt.example1_kernel(1.0), smooth), which, 0.6)
+            with pytest.raises(vt.KernelContract, match="is not finite") as err:
+                route(ker)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1], which
 
 
 @pytest.mark.parametrize("n, chebyshev", [(16, False), (80, False), (81, True)])
