@@ -2,9 +2,11 @@
 
 T is the Volterra integral operator with kernel v_x(t, tau, x0(tau)).
 Two routes are provided: a Neumann iteration h <- g - T h whose factorial
-tail certificate gives an a-priori error bound, and a direct triangular
-collocation solve.  Both discretize T identically, so they converge to
-the same node values and can cross-check each other.
+tail gives an a-priori error bound, and a direct triangular collocation
+solve.  The tail bounds the error only where l_rho bounds v_x and v_tx
+on the ball; estimate_l_rho samples them, so it may fall short of the
+supremum (ROADMAP item 3(a)).  Both routes discretize T identically, so
+they converge to the same node values and can cross-check each other.
 """
 
 from __future__ import annotations
@@ -73,7 +75,8 @@ class NeumannBound:
 
 
 def iterate_bound(k: int, bound: NeumannBound) -> float:
-    """Certified bound on ||T^k g||: D * A^(k-1) / (k-1)!."""
+    """Bound on ||T^k g||: D * A^(k-1) / (k-1)!, where l_rho bounds
+    v_x and v_tx on the ball."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     # Multiplicative evaluation keeps A = 0 and large k exact and overflow-free.
@@ -150,11 +153,14 @@ def estimate_l_rho(kernel: KernelSpec, rho: float, samples: int,
     Takes the max of the spectral norm of v_x over a deterministic
     Halton sample of the triangle times the ball of radius rho, inflated
     by a fixed safety factor of 1.1.  With include_time_derivative the
-    max also covers v_tx; the Neumann tail certificate needs that joint
-    bound because the derivative norm of each term runs through v_tx.
-    A non-finite sample raises KernelContract: max() would skip a nan.
+    max also covers v_tx; the Neumann tail bound needs that joint bound
+    because the derivative norm of each term runs through v_tx.  The
+    result is an estimate, not a bound: a peak between the samples can
+    exceed it (for example1_kernel(1.0) at rho = 10 with 2048 samples,
+    2.5516 against sup |v_tx| = 2.6787).  A non-finite sample raises
+    KernelContract: max() would skip a nan.
     """
-    if rho <= 0:
+    if not rho > 0:
         raise ValueError("rho must be positive")
     if samples < 1:
         raise ValueError("samples must be positive")
@@ -202,13 +208,15 @@ def neumann_solve(kernel: KernelSpec, x0: GridFunction, g: GridFunction,
 
     It starts from h = 0, whose image T 0 = 0 needs no walk, so each
     iteration makes one apply_T.  Stops once the computed residual
-    ||h + T h - g|| drops to tol or the a-priori factorial tail
-    certifies the remaining gap is below tol.  On max_iter exhaustion
-    the report is returned with converged=False; no exception is raised.
+    ||h + T h - g|| drops to tol or the a-priori factorial tail puts
+    the remaining gap below tol; that tail bounds the gap only where
+    the estimated l_rho bounds v_x and v_tx on the ball.  On max_iter
+    exhaustion the report is returned with converged=False; no
+    exception is raised.
     """
     _require_same(x0, g)
     _require_kernel_dim(kernel, x0)
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     grid = g.grid
     tri = TriangularDomain(grid.alpha, grid.beta)
@@ -243,14 +251,15 @@ def collocation_solve(kernel: KernelSpec, x0: GridFunction,
 
     Forward substitution by halves (quadrature._by_halves) over leaves
     of quadrature._LEAF nodes: a solved range of nodes enters the rows
-    to its right as one block sum of v_x against h, over the tree of
-    those rows' blocks (quadrature._block_sum) or, with lag factors, one
-    Toeplitz product (O(N log^2 N) in all).  A
-    leaf's own nodes are one dense (leaf * dim)^2 solve, whose diagonal
-    blocks I + delta/2 * v_x(t_i, m_{i-1}, x0) are checked for
-    singularity first.  The discrete equations are satisfied to
-    rounding, so the residual measured with apply_T is at machine
-    level.  A non-finite v_x sample raises KernelContract naming where.
+    to its right as one sum of v_x against h, quadrature._block_sum,
+    the one sum of the package, which walks the tree of those rows'
+    blocks or, with lag factors, takes one Toeplitz product
+    (O(N log^2 N) in all).  A leaf's own nodes are one dense
+    (leaf * dim)^2 solve, whose diagonal blocks
+    I + delta/2 * v_x(t_i, m_{i-1}, x0) are checked for singularity
+    first.  The discrete equations are satisfied to rounding, so the
+    residual measured with apply_T is at machine level.  A non-finite
+    v_x sample raises KernelContract naming where.
     """
     _require_same(x0, g)
     _require_kernel_dim(kernel, x0)

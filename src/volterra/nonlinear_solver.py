@@ -60,7 +60,7 @@ def solve_newton(kernel, y: GridFunction, x_init: GridFunction | None = None,
     MaxIterExceeded or LineSearchStalled with the partial report
     attached.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     x = x_init if x_init is not None else y
     r = y - apply_V(kernel, x)
@@ -105,10 +105,11 @@ def solve_march(kernel, y: GridFunction, x_init: GridFunction | None = None,
     Row i of apply_V(x) = y involves x_0, ..., x_i only, so the nodes
     are solved in leaves [c0, c1) of quadrature._LEAF rows by halves
     (quadrature._by_halves): a solved range of nodes enters the rows to
-    its right once, as history, over the tree of those rows' blocks
-    (quadrature._block_sum) or, with lag factors, one Toeplitz product.
-    Each leaf then solves a damped Newton on its own rows, with collocation's leaf matrix of v_x as
-    its Jacobian; a trial is accepted once it strictly lowers the
+    its right once, as history, by quadrature._block_sum, the one sum of
+    the package, which walks the tree of those rows' blocks or, with lag
+    factors, takes one Toeplitz product.  Each leaf then solves a damped
+    Newton on its own rows, with collocation's leaf matrix of v_x as its
+    Jacobian; a trial is accepted once it strictly lowers the
     2-norm of the leaf residual.  With b_i = y_i - delta * history_i,
     row i reads b_i - x_i - delta * sum over the leaf's own cells of v;
     a leaf is done when every row residual is at the rounding floor of
@@ -123,7 +124,7 @@ def solve_march(kernel, y: GridFunction, x_init: GridFunction | None = None,
     LineSearchStalled; each with the partial report attached.  A
     non-finite sample of v or v_x raises KernelContract naming where.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     _require_kernel_dim(kernel, y)
     if x_init is not None:
@@ -237,7 +238,7 @@ def solve_gradient(kernel, y: GridFunction, x_init: GridFunction | None = None,
     last iterate when MaxIterExceeded is raised with the report
     attached, so a solve walks v once, for its report.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     x = x_init if x_init is not None else y
     F, D = _merit(kernel, x, y)

@@ -20,9 +20,12 @@ leaves.  A leaf's own cells are one triangle.  Every block takes its
 far columns: those at least its own width below its first row that the
 block above it left, so each column of a row falls in one block; a leaf
 also takes, exactly, the fewer than _LEAF columns left between its far
-columns and its triangle.  The sums walk the whole tree at once.  The
-solves go by halves (_by_halves), a solved half entering the rows to
-its right as one _block_sum over the tree of those rows.
+columns and its triangle.  Every sum is one call of _block_sum, the
+one place that chooses its route: the triangles of node_integral and
+inner_integral, the transpose in inner_integral_adjoint, and the
+rectangles of the solves, which go by halves (_by_halves), a solved
+half entering the rows to its right as one _block_sum over the tree of
+those rows.  A leaf's own dense matrix (_leaf_triangle) is not a sum.
 
 A walk is built from a plan (_plan), cached per shape of the walk, that
 holds only block starts and widths.  On the uniform grid the blocks of
@@ -30,9 +33,9 @@ one level have the same shape, so one evaluator call takes as many
 same-shape pieces (far, near or triangle) as fit under _BLOCK_SAMPLES.
 Each call's samples are reduced along rows (columns, for the transpose)
 before the next call, so memory grows as N.  A non-finite value raises
-KernelContract naming where it is: a walk's first bad row (column), a
-half-cell sample, or a factor of a lag integrand, checked before an FFT
-spreads it over every row.
+KernelContract naming where it is: a sum's first bad row (column), on
+either route, a half-cell sample, or a factor of a lag integrand,
+checked before an FFT spreads it over every row.
 
 An integrand passed as SmoothInT (KernelSpec.integrand gives one for
 kernels that declare smooth_in_t) is analytic in t off the diagonal.  A
@@ -50,13 +53,14 @@ volterra.quadrature.  The sums apply the interpolation matrix after
 reducing a block, the transpose applies its transpose to the weights
 first.
 
-The second route serves integrands w(t - tau) z(x) passed as a
-LagIntegrand (KernelSpec.integrand gives one for kernels that declare
-lag factors).  On the uniform grid r_i - m_j = r_{i-j} - m_0, so the
-full-cell sum is the causal convolution of the symbol w(r_k - m_0) with
-z(x(m_j)) (times h(m_j)), taken by FFT at O(N log N); the transpose is
-the same convolution run backwards, a block sum a Toeplitz product,
-and a solve by halves O(N log^2 N).
+The second route of _block_sum serves integrands w(t - tau) z(x)
+passed as a LagIntegrand (KernelSpec.integrand gives one for kernels
+that declare lag factors).  On the uniform grid r_i - m_j = r_{i-j} - m_0,
+so every sum is one Toeplitz product, taken by FFT at O(N log N): the
+triangle convolves the symbol w(r_k - m_0), zero at k = 0, with
+z(x(m_j)) (times h(m_j)); a rectangle's symbol spans its R + C - 1
+lags; the transpose runs the same symbol over the reversed weights.
+A solve by halves then costs O(N log^2 N).
 
 The certification module evaluates declared growth bounds on exactly
 these nodes.  That alignment matters: it turns the discrete coercivity
@@ -96,6 +100,8 @@ _CHEB_TOL = 1e-13
 # The kinds of piece of a plan: rows by columns sampled exactly, a far
 # block sampled at its Chebyshev times, and a leaf's own triangle.
 _EXACT, _FAR, _TRI = range(3)
+
+_KERNEL = "the kernel must be finite on tau < t"
 
 
 def cell_midpoint_values(values: np.ndarray) -> np.ndarray:
@@ -260,14 +266,6 @@ def _plan(n_rows: int, n_cols: int, offset: int, tri: bool, smooth: bool, transp
     return tuple(plan)
 
 
-def _plan_of(f, rows: np.ndarray, cols: np.ndarray, tri: bool, delta: float,
-             transpose: bool = False) -> tuple:
-    """The plan of a walk of f over rows and cols, equispaced by delta."""
-    offset = round(2.0 * (rows[0] - cols[0]) / delta)
-    return _plan(rows.size, cols.size, offset, tri, isinstance(f, SmoothInT), transpose,
-                 _LEAF, _BLOCK_SAMPLES)
-
-
 def _view(a: np.ndarray, start: int, shape: tuple, steps: tuple) -> np.ndarray:
     """The view of the C-contiguous a whose element [i_0, ..., i_m] (then
     a's trailing axes) is a[start + steps[0] i_0 + ... + steps[m] i_m]: a
@@ -394,22 +392,47 @@ def _sweep(f, plan: tuple, rows: np.ndarray, cols: np.ndarray, xc: np.ndarray,
 
 
 def _block_sum(f, rows: np.ndarray, cols: np.ndarray, xc: np.ndarray,
-               hc: np.ndarray | None = None, zc: np.ndarray | None = None) -> np.ndarray:
+               hc: np.ndarray | None = None, zc: np.ndarray | None = None, *,
+               tri: bool = False, w: np.ndarray | None = None, why: str = _KERNEL) -> np.ndarray:
     """sum over j of f(rows[i], cols[j], xc[j]), applied to hc[j] if given.
 
-    A LagIntegrand is one Toeplitz product, rows[i] - cols[j] being
-    lags[i - j + cols.size - 1]; zc, if given, is its f.z(xc) from _lag_z,
-    which a solve evaluates once and slices per block.  Any other f is
-    walked over the tree of the rows' blocks, rows and cols lying on one
-    uniform grid of cells and half cells.
+    With tri, row i takes the columns j < i alone, so row 0 takes none.
+    With w, the transpose: per column j, the sum over i of
+    f(rows[i], cols[j], xc[j])^T w[i].  rows and cols lie on one uniform
+    grid of cells and half cells.  A LagIntegrand is one Toeplitz
+    product, rows[i] - cols[j] being the lag rows[i - j] - cols[0] (the
+    lag rows[0] - cols[j - i] for j > i); zc, if given, is its f.z(xc)
+    from _lag_z, which a solve evaluates once and slices per block, and
+    a non-finite factor raises KernelContract ending in why.  Any other
+    f is walked over the tree of the rows' blocks.  This is the one
+    place that chooses the route of a sum.
     """
+    R, C = rows.size, cols.size
     if isinstance(f, LagIntegrand):
-        lags = np.concatenate([rows[0] - cols[::-1], rows[1:] - cols[0]])
-        a, u = _lag_factors(f, lags, xc, cols, zc=zc)
-        u = u if hc is None else np.einsum("jab,jb->ja", u, hc)
-        return _causal_conv(a, u, _fft_size(lags.size))[cols.size - 1 :]
-    spacing = cols[1] - cols[0] if cols.size > 1 else rows[1] - rows[0] if rows.size > 1 else 1.0
-    return _sweep(f, _plan_of(f, rows, cols, False, spacing), rows, cols, xc, hc)
+        # the symbol a: w at the lags rows[0] - cols[C - 1], ..., rows[R - 1] - cols[0]
+        # (with tri: 0, then rows[1:] - cols[0]).  Row i reads entry s + i of
+        # a's causal convolution with u, column j of the transpose entry
+        # s + R - 1 - j of that with the reversed w; no entry read wraps.
+        lags = rows[1:] - cols[0]
+        if not tri:
+            lags = np.concatenate([rows[0] - cols[::-1], lags])
+        a, z = _lag_factors(f, lags, xc, cols, why, zc)
+        if tri:
+            a = np.concatenate([[0.0], a])
+        s, size = a.size - R, _fft_size(R + C - 1)
+        u = w[::-1] if w is not None else z if hc is None else np.einsum("jab,jb->ja", z, hc)
+        A = np.fft.rfft(a, size).reshape((-1,) + (1,) * (u.ndim - 1))
+        y = np.fft.irfft(A * np.fft.rfft(u, size, axis=0), size, axis=0)
+        if w is not None:
+            return np.einsum("jba,jb->ja", z, y[s + R - C : s + R][::-1])
+        y = y[s : s + R]
+        if tri:
+            y[0] = 0.0  # row 0 has no samples; clear the FFT's rounding
+        return y
+    spacing = cols[1] - cols[0] if C > 1 else rows[1] - rows[0] if R > 1 else 1.0
+    offset = round(2.0 * (rows[0] - cols[0]) / spacing)
+    plan = _plan(R, C, offset, tri, isinstance(f, SmoothInT), w is not None, _LEAF, _BLOCK_SAMPLES)
+    return _sweep(f, plan, rows, cols, xc, hc, w)
 
 
 @functools.cache
@@ -442,9 +465,6 @@ def _leaf_triangle(f, rows: np.ndarray, cols: np.ndarray, xc: np.ndarray,
     return out
 
 
-_KERNEL = "the kernel must be finite on tau < t"
-
-
 def _require_finite(a: np.ndarray, what: str, where, why: str = _KERNEL) -> np.ndarray:
     """Return a, or raise KernelContract naming where[p] for its first row p
     with a non-finite entry; why says what must be finite."""
@@ -474,33 +494,19 @@ def _fft_size(n: int) -> int:
     return 1 << max(0, n - 1).bit_length()
 
 
-def _causal_conv(a: np.ndarray, u: np.ndarray, size: int = 0) -> np.ndarray:
-    """y[i] = sum over j <= i of a[i - j] u[j] for i < len(a), by FFT.
-
-    u has shape (m, ...) with m <= len(a); the sum runs along axis 0.  A
-    size below the default, but at least len(a), wraps into y[: m - 1].
-    """
-    n = a.size
-    size = size or _fft_size(n + u.shape[0] - 1)
-    A = np.fft.rfft(a, size).reshape((-1,) + (1,) * (u.ndim - 1))
-    return np.fft.irfft(A * np.fft.rfft(u, size, axis=0), size, axis=0)[:n]
-
-
 def _row_sums(f, rows, grid: Grid, values, hvalues, at: str, why: str):
     """delta * sum over j < i of f(rows[i], m_j, x(m_j)), times h(m_j) if given."""
-    xm = cell_midpoint_values(values)
     hm = None if hvalues is None else cell_midpoint_values(hvalues)
-    if isinstance(f, LagIntegrand):
-        # the symbol w(r_k - m_0), zero at k = 0 (no sample j < 0)
-        a, zx = _lag_factors(f, rows[1:] - grid.midpoints[0], xm, grid.midpoints, why)
-        u = zx if hm is None else np.einsum("jab,jb->ja", zx, hm)
-        out = _causal_conv(np.concatenate([[0.0], a]), u)
-        out[0] = 0.0  # row 0 has no samples; clear the FFT's rounding
-        return grid.delta * out
-    mids = grid.midpoints
-    out = _sweep(f, _plan_of(f, rows, mids, True, grid.delta), rows, mids, xm, hm)
+    out = _block_sum(f, rows, grid.midpoints, cell_midpoint_values(values), hm, tri=True, why=why)
     _require_finite(out, f"the sum of the row at {at}", range(rows.size), why)
     return grid.delta * out
+
+
+def _half_cells(f, grid: Grid, values: np.ndarray, why: str = _KERNEL) -> np.ndarray:
+    """f(m_i, t_i + delta/4, x(t_i + delta/4)) for every cell i, checked:
+    the sample of the trailing half cell of the inner rule."""
+    tail = np.asarray(f(grid.midpoints, quarter_nodes(grid), cell_quarter_values(values)), float)
+    return _require_finite(tail, "the half-cell sample at cell", range(grid.n_cells), why)
 
 
 def node_integral(f, grid: Grid, values: np.ndarray,
@@ -524,8 +530,7 @@ def inner_integral(f, grid: Grid, values: np.ndarray,
     non-finite sample raises KernelContract ending in why.
     """
     out = _row_sums(f, grid.midpoints, grid, values, hvalues, "cell", why)
-    tail = np.asarray(f(grid.midpoints, quarter_nodes(grid), cell_quarter_values(values)), float)
-    _require_finite(tail, "the half-cell sample at cell", range(grid.n_cells), why)
+    tail = _half_cells(f, grid, values, why)
     if hvalues is not None:
         tail = np.einsum("pab,pb->pa", tail, cell_quarter_values(hvalues))
     return out + 0.5 * grid.delta * tail
@@ -539,20 +544,11 @@ def inner_integral_adjoint(fmat, grid: Grid, values: np.ndarray,
     sum(weights * inner_integral(fmat, grid, values, h)) for all h.
     """
     d = grid.delta
-    xm = cell_midpoint_values(values)
     _require_finite(weights, "the weight at cell", range(grid.n_cells), "weights must be finite")
-    if isinstance(fmat, LagIntegrand):
-        a, zx = _lag_factors(fmat, grid.midpoints[1:] - grid.midpoints[0], xm, grid.midpoints)
-        back = _causal_conv(np.concatenate([[0.0], a]), weights[::-1])[::-1]
-        col = np.einsum("jba,jb->ja", zx, back)
-    else:
-        mids = grid.midpoints
-        plan = _plan_of(fmat, mids, mids, True, d, transpose=True)
-        col = _sweep(fmat, plan, mids, mids, xm, w=weights)
-        _require_finite(col, "the column sum at cell", range(grid.n_cells))
-    tail = np.asarray(fmat(grid.midpoints, quarter_nodes(grid), cell_quarter_values(values)), float)
-    _require_finite(tail, "the half-cell sample at cell", range(grid.n_cells))
-    q = 0.5 * d * np.einsum("pba,pb->pa", tail, weights)
+    mids = grid.midpoints
+    col = _block_sum(fmat, mids, mids, cell_midpoint_values(values), tri=True, w=weights)
+    _require_finite(col, "the column sum at cell", range(grid.n_cells))
+    q = 0.5 * d * np.einsum("pba,pb->pa", _half_cells(fmat, grid, values), weights)
     u = np.zeros((grid.n_cells + 1, weights.shape[1]))
     u[:-1] += 0.5 * d * col + 0.75 * q
     u[1:] += 0.5 * d * col + 0.25 * q

@@ -40,7 +40,7 @@ def fd_discrepancy(kernel, a: GridFunction, h: GridFunction, s_lin: GridFunction
     """Relative derivative-norm gap between a linearized sensitivity
     s_lin, taken at a in direction h, and the central difference
     quotient of the solution map; two nonlinear solves."""
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     x_plus, _ = solve_march(kernel, axpy(epsilon, h, a), tol=tol, max_iter=max_iter)
     x_minus, _ = solve_march(kernel, axpy(-epsilon, h, a), tol=tol, max_iter=max_iter)
@@ -63,7 +63,7 @@ def robustness_modulus(kernel, a: GridFunction, n_probes: int, delta: float,
     """
     if n_probes < 1:
         raise ValueError("n_probes must be positive")
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError("delta must be positive")
     x_a, _ = solve_march(kernel, a, tol=tol, max_iter=max_iter)
     rng = np.random.default_rng(seed)

@@ -195,6 +195,57 @@ def test_block_sum_matches_the_generic_walk(monkeypatch, dim):
         walk = quadrature._block_sum(_twin(lag).integrand(which), rows, cols, xc, h)
         assert fast.shape == (23, dim)
         assert _rel(fast, walk) <= 1e-13
+    # the triangle on node and midpoint rows, then every shape transposed
+    xm, hm = rng.standard_normal((40, dim)), rng.standard_normal((40, dim))
+    for rows, cols, x, h, tri in ((g.nodes, g.midpoints, xm, hm, True),
+                                  (g.midpoints, g.midpoints, xm, hm, True),
+                                  (rows, cols, xc, hc, False)):
+        w = rng.standard_normal((rows.size, dim))
+        for which, kw in (("v", {}), ("v_x", {"hc": h}), ("v_x", {"w": w})):
+            fast = quadrature._block_sum(lag.integrand(which), rows, cols, x, tri=tri, **kw)
+            walk = quadrature._block_sum(_twin(lag).integrand(which), rows, cols, x, tri=tri, **kw)
+            assert fast.shape == ((cols if "w" in kw else rows).size, dim)
+            assert _rel(fast, walk) <= 1e-13
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("route", ["lag", "walk"])
+def test_block_sum_transpose_is_its_adjoint(monkeypatch, dim, route):
+    # a merge's shape: the cells [4, 12) entering the node rows [13, 38)
+    monkeypatch.setattr(quadrature, "_LEAF", 3)
+    monkeypatch.setattr(quadrature, "_BLOCK_SAMPLES", 10)
+    ker = _lag(dim) if route == "lag" else _twin(_lag(dim))
+    f = ker.integrand("v_x")
+    g = vt.Grid(0.0, 1.3, 40)
+    rng = np.random.default_rng(dim)
+    rows, cols = g.nodes[13:38], g.midpoints[4:12]
+    xc, h, w = (rng.standard_normal((n, dim)) for n in (8, 8, 25))
+    forward = w * quadrature._block_sum(f, rows, cols, xc, h)
+    back = h * quadrature._block_sum(f, rows, cols, xc, w=w)
+    assert abs(forward.sum() - back.sum()) <= 1e-13 * np.abs(forward).sum()
+
+
+@pytest.mark.parametrize("call, named", [
+    ("apply_V", "the sum of the row at node 1 "),
+    ("apply_T", "the sum of the row at node 1 "),
+    ("functional_gradient", "the sum of the row at cell 1 "),
+], ids=["apply_V", "apply_T", "functional_gradient"])
+def test_overflowing_lag_sums_raise_kernel_contract(call, named):
+    # w = 1e308 and z(x) = x are finite, their Toeplitz products are not:
+    # the check of the sums names the first row, as on the generic walk
+    def big(s):
+        return np.full_like(np.asarray(s, float), 1e308)
+
+    ker = vt.lag_kernel(w=big, w_prime=big, z=lambda x: x,
+                        z_prime=lambda x: np.ones_like(x)[..., None])
+    g = vt.Grid(0.0, 1.0, 100)
+    x = vt.from_callable(lambda t: t, g)
+    run = {"apply_V": lambda: vt.apply_V(ker, x),
+           "apply_T": lambda: vt.apply_T(ker, x, x),
+           "functional_gradient": lambda: vt.functional_gradient(ker, x, x)}[call]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(vt.KernelContract, match=named):
+            run()
 
 
 def _counting_z(calls):

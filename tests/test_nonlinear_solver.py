@@ -371,6 +371,23 @@ def test_overflowing_leaf_solution_raises_kernel_contract():
         collocation_solve(ker, y, y)
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda k, y: solve_march(k, y, tol=math.nan), "tol"),
+    (lambda k, y: solve_newton(k, y, tol=math.nan), "tol"),
+    (lambda k, y: solve_gradient(k, y, tol=math.nan), "tol"),
+    (lambda k, y: vt.neumann_solve(k, y, y, tol=math.nan), "tol"),
+    (lambda k, y: vt.directional_sensitivity(k, y, y, tol=math.nan), "tol"),
+    (lambda k, y: vt.fd_discrepancy(k, y, y, y, epsilon=math.nan), "epsilon"),
+    (lambda k, y: vt.robustness_modulus(k, y, 2, delta=math.nan), "delta"),
+    (lambda k, y: vt.estimate_l_rho(k, rho=math.nan, samples=16), "rho"),
+], ids=["march", "newton", "gradient", "neumann", "sensitivity", "fd", "robustness", "l_rho"])
+def test_nan_fails_the_positivity_guards(call, name):
+    # nan <= 0 is false: each guard must reject what is not > 0
+    y = from_callable(lambda t: t, Grid(0.0, 1.0, 8))
+    with pytest.raises(ValueError, match=f"{name} must be positive"):
+        call(linear_kernel(0.5), y)
+
+
 class TestGradient:
     def test_zero_kernel_converges_immediately(self, unit_grid, rng):
         # F = half the squared distance to y; the lifted gradient points at y
