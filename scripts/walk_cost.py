@@ -1,0 +1,86 @@
+"""What one tree walk of quadrature costs, and how much of it is the kernel.
+
+For example1_kernel(1.0) at x = 2 sin 3t, prints per N the time of the
+v_t walk of inner_integral and of the v_tx transpose of
+inner_integral_adjoint, each with example1's evaluator and with a free
+one that returns a cached zero array of the shape asked for, and the
+evaluator calls per walk.  The free walk is quadrature's own cost: the
+views, the far checks, the reductions and the scatter.  Times are the
+best of --repeat runs in one process.
+
+    python scripts/walk_cost.py [--cells 1000 2000 16000] [--repeat 20]
+"""
+
+import argparse
+import time
+
+import numpy as np
+
+import volterra as vt
+from volterra.kernels import SmoothInT
+from volterra.quadrature import inner_integral, inner_integral_adjoint
+
+
+def _free(trailing):
+    """A SmoothInT evaluator that returns a cached zero array of the
+    shape of t (quadrature passes t and tau at the sample shape) plus
+    trailing."""
+    zeros = {}
+
+    def ev(t, tau, x):
+        shape = t.shape + trailing
+        if shape not in zeros:
+            zeros[shape] = np.zeros(shape)
+        return zeros[shape]
+
+    return SmoothInT(ev)
+
+
+def _counted(f):
+    """f as a SmoothInT evaluator, and the count of its calls."""
+    calls = [0]
+
+    def ev(t, tau, x):
+        calls[0] += 1
+        return f(t, tau, x)
+
+    return SmoothInT(ev), calls
+
+
+def _best(walk, repeat):
+    walk()  # a shape is laid out on its first walk
+    best = float("inf")
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        walk()
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__)
+    ap.add_argument("--cells", type=int, nargs="+", default=[1000, 2000, 16000])
+    ap.add_argument("--repeat", type=int, default=20)
+    args = ap.parse_args()
+    kernel = vt.example1_kernel(1.0)
+    print(f"{'walk':>5} {'N':>6} {'example1 ms':>12} {'free ms':>9} {'free/ex1':>9} {'calls':>6}")
+    for which, trailing in (("v_t", (1,)), ("v_tx", (1, 1))):
+        for n in args.cells:
+            grid = vt.Grid(0.0, 1.0, n)
+            x = vt.from_callable(lambda t: 2.0 * np.sin(3.0 * t), grid).values
+            w = np.cos(7.0 * grid.midpoints)[:, None]
+            counted, calls = _counted(getattr(kernel, which))
+            evaluators = (kernel.integrand(which), _free(trailing), counted)
+            if which == "v_t":
+                walks = [lambda f=f: inner_integral(f, grid, x) for f in evaluators]
+            else:
+                walks = [lambda f=f: inner_integral_adjoint(f, grid, x, w) for f in evaluators]
+            t_ex1, t_free = (_best(walk, args.repeat) for walk in walks[:2])
+            walks[2]()
+            name = which if which == "v_t" else "v_tx'"
+            print(f"{name:>5} {n:>6} {1e3 * t_ex1:>12.3f} {1e3 * t_free:>9.3f} "
+                  f"{t_free / t_ex1:>9.2f} {calls[0]:>6}")
+
+
+if __name__ == "__main__":
+    main()

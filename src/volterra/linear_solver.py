@@ -52,6 +52,9 @@ class NeumannBound:
         A = l_rho * (beta - alpha)
 
     and the k-th Neumann term satisfies ||T^k g|| <= D A^(k-1) / (k-1)!.
+    l_rho and M must be nonnegative, NaN is rejected; either may be inf,
+    and the bounds then read inf, vacuous but true.  If either is 0 the
+    iterates vanish, and so do D and the bounds.
     """
 
     l_rho: float
@@ -61,8 +64,8 @@ class NeumannBound:
     A: float
 
     def __post_init__(self):
-        if self.l_rho < 0 or self.M < 0:
-            raise ValueError("l_rho and M must be nonnegative")
+        if not self.l_rho >= 0 or not self.M >= 0:
+            raise ValueError(f"l_rho and M must be nonnegative, got {self.l_rho} and {self.M}")
 
     @classmethod
     def for_interval(cls, l_rho: float, M: float, alpha: float, beta: float) -> "NeumannBound":
@@ -70,8 +73,9 @@ class NeumannBound:
             raise ValueError("need beta > alpha")
         length = beta - alpha
         C = math.sqrt(length) * (1.0 + length)
-        return cls(l_rho=float(l_rho), M=float(M), C=C,
-                   D=C * float(M) * float(l_rho), A=float(l_rho) * length)
+        l_rho, M = float(l_rho), float(M)
+        return cls(l_rho=l_rho, M=M, C=C, D=C * M * l_rho if M and l_rho else 0.0,
+                   A=l_rho * length)
 
 
 def iterate_bound(k: int, bound: NeumannBound) -> float:
@@ -79,6 +83,8 @@ def iterate_bound(k: int, bound: NeumannBound) -> float:
     v_x and v_tx on the ball."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    if bound.D == 0.0:
+        return 0.0  # also for A = inf
     # Multiplicative evaluation keeps A = 0 and large k exact and overflow-free.
     term = bound.D
     for j in range(1, k):

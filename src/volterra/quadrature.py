@@ -27,11 +27,19 @@ rectangles of the solves, which go by halves (_by_halves), a solved
 half entering the rows to its right as one _block_sum over the tree of
 those rows.  A leaf's own dense matrix (_leaf_triangle) is not a sum.
 
-A walk is built from a plan (_plan), cached per shape of the walk, that
-holds only block starts and widths.  On the uniform grid the blocks of
-one level have the same shape, so one evaluator call takes as many
-same-shape pieces (far, near or triangle) as fit under _BLOCK_SAMPLES.
-Each call's samples are reduced along rows (columns, for the transpose)
+A walk is laid out once per shape.  Its plan (_plan) holds the
+evaluator calls as block starts and widths: on the uniform grid the
+blocks of one level have the same shape, so one call takes as many
+same-shape pieces (far, near or triangle) as fit under _BLOCK_SAMPLES,
+and a stack too large for one call is several.  The walk of the shape
+(_walk) owns buffers for the rows, columns, x, h or the weights, the far
+times and the sums, and holds every call's views of them, a far call's
+interpolation matrix, and the weights of the far check.  A walk copies
+its grid and inputs in, derives the first row and Chebyshev times of
+every far block in one gather, and per call only evaluates f, checks a
+far call, reduces and adds; a triangle gathers its samples' t, tau and
+x first.  Nothing of one grid's values is kept for the next.  Each
+call's samples are reduced along rows (columns, for the transpose)
 before the next call, so memory grows as N.  A non-finite value raises
 KernelContract naming where it is: a sum's first bad row (column), on
 either route, a half-cell sample, or a factor of a lag integrand,
@@ -72,6 +80,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 
 import numpy as np
 
@@ -152,52 +161,61 @@ def _chebyshev(size: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.cache
-def _tril(size: int, by_column: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _tril(size: int, by_column: bool) -> tuple[np.ndarray, ...]:
     """The pairs (p, q), q <= p < size, in row order (by_column: column
-    order), and where each row's (column's) run of pairs starts; built
-    once per leaf size and read-only."""
+    order), where each row's (column's) run of pairs starts, and the
+    runs' lengths; built once per leaf size and read-only."""
     if by_column:
         q, p = np.triu_indices(size)
     else:
         p, q = np.tril_indices(size)
     lead = q if by_column else p
     starts = np.flatnonzero(np.diff(lead, prepend=-1))
-    for a in (p, q, starts):
+    runs = np.diff(starts, append=lead.size)
+    for a in (p, q, starts, runs):
         a.flags.writeable = False
-    return p, q, starts
+    return p, q, starts, runs
 
 
-def _tiles(h: int, k: int, cap: int):
-    """Yield (dr, rows, dj, cols): the sub-rectangles of h rows by k
-    columns, each of at most cap samples (one sample at least)."""
+@functools.lru_cache(maxsize=256)
+def _tiles(h: int, k: int, cap: int) -> tuple:
+    """The sub-rectangles (dr, rows, dj, cols) of h rows by k columns, each
+    of at most cap samples (one sample at least); built once per shape."""
     rows = min(h, cap)
     cols = max(1, cap // rows)
-    for dr in range(0, h, rows):
-        for dj in range(0, k, cols):
-            yield dr, min(rows, h - dr), dj, min(cols, k - dj)
+    return tuple((dr, min(rows, h - dr), dj, min(cols, k - dj))
+                 for dr in range(0, h, rows) for dj in range(0, k, cols))
 
 
 @functools.lru_cache(maxsize=64)
 def _plan(n_rows: int, n_cols: int, offset: int, tri: bool, smooth: bool, transpose: bool,
           leaf: int, cap: int) -> tuple:
-    """The stacks (kind, h, k, n, b0, db, j0, dj) of one walk.
+    """The evaluator calls (kind, h, k, n, b0, db, j0, dj) of one walk.
 
     The walk's pieces cover rows [b0, b0 + h) by columns [j0, j0 + k), a
     triangle the pairs j0 + q <= j0 + p of its h rows.  Row k lies offset
     half cells after column k.  With tri, rows [1, n_rows) each take the
     columns below them and a leaf [c0, c1) the triangle of columns
     [c0 - 1, c1 - 1); else rows [0, n_rows) each take all n_cols columns.
+    A block of such a rectangle whose far columns number _CHEB or fewer,
+    too few to pay for a call of their own, leaves them to the level
+    below: to its child blocks or, at a leaf, to its exact columns.  In a
+    merge of the solves, rows right after the columns, the top block's
+    are one or two.  In the triangle such pieces of several levels stack
+    into one call, and the walk keeps the dyadic rule.
 
-    A stack is n pieces of k columns for one evaluator call, as many as
-    fit under cap samples (a larger piece alone, in tiles), its m-th
-    piece at columns from j0 + m dj and, h rows high, at rows from
-    b0 + m db: every index of the call is a strided view.  Far pieces
-    enter by their Chebyshev times alone, so their heights may differ: h
-    and b0 are then arrays of each piece's and db is None.  No two
-    pieces of a stack share a row (a column, for the transpose), so a
-    call's sums add into a view without collisions.  Built once per walk
-    shape, by nested functions alone, so that every walk of a shape
-    makes the same calls; it holds a few integers per stack.
+    A stack is n pieces of k columns, as many as fit under cap samples,
+    its m-th piece at columns from j0 + m dj and, h rows high, at rows
+    from b0 + m db: every index of the call is a strided view.  Far
+    pieces enter by their Chebyshev times alone, so their heights may
+    differ: h and b0 are then arrays of each piece's and db is None.  No
+    two pieces of a stack share a row (a column, for the transpose), so
+    a call's sums add into a view without collisions.  A stack too large
+    for one call is several: an exact one in tiles of at most cap
+    samples, a far one in chunks of its columns.  Built once per walk
+    shape, by nested or cached helpers alone, so that every walk of a
+    shape, the first included, calls the same module functions; it
+    holds a few integers per call.
     """
     def pieces():
         # (kind, h, k, b0, j0): the far columns of the blocks, level by
@@ -218,6 +236,8 @@ def _plan(n_rows: int, n_cols: int, offset: int, tri: bool, smooth: bool, transp
             edge = np.minimum(np.searchsorted(columns, 2 * first - (first + h - 1) + 0.25), limit)
             start = taken[np.arange(b0.size) // 2]
             taken = np.maximum(edge, start)
+            if smooth and not tri:  # slivers go to the level below
+                taken = np.where((taken - start <= _CHEB) & (h > _CHEB), start, taken)
             for hb, rb, a, e in zip(h.tolist(), b0.tolist(), start.tolist(), taken.tolist()):
                 if e > a:
                     yield _FAR if smooth and hb > _CHEB else _EXACT, hb, e - a, rb, a
@@ -253,142 +273,206 @@ def _plan(n_rows: int, n_cols: int, offset: int, tri: bool, smooth: bool, transp
         stack[4].append(j0)
         if len(stack[3]) == max(1, cap // size):
             group.remove(stack)
-    plan = []
+    calls = []
     for kind, heights, k, starts, j0s in stacks:
         n = len(starts)
         db, dj = (starts[1] - starts[0], j0s[1] - j0s[0]) if n > 1 else (0, 0)
-        if kind != _FAR:
-            plan.append((kind, heights[0], k, n, starts[0], db, j0s[0], dj))
-            continue
-        uniform = len(set(heights)) == 1 and all(b - a == db for a, b in zip(starts, starts[1:]))
-        plan.append((kind, np.array(heights), k, n, np.array(starts), db if uniform else None,
-                     j0s[0], dj))
-    return tuple(plan)
+        if kind == _TRI:
+            calls.append((kind, heights[0], k, n, starts[0], db, j0s[0], dj))
+        elif kind == _EXACT:
+            calls.extend((kind, hh, kk, n, starts[0] + dr, db, j0s[0] + dc, dj)
+                         for dr, hh, dc, kk in _tiles(heights[0], k, cap // n))
+        else:
+            uniform = len(set(heights)) == 1 and all(b - a == db for a, b in zip(starts, starts[1:]))
+            h, b0 = np.array(heights), np.array(starts)
+            step = max(1, cap // (n * (_CHEB + 1)))
+            calls.extend((kind, h, min(step, k - dc), n, b0, db if uniform else None, j0s[0] + dc, dj)
+                         for dc in range(0, k, step))
+    return tuple(calls)
 
 
-def _view(a: np.ndarray, start: int, shape: tuple, steps: tuple) -> np.ndarray:
-    """The view of the C-contiguous a whose element [i_0, ..., i_m] (then
-    a's trailing axes) is a[start + steps[0] i_0 + ... + steps[m] i_m]: a
-    strided window, broadcast along a zero step, writable if a is."""
-    s = a.strides[0]
-    return np.ndarray(shape + a.shape[1:], a.dtype, a, start * s,
-                      tuple([step * s for step in steps]) + a.strides[1:])
+@functools.lru_cache(maxsize=64)
+def _walk(n_rows: int, n_cols: int, offset: int, tri: bool, smooth: bool, transpose: bool,
+          leaf: int, cap: int, dim: int):
+    """The walk of one shape: sums(f, rows, cols, xc, hc=None, w=None),
+    the sums over the calls of _plan of f(rows[i], cols[j], xc[j]), for
+    integrands of dim components.
 
-
-def _far_ok(S: np.ndarray, first_row: np.ndarray) -> np.ndarray:
-    """Per far block of S (block, 1 + _CHEB, column, ...): whether the
-    interpolant, by the weights first_row, meets the exact first row
-    S[:, 0] to _CHEB_TOL of its largest value (false where either is
-    not finite)."""
-    first = S[:, 0].reshape(len(S), -1)
-    miss = np.abs(first_row @ S[:, 1:].reshape(len(S), _CHEB, -1) - first).max(axis=1)
-    tol = _CHEB_TOL * np.abs(first).max(axis=1)
-    return (miss <= tol) & (tol < math.inf)
-
-
-def _add(v: np.ndarray, r: np.ndarray, ok: np.ndarray) -> bool:
-    """v[m] += r[m] for each far block m that passed its check; whether
-    all passed."""
-    if ok.all():
-        v += r
-        return True
-    if ok.any():
-        v[ok] += r[ok]
-    return False
-
-
-def _sweep(f, plan: tuple, rows: np.ndarray, cols: np.ndarray, xc: np.ndarray,
-           hc: np.ndarray | None = None, w: np.ndarray | None = None) -> np.ndarray:
-    """The sums over the pairs of plan of f(rows[i], cols[j], xc[j]).
-
-    Along each row, applied to hc[j] if given; with w, along each column
-    of the transpose, sum over i of f(rows[i], cols[j], xc[j])^T w[i].
-    Rectangles reach the evaluator as read-only broadcast views.  A far
-    block that fails its check is walked exactly in tiles of at most
-    _BLOCK_SAMPLES samples.
+    Along each row, applied to hc[j] if given; with w (transpose), along
+    each column, sum over i of f(rows[i], cols[j], xc[j])^T w[i].  The
+    walk owns a buffer for each of rows, cols, xc, hc or w, the far
+    times and the sums, and every view of every call is built once, over
+    them: rectangles reach the evaluator as read-only broadcast views, a
+    triangle as arrays gathered from its strided views; a far call also
+    holds its interpolation matrix.  A walk copies its inputs in,
+    derives the first row and Chebyshev times of every far block in one
+    gather, and then each call only evaluates f, checks a far call
+    against its exact first rows, reduces and adds.  A far block that
+    fails its check is walked exactly in tiles of at most cap samples.
+    Evaluators must not keep their inputs past a call.  A walk of the
+    shape while this one is in use (an evaluator's own walk, another
+    thread) builds a walk of its own.  Built by nested or cached helpers
+    alone, as _plan is.
     """
-    rows, cols, xc = (np.ascontiguousarray(a) for a in (rows, cols, xc))
-    hc, w = (None if a is None else np.ascontiguousarray(a) for a in (hc, w))
-    out = np.zeros(((rows if w is None else cols).size, xc.shape[1]))
+    size = _CHEB + 1
+    rows, cols = np.empty(n_rows), np.empty(n_cols)
+    xc = np.empty((n_cols, dim))
+    hc_or_w = np.empty((n_rows if transpose else n_cols, dim))
+    out = np.empty((n_cols if transpose else n_rows, dim))
+    # the weights on a far call's 1 + _CHEB rows of samples that give the
+    # interpolant's miss of the first row, and that row itself: row 0 of
+    # every height's matrix interpolates to the first row
+    points, M = _chebyshev(size)
+    checks = np.zeros((2, size))
+    checks[0, 0], checks[0, 1:], checks[1, 0] = -1.0, M[0], 1.0
+    # the far blocks in call order (column chunks of a stack share its blocks)
+    plan = _plan(n_rows, n_cols, offset, tri, smooth, transpose, leaf, cap)
+    blocks, firsts, lasts = {}, [], []
+    for kind, h, k, n, b0, db, j0, dj in plan:
+        if kind == _FAR and (key := (tuple(b0.tolist()), tuple(h.tolist()))) not in blocks:
+            blocks[key] = len(firsts)
+            firsts.extend(b0.tolist())
+            lasts.extend((b0 + h - 1).tolist())
+    firsts, lasts = np.array(firsts, int), np.array(lasts, int)
+    times = np.empty((firsts.size, size))
 
-    def evaluate(t, j0, dj):
-        # f on the broadcast rectangles of times t (n, h, k) and columns from j0 + m dj
-        views = (t, _view(cols, j0, t.shape, (dj, 0, 1)), _view(xc, j0, t.shape, (dj, 0, 1)))
-        for v in views:
-            v.flags.writeable = False
-        return np.asarray(f(*views), float)
+    def view(a, shape, start, steps, writable=False):
+        # the window of a whose element [i] (a row, if a is 2-D) is
+        # a[start + steps . i], broadcast along a zero step
+        s = a.strides[0]
+        v = np.ndarray(shape + a.shape[1:], float, a, s * start,
+                       tuple([step * s for step in steps]) + a.strides[1:])
+        v.flags.writeable = writable
+        return v
+
+    def sides(n, h, k, b0, db, j0, dj):
+        # the (n, h) rows of out or w and the (n, k) columns of hc or out
+        r = view(out if not transpose else hc_or_w, (n, h), b0, (db, 1), not transpose)
+        c = view(hc_or_w if not transpose else out, (n, k), j0, (dj, 1), transpose)
+        return r, c
 
     def exact(h, k, n, b0, db, j0, dj):
-        S = evaluate(_view(rows, b0, (n, h, k), (db, 1, 0)), j0, dj)
-        if w is None:
-            v = _view(out, b0, (n, h), (db, 1))
-            v += S.sum(axis=2) if hc is None else np.einsum(
-                "nikab,nkb->nia", S, _view(hc, j0, (n, k), (dj, 1)))
-        else:
-            v = _view(out, j0, (n, k), (dj, 1))
-            v += np.einsum("nikba,nib->nka", S, _view(w, b0, (n, h), (db, 1)))
+        shape = (n, h, k)
+        return (_EXACT, view(rows, shape, b0, (db, 1, 0)), view(cols, shape, j0, (dj, 0, 1)),
+                view(xc, shape, j0, (dj, 0, 1)), *sides(n, h, k, b0, db, j0, dj))
 
-    def far(h, k, n, b0, db, j0, dj):
-        # far blocks: the first row and the Chebyshev times of each
-        first, last = rows[b0][:, None], rows[b0 + h - 1][:, None]
-        points, M = _chebyshev(int(h[0]))
-        times = np.concatenate([first, first + (last - first) * points], axis=1)
-        S = evaluate(_view(times.reshape(-1), 0, (n, _CHEB + 1, k), (_CHEB + 1, 1, 0)), j0, dj)
-        ok = _far_ok(S, M[0])  # row 0 of each height's matrix: the first row
-        S = S[:, 1:]
-        if w is None:
-            r = S.sum(axis=2) if hc is None else np.einsum(
-                "nckab,nkb->nca", S, _view(hc, j0, (n, k), (dj, 1)))
-            if db is not None:
-                if _add(_view(out, int(b0[0]), (n, int(h[0])), (db, 1)), M @ r, ok):
-                    return
-            else:  # heights differ: each block's rows on their own
-                for m in np.flatnonzero(ok).tolist():
-                    out[b0[m] : b0[m] + h[m]] += _chebyshev(int(h[m]))[1] @ r[m]
-        else:
-            if db is None:
-                wc = np.stack([_chebyshev(g)[1].T @ w[b : b + g]
-                               for b, g in zip(b0.tolist(), h.tolist())])
-            else:
-                wc = M.T @ _view(w, int(b0[0]), (n, int(h[0])), (db, 1))
-            if _add(_view(out, j0, (n, k), (dj, 1)), np.einsum("nckba,ncb->nka", S, wc), ok):
-                return
-        for m in np.flatnonzero(~ok).tolist():
-            fell.append((b0[m], h[m], j0 + m * dj, k))
-            for dr, hh, dc, kk in _tiles(int(h[m]), k, _BLOCK_SAMPLES):
-                exact(hh, kk, 1, int(b0[m]) + dr, 0, j0 + m * dj + dc, 0)
-
-    fell = []
+    calls = []
     for kind, h, k, n, b0, db, j0, dj in plan:
-        if kind == _TRI:
-            p, q, starts = _tril(h, w is not None)
-            ri = (b0 + db * np.arange(n))[:, None] + p
-            ci = (j0 + dj * np.arange(n))[:, None] + q
-            S = np.asarray(f(rows[ri], cols[ci], xc[ci]), float)
-            if w is None:
-                if hc is not None:
-                    S = np.einsum("ntab,ntb->nta", S, hc[ci])
-                v = _view(out, b0, (n, h), (db, 1))
-            else:
-                S = np.einsum("ntba,ntb->nta", S, w[ri])
-                v = _view(out, j0, (n, h), (dj, 1))
-            v += np.add.reduceat(S, starts, axis=1)
-        elif kind == _EXACT:  # a piece too large for one call alone goes in tiles
-            for dr, hh, dc, kk in _tiles(h, k, _BLOCK_SAMPLES // n):
-                exact(hh, kk, n, b0 + dr, db, j0 + dc, dj)
-        else:  # a far block with too many columns for one call goes in chunks
-            step = max(1, _BLOCK_SAMPLES // (n * (_CHEB + 1)))
-            for dc in range(0, k, step):
-                far(h, min(step, k - dc), n, b0, db, j0 + dc, dj)
-    if fell:
-        import logging  # here, not at start-up, which it would cost 5 ms
+        if kind == _EXACT:
+            calls.append(exact(h, k, n, b0, db, j0, dj))
+        elif kind == _TRI:
+            p, q, starts, runs = _tril(h, transpose)
+            r, c = sides(n, h, h, b0, db, j0, dj)
+            calls.append((_TRI, view(rows, (n, h), b0, (db, 1)), view(cols, (n, h), j0, (dj, 1)),
+                          view(xc, (n, h), j0, (dj, 1)), r, c, p, q, starts, runs))
+        else:
+            shape, fb = (n, size, k), blocks[(tuple(b0.tolist()), tuple(h.tolist()))]
+            r, c = sides(n, int(h[0]), k, int(b0[0]), db or 0, j0, dj)
+            heights = None if db is not None else tuple(
+                (b, g, _chebyshev(g)[1]) for b, g in zip(b0.tolist(), h.tolist()))
+            calls.append((_FAR, view(times.reshape(-1), shape, size * fb, (size, 1, 0)),
+                          view(cols, shape, j0, (dj, 0, 1)), view(xc, shape, j0, (dj, 0, 1)),
+                          r, c, _chebyshev(int(h[0]))[1], heights,
+                          (h.tolist(), b0.tolist(), k, j0, dj)))
+    lock = threading.Lock()
 
-        r0, h, j0, k = fell[0]
-        logging.getLogger(__name__).debug(
-            "%d far blocks fell back to exact samples; the first: rows [%d, %d) "
-            "(t from %.10g), columns [%d, %d) (tau from %.10g)",
-            len(fell), r0, r0 + h, rows[r0], j0, j0 + k, cols[j0])
-    return out
+    def sums(f, rows_in, cols_in, xc_in, hc=None, w=None):
+        if not lock.acquire(blocking=False):
+            return _walk.__wrapped__(n_rows, n_cols, offset, tri, smooth, transpose, leaf, cap,
+                                     dim)(f, rows_in, cols_in, xc_in, hc, w)
+        try:
+            rows[:], cols[:], xc[:] = rows_in, cols_in, xc_in
+            if hc is not None or w is not None:
+                hc_or_w[:] = w if transpose else hc
+            out.fill(0.0)
+            if firsts.size:  # the first row and the Chebyshev times of every far block
+                a = rows[firsts][:, None]
+                times[:] = np.concatenate([a, a + (rows[lasts][:, None] - a) * points], axis=1)
+            fell = run(f.f if isinstance(f, SmoothInT) else f, hc is not None)
+            if fell:
+                import logging  # here, not at start-up, which it would cost 5 ms
+
+                r0, h, j0, k = fell[0]
+                logging.getLogger(__name__).debug(
+                    "%d far blocks fell back to exact samples; the first: rows [%d, %d) "
+                    "(t from %.10g), columns [%d, %d) (tau from %.10g)",
+                    len(fell), r0, r0 + h, rows[r0], j0, j0 + k, cols[j0])
+            return out.copy()
+        finally:
+            lock.release()
+
+    def run(f, with_h):
+        # the calls in order; the far blocks that fell back
+        def sample_exact(call):
+            _, t, tau, x, r, c = call
+            S = np.asarray(f(t, tau, x), float)
+            if transpose:
+                c += np.einsum("nikba,nib->nka", S, r)
+            elif with_h:
+                r += np.einsum("nikab,nkb->nia", S, c)
+            else:
+                r += add(S, 2)
+
+        def sample_far(call):
+            _, t, tau, x, r, c, M, heights, (h, b0, k, j0, dj) = call
+            S = np.asarray(f(t, tau, x), float)
+            # per block, the largest miss of its exact first row by the
+            # interpolant and that row's largest value, by one product;
+            # the bound must be finite, and no non-finite miss meets it
+            n = len(S)
+            check = largest(np.abs(checks @ S.reshape(n, size, -1)), 2).tolist()
+            ok = [miss <= _CHEB_TOL * top < math.inf for miss, top in check]
+            passed = all(ok)
+            S = S[:, 1:]
+            if transpose:
+                if heights is None:
+                    wc = M.T @ r
+                else:
+                    wc = np.stack([Mg.T @ hc_or_w[b : b + g] for b, g, Mg in heights])
+                v, s = c, np.einsum("nckba,ncb->nka", S, wc)
+            else:
+                s = np.einsum("nckab,nkb->nca", S, c) if with_h else add(S, 2)
+                if heights is None:
+                    v, s = r, M @ s
+                else:  # heights differ: each block's rows on their own
+                    v = None
+                    for m in range(n):
+                        if ok[m]:
+                            b, g, Mg = heights[m]
+                            out[b : b + g] += Mg @ s[m]
+            if passed:
+                if v is not None:
+                    v += s
+                return
+            ok = np.array(ok)
+            if v is not None and ok.any():
+                v[ok] += s[ok]
+            for m in np.flatnonzero(~ok).tolist():
+                fell.append((b0[m], h[m], j0 + m * dj, k))
+                for dr, hh, dc, kk in _tiles(h[m], k, cap):
+                    sample_exact(exact(hh, kk, 1, b0[m] + dr, 0, j0 + m * dj + dc, 0))
+
+        def sample_triangle(call):
+            _, t, tau, x, r, c, p, q, starts, runs = call
+            if transpose:  # in column order: column q repeats over its run
+                t, tau, x = t.take(p, 1), tau.repeat(runs, 1), x.repeat(runs, 1)
+            else:  # in row order: row p repeats over its run
+                t, tau, x = t.repeat(runs, 1), tau.take(q, 1), x.take(q, 1)
+            S = np.asarray(f(t, tau, x), float)
+            if transpose:
+                c += np.add.reduceat(np.einsum("ntba,ntb->nta", S, r.take(p, 1)), starts, 1)
+            elif with_h:
+                r += np.add.reduceat(np.einsum("ntab,ntb->nta", S, c.take(q, 1)), starts, 1)
+            else:
+                r += np.add.reduceat(S, starts, 1)
+
+        fell, sample, add, largest = [], (sample_exact, sample_far, sample_triangle), \
+            np.add.reduce, np.maximum.reduce
+        for call in calls:
+            sample[call[0]](call)
+        return fell
+
+    return sums
 
 
 def _block_sum(f, rows: np.ndarray, cols: np.ndarray, xc: np.ndarray,
@@ -431,8 +515,9 @@ def _block_sum(f, rows: np.ndarray, cols: np.ndarray, xc: np.ndarray,
         return y
     spacing = cols[1] - cols[0] if C > 1 else rows[1] - rows[0] if R > 1 else 1.0
     offset = round(2.0 * (rows[0] - cols[0]) / spacing)
-    plan = _plan(R, C, offset, tri, isinstance(f, SmoothInT), w is not None, _LEAF, _BLOCK_SAMPLES)
-    return _sweep(f, plan, rows, cols, xc, hc, w)
+    walk = _walk(R, C, offset, tri, isinstance(f, SmoothInT), w is not None, _LEAF,
+                 _BLOCK_SAMPLES, xc.shape[1])
+    return walk(f, rows, cols, xc, hc, w)
 
 
 @functools.cache
@@ -458,7 +543,7 @@ def _leaf_triangle(f, rows: np.ndarray, cols: np.ndarray, xc: np.ndarray,
         a = np.zeros(L + 1)  # a[0] = 0 clears q > p
         a[1:], zx = _lag_factors(f, rows - cols[0], xc, cols, zc=zc)
         return a[_lag_index(L)].reshape((L, L) + (1,) * (zx.ndim - 1)) * zx
-    p, q, _ = _tril(L, False)
+    p, q = _tril(L, False)[:2]
     samples = np.asarray(f(rows[p], cols[q], xc[q]), float)
     out = np.zeros((L, L) + samples.shape[1:])
     out[p, q] = samples

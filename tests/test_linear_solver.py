@@ -70,6 +70,30 @@ class TestBounds:
         assert nb.D == approx(2.0)       # C * M * l_rho
         assert nb.A == approx(1.0)       # l_rho * len
 
+    @pytest.mark.parametrize("l_rho, M", [(math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan)],
+                             ids=["nan-l_rho", "nan-M", "nan-both"])
+    def test_nan_constants_are_rejected(self, l_rho, M):
+        # NaN passes l_rho < 0 and M < 0; it must not reach tail_bound
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            NeumannBound.for_interval(l_rho, M, 0.0, 1.0)
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            NeumannBound(l_rho=l_rho, M=M, C=1.0, D=1.0, A=1.0)
+
+    @pytest.mark.parametrize("l_rho, M", [(math.inf, 1.0), (1.0, math.inf), (math.inf, math.inf)])
+    def test_infinite_constants_give_infinite_bounds(self, l_rho, M):
+        # vacuous but true
+        nb = NeumannBound.for_interval(l_rho, M, 0.0, 1.0)
+        assert tail_bound(3, nb) == math.inf
+        assert iterate_bound(2, nb) == math.inf
+
+    @pytest.mark.parametrize("l_rho, M", [(0.0, math.inf), (math.inf, 0.0)])
+    def test_a_zero_constant_gives_zero_bounds(self, l_rho, M):
+        # T = 0 or g = 0: every iterate vanishes, whatever the other constant
+        nb = NeumannBound.for_interval(l_rho, M, 0.0, 1.0)
+        assert nb.D == 0.0
+        assert [tail_bound(k, nb) for k in (0, 1, 3)] == [0.0, 0.0, 0.0]
+        assert iterate_bound(2, nb) == 0.0
+
     @pytest.mark.parametrize("A", [450.0, 600.0])
     def test_tail_bound_holds_for_long_horizons(self, A):
         # sum over m >= 1 of A^m / m! is e^A - 1; a truncated series falls short

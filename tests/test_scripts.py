@@ -41,3 +41,16 @@ def test_convergence_study_is_second_order():
         rates = [float(r) for r in re.findall(r"^\s*\d+\s+\S+\s+(\d+\.\d+)\s*$", sweep, flags=re.M)]
         assert len(rates) == 2, sweep
         assert min(rates) >= 1.9, sweep
+
+
+def test_walk_cost_table():
+    out = _run("walk_cost.py", "--cells", "200", "300", "--repeat", "2")
+    assert out.returncode == 0, out.stderr
+    rows = [line.split() for line in out.stdout.strip().splitlines()[1:]]
+    # the v_t walk and the v_tx transpose at each N: times, ratio, calls
+    assert [(r[0], r[1]) for r in rows] == [("v_t", "200"), ("v_t", "300"),
+                                            ("v_tx'", "200"), ("v_tx'", "300")]
+    for r in rows:
+        ex1, free, ratio, calls = float(r[2]), float(r[3]), float(r[4]), int(r[5])
+        # the free evaluator costs nothing, so its walk is the cheaper
+        assert 0 < free < ex1 and ratio < 1 and calls > 0
