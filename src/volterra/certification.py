@@ -202,14 +202,20 @@ def coercivity_constants(kernel: KernelSpec, grid: Grid) -> tuple[float, float]:
     return c_norm, d_norm
 
 
-def check_example1(a_bar: float) -> HypothesisReport:
-    """Closed-form admissibility of the logarithmic kernel on [0, 1].
+def check_example1(a_bar: float, length: float = 1.0) -> HypothesisReport:
+    """Closed-form admissibility of the logarithmic kernel on an interval
+    of the given length inside [0, 1].
 
-    The triangle L2 norm of its c0 is sqrt(4/35) |a_bar| exactly, so the
-    condition reduces to a_bar^2 < 35/8, checked in exact arithmetic.
+    c0 depends on t - tau alone, so on [alpha, alpha + L] the triangle L2
+    norm of c0 is sqrt(4/35) |a_bar| L^(5/3) exactly, against the
+    threshold sqrt(2) / (2 L): the condition reduces to
+    a_bar^2 L^(16/3) < 35/8, which on [0, 1] reads a_bar^2 < 35/8.
     """
-    norm_value = 2.0 * abs(float(a_bar)) / math.sqrt(35.0)
-    threshold = math.sqrt(2.0) / 2.0
+    L = float(length)
+    if not 0 < L <= 1:
+        raise ValueError(f"length must lie in (0, 1], got {length}")
+    norm_value = 2.0 * abs(float(a_bar)) * L ** (5.0 / 3.0) / math.sqrt(35.0)
+    threshold = math.sqrt(2.0) / (2.0 * L)
     margin = threshold - norm_value
     return HypothesisReport(
         variant="A3",

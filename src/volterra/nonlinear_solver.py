@@ -1,4 +1,4 @@
-"""Marching, damped Newton and natural-gradient descent for V(x) = y.
+"""Marching, damped Newton and conjugate directions for V(x) = y.
 
 The discrete system apply_V(x) = y is lower triangular in time, so
 solve_march solves it step by step: leaf by leaf of quadrature._LEAF
@@ -9,12 +9,13 @@ of v about once per solve, or costs O(N log^2 N) with lag factors.
 Newton solves the linearized discrete system by collocation and damps
 each step by backtracking on the derivative norm of that same residual
 y - V(x), so a trial costs one apply_V; it takes any start, which
-multistart_uniqueness needs.  The gradient route descends the
-least-squares functional F, its merit, along the Riesz representative
-of its gradient in the derivative inner product, which costs two
-cumulative sums per step and avoids assembling any second derivative
-of the kernel.  The line search's slope is that gradient's dot product
-with the step, so no forward-mode derivative is taken.
+multistart_uniqueness needs.  The gradient route minimizes the
+least-squares functional F, its merit, along Polak-Ribiere+ conjugate
+directions built from the Riesz representative of its gradient in the
+derivative inner product, which costs two cumulative sums per step and
+avoids assembling any second derivative of the kernel.  The line
+search's slope is that gradient's dot product with the step, so no
+forward-mode derivative is taken.
 """
 
 from __future__ import annotations
@@ -221,16 +222,27 @@ def _ac_riesz(grid, g_nodes: np.ndarray) -> GridFunction:
 def solve_gradient(kernel, y: GridFunction, x_init: GridFunction | None = None,
                    tol: float = 1e-6, max_iter: int = 500
                    ) -> tuple[GridFunction, SolveReport]:
-    """Minimize the least-squares functional by preconditioned descent.
+    """Minimize the least-squares functional along conjugate directions.
 
-    The descent direction is the negative gradient represented in the
-    derivative inner product; the slope of F along it is the gradient's
-    dot product with its node values (functional_gradient's identity
-    with directional_dF), so a step walks v_tx once.  Each merit
-    evaluation walks v_t once; the gradient takes the defect D of the
-    accepted one, so it walks no v_t of its own.  Convergence means
-    F(x) <= tol^2.  Slower than Newton but needs no linear solves
-    against the kernel.
+    With g_k the node gradient of F and P = _ac_riesz its Riesz map in
+    the derivative inner product, the direction is Polak-Ribiere+:
+
+        d_k = -P g_k + beta_k d_{k-1},
+        beta_k = max(0, <g_k, P g_k - P g_{k-1}> / <g_{k-1}, P g_{k-1}>),
+
+    with Euclidean dot products of node values, which are the AC inner
+    products of the Riesz representatives; d_0 = -P g_0, and d_k
+    restarts at -P g_k whenever <g_k, d_k> >= 0.  Near a solution F's
+    Hessian in that metric is the identity plus a compact operator, on
+    which conjugate directions converge superlinearly.  The slope of F
+    along d_k is the gradient's dot product with its node values
+    (functional_gradient's identity with directional_dF), so a step
+    walks v_tx once.  Each line search tries s = 1, refines once by a
+    parabola through F(0), its slope and F(1), then halves until F
+    decreases.  Each merit evaluation walks v_t once; the gradient takes
+    the defect D of the accepted one, so it walks no v_t of its own.
+    Convergence means F(x) <= tol^2.  Slower than Newton but needs no
+    linear solves against the kernel.
 
     The report's functional_history holds F at the start and after each
     accepted step.  Its residual_history holds one entry, as the
@@ -244,12 +256,21 @@ def solve_gradient(kernel, y: GridFunction, x_init: GridFunction | None = None,
     F, D = _merit(kernel, x, y)
     report = SolveReport("gradient", 0, [], [F], False)
     ftol = tol * tol
+    g_prev = pg_prev = d_prev = None
 
     for _ in range(max_iter):
         if F <= ftol:
             break
         g_nodes = functional_gradient(kernel, x, y, defect=D)
-        direction = -1.0 * _ac_riesz(x.grid, g_nodes)
+        pg = _ac_riesz(x.grid, g_nodes)
+        direction = -pg
+        if g_prev is not None:
+            beta = max(0.0, float(np.sum(g_nodes * (pg.values - pg_prev.values)))
+                       / float(np.sum(g_prev * pg_prev.values)))
+            conjugate = direction + beta * d_prev
+            if float(np.sum(g_nodes * conjugate.values)) < 0:
+                direction = conjugate  # else restart along -P g
+        g_prev, pg_prev = g_nodes, pg
         slope = float(np.sum(g_nodes * direction.values))
         if slope >= 0:
             break  # numerically stationary; fall through to the final check
@@ -270,7 +291,7 @@ def solve_gradient(kernel, y: GridFunction, x_init: GridFunction | None = None,
             F_trial, D_trial = _merit(kernel, axpy(s, direction, x), y)
         if F_trial >= F:
             break
-        x, F, D = axpy(s, direction, x), F_trial, D_trial
+        x, F, D, d_prev = axpy(s, direction, x), F_trial, D_trial, direction
         report.iterations += 1
         report.functional_history.append(F)
 

@@ -209,6 +209,24 @@ class TestClosedForms:
         assert rep.norm_value == approx(2.0 / math.sqrt(35.0), rel=1e-14)
         assert rep.threshold == approx(math.sqrt(2.0) / 2.0, rel=1e-14)
 
+    def test_example1_on_a_sub_interval(self):
+        # on [alpha, alpha + L] the boundary is a_bar^2 L^(16/3) = 35/8, and
+        # the grid's norm tends to the closed form
+        L = 0.8
+        edge = math.sqrt(35.0 / 8.0) * L ** (-8.0 / 3.0)
+        assert check_example1(edge * (1 - 1e-6), L).passed
+        assert not check_example1(edge * (1 + 1e-6), L).passed
+        num = check_A3(example1_kernel(3.0), Grid(0.1, 0.1 + L, 500))
+        exact = check_example1(3.0, L)
+        assert num.norm_value == approx(exact.norm_value, rel=1e-4)
+        assert num.threshold == approx(exact.threshold, rel=1e-14)
+        assert exact.passed and not check_example1(3.0).passed
+
+    @pytest.mark.parametrize("length", [0.0, -0.5, 1.5, math.nan])
+    def test_example1_length_must_lie_in_the_unit_interval(self, length):
+        with pytest.raises(ValueError, match="length must lie in"):
+            check_example1(1.0, length)
+
     def test_example2_at_T_09_passes(self):
         g = Grid(0.0, 0.9, 200)
         rep = check_example2(_ones, A=1.0, T=0.9, grid=g)

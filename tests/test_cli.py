@@ -43,6 +43,41 @@ class TestCheck:
         cfg = _write_cfg(tmp_path, kernel={"name": "linear", "params": {"lambda": 0.9}})
         assert main(["check", str(cfg)]) == 1
 
+    @pytest.mark.parametrize("excess, n_cells", [(1e-4, 50), (1e-5, 200)])
+    def test_example1_past_its_closed_form_threshold_exits_one(self, tmp_path, capsys,
+                                                                excess, n_cells):
+        # A3 for example1 reads a_bar^2 < 35/8 exactly; on these grids the
+        # midpoint norm of c0 falls short of the exact one, so the grid
+        # check alone passes
+        a_bar = math.sqrt(35.0 / 8.0) + excess
+        cfg = _write_cfg(tmp_path, kernel={"name": "example1", "params": {"a_bar": a_bar}},
+                         n_cells=n_cells)
+        assert main(["check", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        hyp = json.loads(captured.out)["hypothesis"]
+        assert "not certified" in captured.err
+        assert hyp["A3"]["passed"] is True
+        assert hyp["closed_form"] == vt.check_example1(a_bar).to_dict()
+        assert hyp["closed_form"]["passed"] is False
+        assert hyp["certified"] is False
+        rep_path = tmp_path / "rep.json"
+        assert main(["solve", str(cfg), "-o", str(tmp_path / "x.csv"),
+                     "--report", str(rep_path)]) == 0
+        assert "hypotheses not certified" in capsys.readouterr().err
+        assert json.loads(rep_path.read_text())["hypothesis"] == hyp
+
+    @pytest.mark.parametrize("a_bar, interval", [(2.0, [0.0, 1.0]), (3.0, [0.1, 0.9])])
+    def test_example1_within_its_closed_form_threshold_exits_zero(self, tmp_path, capsys,
+                                                                  a_bar, interval):
+        # the closed form is taken on the config's interval: a_bar = 3
+        # fails A3 on [0, 1] and holds on a sub-interval of length 0.8
+        cfg = _write_cfg(tmp_path, kernel={"name": "example1", "params": {"a_bar": a_bar}},
+                         interval=interval)
+        assert main(["check", str(cfg)]) == 0
+        hyp = json.loads(capsys.readouterr().out)["hypothesis"]
+        assert hyp["closed_form"] == vt.check_example1(a_bar, interval[1] - interval[0]).to_dict()
+        assert hyp["A3"]["passed"] and hyp["closed_form"]["passed"] and hyp["certified"]
+
     def test_report_file_written(self, tmp_path):
         cfg = _write_cfg(tmp_path)
         rep_path = tmp_path / "report.json"

@@ -1,4 +1,4 @@
-"""Newton and gradient descent for V(x) = y, plus the multistart probe."""
+"""The march, Newton and the gradient route for V(x) = y, plus the multistart probe."""
 
 import math
 from dataclasses import replace
@@ -189,6 +189,27 @@ def _check_march(ker, y, tol=1e-10):
     assert rep.residual_history == [approx(measured, abs=1e-12)]
     assert max(rep.residual_history[0], measured) <= tol
     assert ac_norm(sub(x, x_ref)) <= 1e-12
+
+
+def _steepest_descent_step(kernel, x, y):
+    # one step along -P g with the gradient route's line search: a trial
+    # at s = 1, one parabolic refinement, then halvings until F decreases
+    F, D = operator._merit(kernel, x, y)
+    g = operator.functional_gradient(kernel, x, y, defect=D)
+    direction = -1.0 * _ac_riesz(x.grid, g)
+    slope = float(np.sum(g * direction.values))
+    s = 1.0
+    F_trial = vt.functional_F(kernel, axpy(s, direction, x), y)
+    denom = F_trial - F - slope * s
+    if denom > 0:
+        s_star = -slope * s * s / (2.0 * denom)
+        F_star = vt.functional_F(kernel, axpy(s_star, direction, x), y)
+        if F_star < F_trial:
+            s, F_trial = s_star, F_star
+    while F_trial >= F:
+        s *= 0.5
+        F_trial = vt.functional_F(kernel, axpy(s, direction, x), y)
+    return axpy(s, direction, x)
 
 
 class TestMarch:
@@ -548,10 +569,89 @@ class TestGradient:
         assert counts["walks"] == counts["merits"]
         assert counts["samples"] > 0 and counts["in_gradient"] == 0
 
+    def test_counted_steps_on_example1(self, monkeypatch):
+        # four iterations where steepest descent took six or seven; each
+        # takes a trial, at most one refinement and one v_tx walk
+        counts = {"merits": 0, "v_tx": 0}
+        merit, adjoint = nonlinear_solver._merit, operator.inner_integral_adjoint
+
+        def counted_merit(*args):
+            counts["merits"] += 1
+            return merit(*args)
+
+        def counted_adjoint(f, *args, **kwargs):
+            counts["v_tx"] += f.f is ker.v_tx
+            return adjoint(f, *args, **kwargs)
+
+        monkeypatch.setattr(nonlinear_solver, "_merit", counted_merit)
+        monkeypatch.setattr(operator, "inner_integral_adjoint", counted_adjoint)
+        ker = example1_kernel(1.0)
+        g = Grid(0.0, 1.0, 200)
+        rng = np.random.default_rng(3)
+        y = from_callable(lambda t: t, g) + random_anchored(g, 1, rng, norm=0.5)
+        _, rep = solve_gradient(ker, y, tol=1e-6)
+        assert rep.converged and rep.iterations <= 5
+        assert counts["merits"] <= 2 * rep.iterations + 1
+        assert counts["v_tx"] == rep.iterations
+
+    def test_linear_kernel_in_six_iterations(self):
+        # steepest descent along -P g took 18
+        y = from_callable(lambda t: t, Grid(0.0, 1.0, 200))
+        _, rep = solve_gradient(linear_kernel(2.0), y, tol=1e-8)
+        assert rep.converged and rep.iterations <= 6
+
+    def test_first_step_is_the_steepest_descent_step(self, monkeypatch):
+        points = self._apply_V_points(monkeypatch)
+        ker = example1_kernel(1.0)
+        y = from_callable(lambda t: np.sin(5.0 * t), Grid(0.0, 1.0, 200))
+        with pytest.raises(MaxIterExceeded):
+            solve_gradient(ker, y, tol=1e-13, max_iter=1)
+        [last] = points
+        assert np.array_equal(last.values, _steepest_descent_step(ker, y, y).values)
+
+    def test_directions_follow_polak_ribiere_plus(self, monkeypatch):
+        # d_k = -P g_k + beta_k d_{k-1}, beta_k = max(0, <g_k, P g_k - P g_{k-1}>
+        # / <g_{k-1}, P g_{k-1}>), restarting at -P g_k where d_k climbs; on
+        # v = 10 atan(3x) both the clip and the restart fire
+        grads, directions = [], []
+        gradient, step = nonlinear_solver.functional_gradient, nonlinear_solver.axpy
+
+        def record_gradient(*args, **kwargs):
+            grads.append(gradient(*args, **kwargs))
+            return grads[-1]
+
+        def record_step(s, direction, x):
+            if not directions or directions[-1] is not direction:
+                directions.append(direction)
+            return step(s, direction, x)
+
+        monkeypatch.setattr(nonlinear_solver, "functional_gradient", record_gradient)
+        monkeypatch.setattr(nonlinear_solver, "axpy", record_step)
+        y = from_callable(lambda t: np.sin(6.0 * t), Grid(0.0, 1.0, 100))
+        _, rep = solve_gradient(_stiff(10.0, 3.0), y, tol=1e-7)
+        assert rep.converged and len(grads) == len(directions) == rep.iterations
+        P = [_ac_riesz(y.grid, g).values for g in grads]
+        d = [direction.values for direction in directions]
+        assert np.array_equal(d[0], -P[0])
+        clipped = restarted = 0
+        for k in range(1, rep.iterations):
+            beta = np.sum(grads[k] * (P[k] - P[k - 1])) / np.sum(grads[k - 1] * P[k - 1])
+            clipped += beta < 0
+            conjugate = -P[k] + max(beta, 0.0) * d[k - 1]
+            descends = np.sum(grads[k] * conjugate) < 0
+            restarted += not descends
+            expected = conjugate if descends else -P[k]
+            assert np.sum(grads[k] * d[k]) < 0
+            assert np.abs(d[k] - expected).max() <= 1e-12 * np.abs(expected).max()
+        assert clipped > 0 and restarted > 0
+
     @pytest.mark.parametrize("dim", [1, 2])
     def test_riesz_representative(self, dim):
         # <a, h>_AC = <g, h> for every h, and a agrees with the banded
-        # solve of the pinned-left stiffness system L a = g
+        # solve of the pinned-left stiffness system L a = g.  So <g, P h>
+        # = <P g, P h>_AC: the node dot products of the gradient route's
+        # beta and restart test are AC inner products, and <g, P g> > 0
+        # makes -P g a descent direction.
         from scipy.linalg import solveh_banded
 
         g = Grid(0.0, 1.0, 4000)
@@ -559,10 +659,15 @@ class TestGradient:
         g_nodes = rng.standard_normal((g.n_cells + 1, dim))
         a = _ac_riesz(g, g_nodes)
         assert np.all(a.values[0] == 0.0)
+        assert (g_nodes * a.values).sum() == approx(ac_norm(a) ** 2, rel=1e-10)
+        assert (g_nodes * a.values).sum() > 0
         for _ in range(3):
             h = random_anchored(g, dim, rng)
             inner_ac = (np.diff(a.values, axis=0) * np.diff(h.values, axis=0)).sum() / g.delta
             assert inner_ac == approx((g_nodes * h.values).sum(), rel=1e-10)
+            other = rng.standard_normal(g_nodes.shape)
+            assert (g_nodes * _ac_riesz(g, other).values).sum() == approx(
+                (a.values * other).sum(), rel=1e-10)
         d = g.delta
         ab = np.zeros((2, g.n_cells))
         ab[0, 1:] = -1.0 / d
