@@ -13,7 +13,8 @@ combined majorant
                 + (beta - alpha)/sqrt(2) * (integral of c2(t, .)^2)^(1/2)
 
 by ||ctilde||_{L2} < 1/2, strictly.  Margins are threshold minus norm;
-a margin of exactly zero fails.  All integrals run on the shared
+a margin of exactly zero fails.  One builder, _verdict, makes every
+report, the closed forms' included.  All integrals run on the shared
 triangle quadrature, on the same nodes the operator module uses, so the
 derived coercivity constants transfer to the discrete functional without
 quadrature slack.
@@ -98,6 +99,34 @@ def _sample_diagonal(kernel: KernelSpec, grid: Grid) -> tuple[bool, int]:
     return ok, tt.size
 
 
+def _triangle_integral(f2, grid: Grid) -> float:
+    """Midpoint product rule of a bound f2(t, tau) over the triangle."""
+    return float(grid.delta * _inner_bound(f2, grid).sum())
+
+
+def _triangle_samples(grid: Grid) -> int:
+    """Samples of the triangle rule: N (N - 1) / 2 full cells, N half cells."""
+    return grid.n_cells * (grid.n_cells - 1) // 2 + grid.n_cells
+
+
+def _verdict(variant: str, norm_value: float, threshold: float, samples_used: int,
+             diagonal_zero_ok: bool = True, diagonal_gates: bool = True) -> HypothesisReport:
+    """The report of norm_value against threshold, the one place a
+    verdict is reached: margin = threshold - norm_value, passed iff the
+    margin is strictly positive and, where diagonal_gates, the diagonal
+    condition holds."""
+    margin = threshold - norm_value
+    return HypothesisReport(
+        variant=variant,
+        diagonal_zero_ok=diagonal_zero_ok,
+        norm_value=norm_value,
+        threshold=threshold,
+        margin=margin,
+        passed=bool(margin > 0 and (diagonal_zero_ok or not diagonal_gates)),
+        samples_used=samples_used,
+    )
+
+
 def check_A3(kernel: KernelSpec, grid: Grid) -> HypothesisReport:
     """Certify the diagonal-vanishing condition on the given grid.
 
@@ -109,20 +138,9 @@ def check_A3(kernel: KernelSpec, grid: Grid) -> HypothesisReport:
     if b is None or b.c0 is None or b.d0 is None:
         raise MissingBounds(f"kernel {kernel.name} declares no c0/d0 bounds")
     diag_ok, n_diag = _sample_diagonal(kernel, grid)
-    norm_sq = grid.delta * _inner_bound(_squared(b.c0), grid).sum()
-    norm_value = math.sqrt(max(norm_sq, 0.0))
-    threshold = math.sqrt(2.0) / (2.0 * grid.length)
-    margin = threshold - norm_value
-    n_quad = grid.n_cells * (grid.n_cells - 1) // 2 + grid.n_cells
-    return HypothesisReport(
-        variant="A3",
-        diagonal_zero_ok=diag_ok,
-        norm_value=norm_value,
-        threshold=threshold,
-        margin=margin,
-        passed=bool(margin > 0 and diag_ok),
-        samples_used=n_diag + n_quad,
-    )
+    norm_value = math.sqrt(max(_triangle_integral(_squared(b.c0), grid), 0.0))
+    return _verdict("A3", norm_value, math.sqrt(2.0) / (2.0 * grid.length),
+                    n_diag + _triangle_samples(grid), diag_ok)
 
 
 def _at_midpoints(f1, name: str, grid: Grid) -> np.ndarray:
@@ -145,25 +163,16 @@ def check_A4(kernel: KernelSpec, grid: Grid) -> HypothesisReport:
     Needs declared bounds c1, d1, c2, d2 (MissingBounds otherwise).
     ctilde is assembled at the cell midpoints with the shared inner
     quadrature; norm_value is its outer-midpoint L2 norm, checked
-    against the threshold 1/2.
+    against the threshold 1/2.  The declared diagonal_zero is reported,
+    not required.
     """
     b = kernel.bounds
     if b is None or any(f is None for f in (b.c1, b.d1, b.c2, b.d2)):
         raise MissingBounds(f"kernel {kernel.name} declares no c1/d1/c2/d2 bounds")
     ct = _ctilde_at_midpoints(b.c1, b.c2, grid)
     norm_value = math.sqrt(float(grid.delta * (ct * ct).sum()))
-    threshold = 0.5
-    margin = threshold - norm_value
-    n_quad = grid.n_cells * (grid.n_cells - 1) // 2 + 2 * grid.n_cells
-    return HypothesisReport(
-        variant="A4",
-        diagonal_zero_ok=kernel.diagonal_zero,
-        norm_value=norm_value,
-        threshold=threshold,
-        margin=margin,
-        passed=bool(margin > 0),
-        samples_used=n_quad,
-    )
+    return _verdict("A4", norm_value, 0.5, _triangle_samples(grid) + grid.n_cells,
+                    kernel.diagonal_zero, diagonal_gates=False)
 
 
 def coercivity_constants(kernel: KernelSpec, grid: Grid) -> tuple[float, float]:
@@ -182,15 +191,14 @@ def coercivity_constants(kernel: KernelSpec, grid: Grid) -> tuple[float, float]:
         raise MissingBounds(f"kernel {kernel.name} declares no bounds")
     if b.c1 is not None and b.c2 is not None:
         c1, c2 = b.c1, b.c2
-        d1 = b.d1 if b.d1 is not None else (lambda t: np.zeros(np.shape(t)))
-        d2 = b.d2 if b.d2 is not None else (lambda t, tau: np.zeros(np.broadcast_shapes(np.shape(t), np.shape(tau))))
+        d1 = b.d1 if b.d1 is not None else np.zeros_like
+        d2 = b.d2 if b.d2 is not None else LagBound(np.zeros_like)
     elif b.c0 is not None and b.d0 is not None:
         if not kernel.diagonal_zero:
             raise MissingBounds(
                 f"kernel {kernel.name} declares only c0/d0 but is not diagonal-zero"
             )
-        c1 = lambda t: np.zeros(np.shape(t))
-        d1 = lambda t: np.zeros(np.shape(t))
+        c1 = d1 = np.zeros_like
         c2, d2 = b.c0, b.d0
     else:
         raise MissingBounds(f"kernel {kernel.name} bounds are incomplete")
@@ -215,17 +223,7 @@ def check_example1(a_bar: float, length: float = 1.0) -> HypothesisReport:
     if not 0 < L <= 1:
         raise ValueError(f"length must lie in (0, 1], got {length}")
     norm_value = 2.0 * abs(float(a_bar)) * L ** (5.0 / 3.0) / math.sqrt(35.0)
-    threshold = math.sqrt(2.0) / (2.0 * L)
-    margin = threshold - norm_value
-    return HypothesisReport(
-        variant="A3",
-        diagonal_zero_ok=True,
-        norm_value=norm_value,
-        threshold=threshold,
-        margin=margin,
-        passed=bool(margin > 0),
-        samples_used=0,
-    )
+    return _verdict("A3", norm_value, math.sqrt(2.0) / (2.0 * L), 0)
 
 
 def check_example2(w_prime, A: float, T: float, grid: Grid) -> HypothesisReport:
@@ -233,24 +231,12 @@ def check_example2(w_prime, A: float, T: float, grid: Grid) -> HypothesisReport:
 
     Reports the double integral of w'(t - tau)^2 over the triangle in
     norm_value against the threshold 1 / (2 A^2 T^2); the certified
-    condition is strict.  The grid must span [0, T].
+    condition is strict.  The grid must span [0, T].  w'^2 is a bound
+    of the lag alone, so the integral is the Toeplitz sum check_A3 takes.
     """
     if not (A > 0 and T > 0):
         raise ValueError(f"need A > 0 and T > 0, got A={A}, T={T}")
     if abs(grid.alpha) > 1e-12 or abs(grid.beta - T) > 1e-12 * max(1.0, T):
         raise ValueError(f"grid [{grid.alpha}, {grid.beta}] must span [0, {T}]")
-    # w'(t - tau)^2 depends on the lag alone, so its sums are Toeplitz products.
-    square = LagIntegrand(lambda s: np.asarray(w_prime(s), float) ** 2, np.ones_like)
-    value = float(grid.delta * inner_integral(square, grid, np.zeros((grid.n_cells + 1, 1))).sum())
-    threshold = 1.0 / (2.0 * A * A * T * T)
-    margin = threshold - value
-    n_quad = grid.n_cells * (grid.n_cells - 1) // 2 + grid.n_cells
-    return HypothesisReport(
-        variant="A3",
-        diagonal_zero_ok=True,
-        norm_value=value,
-        threshold=threshold,
-        margin=margin,
-        passed=bool(margin > 0),
-        samples_used=n_quad,
-    )
+    value = _triangle_integral(_squared(LagBound(w_prime)), grid)
+    return _verdict("A3", value, 1.0 / (2.0 * A * A * T * T), _triangle_samples(grid))

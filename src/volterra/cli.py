@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 for certified / converged runs, 1 when a check is not
-certified or a solver fails to converge, 2 for configuration errors.
+certified or a solver fails to converge, 2 for configuration errors (a
+non-finite number in the config among them) and unwritable outputs.
 Reports are single JSON objects with hypothesis / solve / sensitivity
 sections plus metadata; apart from the timestamp, identical configs and
 seeds produce byte-identical outputs.
@@ -49,11 +50,13 @@ def _write_report(report: dict, path, echo: bool) -> None:
 def _run_checks(config: ProblemConfig, kernel, grid) -> dict:
     """Run every check the kernel's declared bounds support.
 
-    The example1 kernel also takes its closed-form A3 on the config's
-    interval (check_example1), recorded as closed_form, and is certified
-    only when that passes too: the grid's midpoint rule falls short of
-    the exact norm of c0, so near the threshold a coarse grid passes a
-    kernel the paper's condition refuses.
+    The example kernels also take their closed-form A3, recorded as
+    closed_form, and are certified only when that passes too: example1
+    by check_example1 on the config's interval, since the grid's
+    midpoint rule falls short of the exact norm of c0 and near the
+    threshold a coarse grid passes a kernel the paper's condition
+    refuses; example2_linw_atan, w' = 1 with |atan x| <= A|x| + B, by
+    check_example2 when A > 0 (for A = 0, c0 vanishes).
     """
     section: dict = {"A3": None, "A4": None, "certified": False}
     b = kernel.bounds
@@ -64,10 +67,15 @@ def _run_checks(config: ProblemConfig, kernel, grid) -> dict:
     section["certified"] = any(
         rep is not None and rep["passed"] for rep in (section["A3"], section["A4"])
     )
+    params, closed = config.kernel_params, None
     if config.kernel_name == "example1":
-        section["closed_form"] = check_example1(config.kernel_params["a_bar"],
-                                                grid.length).to_dict()
-        section["certified"] = section["certified"] and section["closed_form"]["passed"]
+        closed = check_example1(params["a_bar"], grid.length)
+    elif config.kernel_name == "example2_linw_atan":
+        A = params.get("A", 1.0)  # the config's default
+        closed = check_example2(np.ones_like, A, T=grid.beta, grid=grid) if A > 0 else None
+    if closed is not None:
+        section["closed_form"] = closed.to_dict()
+        section["certified"] = section["certified"] and closed.passed
     return section
 
 
@@ -87,7 +95,7 @@ def cmd_check(args) -> int:
     return 1
 
 
-def _solve_section(kernel, grid, config, y):
+def _solve_section(kernel, config, y):
     x, rep = solve_march(kernel, y, tol=config.tol, max_iter=config.max_iter)
     section = rep.to_dict()
     section["final_residual"] = rep.residual_history[-1]
@@ -114,7 +122,7 @@ def cmd_solve(args) -> int:
         print("warning: hypotheses not certified; solving anyway", file=sys.stderr)
     report = {"hypothesis": hyp, "solve": None, "sensitivity": None, "meta": _meta(config)}
     try:
-        x, section = _solve_section(kernel, grid, config, y)
+        x, section = _solve_section(kernel, config, y)
     except SolverError as exc:
         report["solve"] = exc.report.to_dict() if exc.report is not None else {"error": str(exc)}
         _write_report(report, args.report, echo=args.report is None)
@@ -137,7 +145,7 @@ def cmd_sensitivity(args) -> int:
     h = _resample_csv(args.direction, grid, "direction csv")
     report = {"hypothesis": None, "solve": None, "sensitivity": None, "meta": _meta(config)}
     try:
-        x, solve_section = _solve_section(kernel, grid, config, y)
+        x, solve_section = _solve_section(kernel, config, y)
         s, sens_section = _sensitivity_section(kernel, config, x, y, h)
     except SolverError as exc:
         report["sensitivity"] = {"error": str(exc)}
@@ -187,24 +195,15 @@ def cmd_demo(args) -> int:
     kernel = config.build_kernel()
     y = config.build_rhs(grid)
     h = from_callable(lambda t: t - grid.alpha, grid)
-    report = {"hypothesis": None, "solve": None, "sensitivity": None, "meta": _meta(config)}
-
     hyp = _run_checks(config, kernel, grid)
-    # The convolution example also admits a closed-form admissibility
-    # check; record it next to the quadrature-based ones, as _run_checks
-    # does for example1.
-    if args.name == "example2":
-        hyp["closed_form"] = check_example2(lambda s: np.ones_like(s),
-                                            A=config.kernel_params["A"],
-                                            T=grid.beta, grid=grid).to_dict()
-    report["hypothesis"] = hyp
-    ok = hyp["certified"] and hyp["closed_form"]["passed"]
+    report = {"hypothesis": hyp, "solve": None, "sensitivity": None, "meta": _meta(config)}
+    ok = hyp["certified"]
     print(f"[demo {args.name}] check: {'certified' if ok else 'NOT certified'}",
           file=sys.stderr)
 
     if ok:
         try:
-            x, solve_section = _solve_section(kernel, grid, config, y)
+            x, solve_section = _solve_section(kernel, config, y)
             report["solve"] = solve_section
             write_csv(x, out_dir / "solution.csv")
             print(f"[demo {args.name}] solve: {solve_section['iterations']} iterations, "

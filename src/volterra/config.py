@@ -9,6 +9,7 @@ satisfies the membership condition x(alpha) = 0 on any interval.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,8 +81,8 @@ class ProblemConfig:
 
         interval = raw["interval"]
         if (not isinstance(interval, (list, tuple)) or len(interval) != 2
-                or not all(isinstance(v, (int, float)) for v in interval)):
-            raise ConfigError("interval must be [alpha, beta]")
+                or not all(_finite_number(v) for v in interval)):
+            raise ConfigError("interval must be [alpha, beta], two finite numbers")
         alpha, beta = float(interval[0]), float(interval[1])
         if not beta > alpha:
             raise ConfigError(f"need beta > alpha, got [{alpha}, {beta}]")
@@ -98,8 +99,8 @@ class ProblemConfig:
                               f"choose from {tuple(_RHS_EXPRESSIONS)} or a csv")
 
         tol = raw["tol"]
-        if not isinstance(tol, (int, float)) or not tol > 0:
-            raise ConfigError("tol must be a positive number")
+        if not _finite_number(tol) or not tol > 0:
+            raise ConfigError("tol must be a positive finite number")
 
         max_iter = raw.get("max_iter", 50)
         if not isinstance(max_iter, int) or isinstance(max_iter, bool) or max_iter < 1:
@@ -142,6 +143,15 @@ class ProblemConfig:
         return _resample_csv(self.rhs["csv"], grid)
 
 
+def _finite_number(val) -> bool:
+    """val is an int or a float, not a bool, of a finite float value;
+    json reads NaN, Infinity and 1e400 as non-finite floats."""
+    try:
+        return isinstance(val, (int, float)) and not isinstance(val, bool) and math.isfinite(val)
+    except OverflowError:  # an int past the float range
+        return False
+
+
 def _check_params(name: str, params: dict, required: set, optional: set = frozenset()):
     extra = set(params) - required - optional
     if extra:
@@ -150,8 +160,8 @@ def _check_params(name: str, params: dict, required: set, optional: set = frozen
     if missing:
         raise ConfigError(f"kernel {name!r}: missing params {sorted(missing)}")
     for key, val in params.items():
-        if not isinstance(val, (int, float)) or isinstance(val, bool):
-            raise ConfigError(f"kernel {name!r}: param {key!r} must be a number")
+        if not _finite_number(val):
+            raise ConfigError(f"kernel {name!r}: param {key!r} must be a finite number")
 
 
 def _build_kernel(name: str, params: dict, alpha: float, beta: float) -> KernelSpec:

@@ -17,7 +17,9 @@ magnitudes are Euclidean.
 
 from __future__ import annotations
 
+import math
 import re
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -44,6 +46,8 @@ class Grid:
     n_cells: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+            raise ValueError(f"need finite alpha and beta, got [{self.alpha}, {self.beta}]")
         if not self.beta > self.alpha:
             raise ValueError(f"need beta > alpha, got [{self.alpha}, {self.beta}]")
         if int(self.n_cells) != self.n_cells or self.n_cells < 1:
@@ -247,11 +251,10 @@ _HEADER_RE = re.compile(r"^t(,x_\d+)+$")
 def write_csv(x: GridFunction, path) -> None:
     """Serialize as CSV: header t,x_1,...,x_n, one row per node, %.17g, LF."""
     cols = ",".join(f"x_{k + 1}" for k in range(x.dim))
+    rows = np.column_stack([x.grid.nodes, x.values])
+    row = ",".join(["%.17g"] * rows.shape[1]) + "\n"
     with open(path, "w", newline="\n") as fh:
-        fh.write(f"t,{cols}\n")
-        for t, row in zip(x.grid.nodes, x.values):
-            cells = ",".join(f"{v:.17g}" for v in row)
-            fh.write(f"{t:.17g},{cells}\n")
+        fh.write(f"t,{cols}\n" + (row * rows.shape[0]) % tuple(rows.ravel().tolist()))
 
 
 def read_csv(path) -> GridFunction:
@@ -260,10 +263,10 @@ def read_csv(path) -> GridFunction:
         header = fh.readline().strip()
         if not _HEADER_RE.match(header):
             raise ValueError(f"unexpected CSV header {header!r}")
-        data = [[float(c) for c in line.strip().split(",")] for line in fh if line.strip()]
-    arr = np.asarray(data, dtype=float)
-    n_cols = header.count(",")
-    if arr.ndim != 2 or arr.shape[1] != n_cols + 1:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # no rows; the check below says so
+            arr = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+    if arr.shape[1] != header.count(",") + 1:
         raise ValueError("CSV rows do not match header")
     grid = Grid.from_nodes(arr[:, 0])
     return GridFunction(grid, arr[:, 1:])

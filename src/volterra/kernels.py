@@ -95,7 +95,8 @@ class GrowthBounds:
     diagonal value |v(t,t,x)| <= c1(t)|x| + d1(t), and c2, d2 bound v_t
     in the same style as c0, d0.  Scalar-argument callables, vectorized;
     a bound of the lag t - tau alone may be given as a LagBound, whose
-    integrals certification takes as Toeplitz products.  d0 and d2 may
+    integrals certification takes as Toeplitz products; the built-in
+    kernels declare each such bound so.  d0 and d2 may
     be integrably singular on the diagonal; quadrature keeps a distance
     of at least delta/4 from it.
     """
@@ -259,14 +260,6 @@ def scalar_kernel(v, v_t, v_x, v_tx, **kwargs) -> KernelSpec:
     )
 
 
-def _const2(value):
-    def f(t, tau):
-        t = np.asarray(t, float)
-        return np.full(np.broadcast_shapes(t.shape, np.shape(tau)), value)
-
-    return f
-
-
 def _const1(value):
     def f(t):
         return np.full(np.shape(np.asarray(t, float)), value)
@@ -287,11 +280,8 @@ def zero_kernel(dim: int = 1) -> KernelSpec:
         shape = np.broadcast_shapes(t.shape, np.shape(tau))
         return np.zeros(shape + (dim, dim))
 
-    bounds = GrowthBounds(
-        c0=_const2(0.0), d0=_const2(0.0),
-        c1=_const1(0.0), d1=_const1(0.0),
-        c2=_const2(0.0), d2=_const2(0.0),
-    )
+    zero = LagBound(np.zeros_like)
+    bounds = GrowthBounds(c0=zero, d0=zero, c1=_const1(0.0), d1=_const1(0.0), c2=zero, d2=zero)
     return KernelSpec(dim=dim, v=vec, v_t=vec, v_x=mat, v_tx=mat,
                       diagonal_zero=True, bounds=bounds, name="zero")
 
@@ -319,10 +309,8 @@ def lag_kernel(w, w_prime, z, z_prime, dim: int = 1, **kwargs) -> KernelSpec:
 def linear_kernel(lam: float, dim: int = 1) -> KernelSpec:
     """v(t, tau, x) = lam * x; the operator is x + lam * integral of x."""
     lam = float(lam)
-    bounds = GrowthBounds(
-        c1=_const1(abs(lam)), d1=_const1(0.0),
-        c2=_const2(0.0), d2=_const2(0.0),
-    )
+    zero = LagBound(np.zeros_like)
+    bounds = GrowthBounds(c1=_const1(abs(lam)), d1=_const1(0.0), c2=zero, d2=zero)
     return lag_kernel(
         w=lambda s: np.full(np.shape(s), lam),
         w_prime=lambda s: np.zeros(np.shape(s)),
@@ -340,8 +328,10 @@ def example1_kernel(a_bar: float) -> KernelSpec:
     up like (t - tau)^(-1/3) but stays integrable, which is exactly the
     regime the half-cell-offset quadrature is built for.  Declared
     bounds: |v_t| <= c0 |x| + d0 with c0 = (2 sqrt2 / 3)|a_bar| s^(2/3)
-    and d0 = 2 |a_bar| s^(-1/3), s = t - tau.  Every evaluator is
-    analytic in t for t > tau, so the kernel declares smooth_in_t.
+    and d0 = 2 |a_bar| s^(-1/3), s = t - tau; both depend on the lag
+    alone and are LagBounds, so certification sums them as Toeplitz
+    products.  Every evaluator is analytic in t for t > tau, so the
+    kernel declares smooth_in_t.
     """
     ab = float(a_bar)
 
@@ -416,17 +406,11 @@ def example1_kernel(a_bar: float) -> KernelSpec:
         return q
 
     c0_coef = 2.0 * math.sqrt(2.0) / 3.0 * abs(ab)
-
-    def c0(t, tau):
-        return c0_coef * (np.asarray(t, float) - tau) ** (2.0 / 3.0)
-
-    def d0(t, tau):
-        return 2.0 * abs(ab) * (np.asarray(t, float) - tau) ** (-1.0 / 3.0)
-
     return scalar_kernel(
         v, v_t, v_x, v_tx,
         diagonal_zero=True,
-        bounds=GrowthBounds(c0=c0, d0=d0),
+        bounds=GrowthBounds(c0=LagBound(lambda s: c0_coef * s ** (2.0 / 3.0)),
+                            d0=LagBound(lambda s: 2.0 * abs(ab) * s ** (-1.0 / 3.0))),
         domain=TriangularDomain(0.0, 1.0),
         name=f"example1({a_bar})",
         smooth_in_t=True,

@@ -216,14 +216,17 @@ def neumann_solve(kernel: KernelSpec, x0: GridFunction, g: GridFunction,
     iteration makes one apply_T.  Stops once the computed residual
     ||h + T h - g|| drops to tol or the a-priori factorial tail puts
     the remaining gap below tol; that tail bounds the gap only where
-    the estimated l_rho bounds v_x and v_tx on the ball.  On max_iter
-    exhaustion the report is returned with converged=False; no
-    exception is raised.
+    the estimated l_rho bounds v_x and v_tx on the ball.  The report's
+    tail_bound is the gap the stop tested, iterate_bound(m) +
+    tail_bound(m) after m iterations.  On max_iter exhaustion the
+    report is returned with converged=False; no exception is raised.
     """
     _require_same(x0, g)
     _require_kernel_dim(kernel, x0)
     if not tol > 0:
         raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     grid = g.grid
     tri = TriangularDomain(grid.alpha, grid.beta)
     l_rho = estimate_l_rho(kernel, rho=sup_norm(x0) + 1.0, samples=samples,
@@ -231,19 +234,17 @@ def neumann_solve(kernel: KernelSpec, x0: GridFunction, g: GridFunction,
     bound = NeumannBound.for_interval(l_rho, sup_norm(g), grid.alpha, grid.beta)
 
     h = Th = zeros(grid, g.dim)
-    residual = math.inf
-    m = 0
     for m in range(1, max_iter + 1):
         h = g - Th
         Th = apply_T(kernel, x0, h)
         residual = ac_norm(h + Th - g)
-        apriori_gap = iterate_bound(m, bound) + tail_bound(m, bound)
-        if residual <= tol or apriori_gap <= tol:
+        gap = iterate_bound(m, bound) + tail_bound(m, bound)
+        if residual <= tol or gap <= tol:
             break
     report = NeumannReport(
         iterations=m,
         residual_ac=float(residual),
-        tail_bound=tail_bound(m, bound),
+        tail_bound=gap,
         converged=bool(residual <= tol),
         l_rho=l_rho,
         tolerance=tol,

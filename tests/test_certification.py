@@ -20,7 +20,7 @@ from volterra import (
     linear_kernel,
     zero_kernel,
 )
-from volterra.kernels import GrowthBounds, KernelSpec, scalar_kernel
+from volterra.kernels import GrowthBounds, KernelSpec, LagBound, scalar_kernel
 
 
 def _ones(s):
@@ -111,6 +111,39 @@ class TestCheckA3:
         assert rep.passed
         assert rep.norm_value == 0.0
 
+    def test_example1_bound_is_summed_by_lag(self):
+        # c0 depends on t - tau alone: the Toeplitz product evaluates it
+        # at about 2N lags, the walk at all N (N + 1) / 2 samples
+        ker = example1_kernel(1.0)
+        count = [0]
+
+        def counted(f):
+            def g(*args):
+                out = f(*args)
+                count[0] += np.size(out)
+                return out
+            return g
+
+        c0 = ker.bounds.c0
+        c0 = LagBound(counted(c0.w)) if isinstance(c0, LagBound) else counted(c0)
+        N = 2000
+        rep = check_A3(replace(ker, bounds=replace(ker.bounds, c0=c0)), Grid(0.0, 1.0, N))
+        assert rep == check_A3(ker, Grid(0.0, 1.0, N))
+        assert 0 < count[0] < 3 * N
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_diagonal_is_sampled_in_a_ball_for_vector_kernels(self, dim):
+        g = Grid(0.0, 1.0, 50)
+        rep = check_A3(zero_kernel(dim), g)
+        assert rep.passed and rep.diagonal_zero_ok
+        assert rep.samples_used == 50 * 50 + 50 * 51 // 2
+        # v(t, t, x) = x / 2 with zero c0, d0: the ball's samples see it
+        zero = zero_kernel(dim).bounds.c0
+        ker = replace(linear_kernel(0.5, dim), bounds=GrowthBounds(c0=zero, d0=zero))
+        rep = check_A3(ker, g)
+        assert rep.norm_value == 0.0 and rep.margin > 0
+        assert not rep.diagonal_zero_ok and not rep.passed
+
 
 class TestCheckA4:
     def test_linear_kernel_norm_is_lambda_over_sqrt2(self):
@@ -194,6 +227,17 @@ class TestCoercivityConstants:
         )
         with pytest.raises(MissingBounds):
             coercivity_constants(bare, Grid(0.0, 1.0, 50))
+
+    def test_c0_d0_alone_need_a_diagonal_zero_kernel(self):
+        ker = replace(example1_kernel(1.0), diagonal_zero=False)
+        with pytest.raises(MissingBounds, match="not diagonal-zero"):
+            coercivity_constants(ker, Grid(0.0, 1.0, 50))
+
+    def test_incomplete_bounds_raise(self):
+        ker = linear_kernel(0.5)
+        ker = replace(ker, bounds=GrowthBounds(c1=ker.bounds.c1, d1=ker.bounds.d1))
+        with pytest.raises(MissingBounds, match="bounds are incomplete"):
+            coercivity_constants(ker, Grid(0.0, 1.0, 50))
 
 
 class TestClosedForms:

@@ -78,6 +78,31 @@ class TestCheck:
         assert hyp["closed_form"] == vt.check_example1(a_bar, interval[1] - interval[0]).to_dict()
         assert hyp["A3"]["passed"] and hyp["closed_form"]["passed"] and hyp["certified"]
 
+    @pytest.mark.parametrize("params, A", [({"A": 1.0}, 1.0), ({}, 1.0), ({"A": 2.5}, 2.5)])
+    def test_example2_config_is_gated_on_its_closed_form(self, tmp_path, capsys, params, A):
+        # A^2 T^4 < 1 on [0, 0.9] for A = 1 (the default), not for A = 2.5
+        cfg = _write_cfg(tmp_path, kernel={"name": "example2_linw_atan", "params": params},
+                         interval=[0.0, 0.9])
+        closed = vt.check_example2(np.ones_like, A, T=0.9, grid=vt.Grid(0.0, 0.9, 100))
+        assert main(["check", str(cfg)]) == (0 if A == 1.0 else 1)
+        hyp = json.loads(capsys.readouterr().out)["hypothesis"]
+        assert hyp["closed_form"] == closed.to_dict()
+        assert hyp["A3"]["passed"] == closed.passed == hyp["certified"]
+        rep_path = tmp_path / "rep.json"
+        assert main(["solve", str(cfg), "-o", str(tmp_path / "x.csv"),
+                     "--report", str(rep_path)]) == 0
+        assert json.loads(rep_path.read_text())["hypothesis"] == hyp
+
+    def test_example2_config_with_zero_slope_bound_has_no_closed_form(self, tmp_path, capsys):
+        # A = 0 declares c0 = 0: A3 holds and there is nothing to gate
+        cfg = _write_cfg(tmp_path, kernel={"name": "example2_linw_atan", "params": {"A": 0.0}},
+                         interval=[0.0, 0.9])
+        assert main(["check", str(cfg)]) == 0
+        captured = capsys.readouterr()
+        hyp = json.loads(captured.out)["hypothesis"]
+        assert "closed_form" not in hyp and hyp["certified"] is True
+        assert "Traceback" not in captured.err
+
     def test_report_file_written(self, tmp_path):
         cfg = _write_cfg(tmp_path)
         rep_path = tmp_path / "report.json"
@@ -170,6 +195,33 @@ class TestNonFiniteInput:
         cfg = _write_cfg(tmp_path)
         assert main(["sensitivity", str(cfg), "--direction", str(h),
                      "-o", str(tmp_path / "s.csv")]) == 2
+
+    @pytest.mark.parametrize("command", ["check", "solve"])
+    @pytest.mark.parametrize("over", [
+        {"interval": [0.0, math.inf]},
+        {"interval": [-math.inf, 1.0]},
+        {"interval": [0.0, math.nan]},
+        {"interval": [0, 10**400]},
+        {"kernel": {"name": "example1", "params": {"a_bar": math.nan}}},
+        {"kernel": {"name": "linear", "params": {"lambda": math.inf}}},
+        {"kernel": {"name": "example2_linw_atan", "params": {"B": math.inf}},
+         "interval": [0.0, 0.9]},
+        {"tol": math.inf},
+        {"tol": math.nan},
+        {"tol": 10**400},
+    ], ids=["beta=inf", "alpha=-inf", "beta=nan", "beta=10^400", "a_bar=nan", "lambda=inf",
+            "B=inf", "tol=inf", "tol=nan", "tol=10^400"])
+    def test_nonfinite_config_number_exits_two(self, tmp_path, capsys, command, over):
+        # json reads NaN, Infinity and 1e400 as floats, 10^400 as an int
+        argv = [command, str(_write_cfg(tmp_path, **over))]
+        out = tmp_path / "x.csv"
+        if command == "solve":
+            argv += ["-o", str(out)]
+        assert main(argv) == 2
+        stdout, err = capsys.readouterr()
+        assert err.startswith("config error: ") and "finite" in err, err
+        assert stdout == ""
+        assert not out.exists()
 
 
     @pytest.mark.parametrize("broken", ["v", "v_x"])
@@ -282,6 +334,19 @@ class TestSensitivity:
         assert main(argv) == 0
         assert methods == ["march"] * 3
 
+    def test_solver_failure_exits_one_without_csv(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path, kernel={"name": "example1", "params": {"a_bar": 1.0}},
+                         tol=1e-15, max_iter=1)
+        vt.write_csv(vt.from_callable(lambda t: t, vt.Grid(0.0, 1.0, 100)), tmp_path / "h.csv")
+        out, rep_path = tmp_path / "s.csv", tmp_path / "rep.json"
+        assert main(["sensitivity", str(cfg), "--direction", str(tmp_path / "h.csv"),
+                     "-o", str(out), "--report", str(rep_path)]) == 1
+        report = json.loads(rep_path.read_text())
+        assert set(report["sensitivity"]) == {"error"}
+        assert report["solve"] is None
+        assert "sensitivity failed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_direction_resampled_from_other_grid(self, tmp_path):
         cfg = _write_cfg(tmp_path, kernel={"name": "zero", "params": {}}, n_cells=64)
         fine = vt.Grid(0.0, 1.0, 512)
@@ -342,6 +407,19 @@ class TestDemo:
         assert cf["threshold"] == approx(0.6172839506172839, abs=1e-6)
         assert cf["passed"] is True
 
+    def test_solver_failure_exits_one_with_report(self, tmp_path, capsys, monkeypatch):
+        import volterra.cli as cli
+
+        monkeypatch.setitem(cli._DEMOS, "example1",
+                            {**cli._DEMOS["example1"], "tol": 1e-15, "max_iter": 1})
+        assert main(["demo", "example1", "--out-dir", str(tmp_path)]) == 1
+        base = tmp_path / "example1"
+        report = json.loads((base / "report.json").read_text())
+        assert report["hypothesis"]["certified"] is True
+        assert set(report["solve"]) == {"error"} and report["sensitivity"] is None
+        assert not (base / "solution.csv").exists()
+        assert "solver failed" in capsys.readouterr().err
+
     def test_unknown_name_exits_two(self, tmp_path):
         assert main(["demo", "nope", "--out-dir", str(tmp_path)]) == 2
 
@@ -364,6 +442,14 @@ def test_no_subcommand_exits_via_argparse():
     with pytest.raises(SystemExit) as err:
         main([])
     assert err.value.code == 2
+
+
+def test_unwritable_output_exits_two(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path)
+    out = tmp_path / "missing" / "x.csv"
+    assert main(["solve", str(cfg), "-o", str(out)]) == 2
+    assert "io error: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_version_flag(capsys):

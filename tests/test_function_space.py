@@ -47,6 +47,12 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid(0.0, 1.0, 0)
 
+    @pytest.mark.parametrize("alpha, beta", [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0),
+                                             (0.0, math.nan), (-math.inf, math.inf)])
+    def test_rejects_nonfinite_endpoints(self, alpha, beta):
+        with pytest.raises(ValueError, match="finite"):
+            Grid(alpha, beta, 4)
+
     def test_from_nodes_roundtrip(self):
         g = Grid(-1.0, 3.0, 17)
         g2 = Grid.from_nodes(g.nodes)
@@ -209,10 +215,28 @@ class TestCsv:
         assert text.splitlines()[0] == "t,x_1,x_2"
         assert "\r" not in text
 
+    def test_rows_are_written_at_17_significant_digits(self, tmp_path, rng):
+        g = Grid(-0.5, 1.5, 7)
+        vals = np.vstack([[0.0, 0.0], [1.0 / 3.0, -0.0], [5e-324, 1e308], [-1.5, 123456789.123],
+                          rng.standard_normal((4, 2))])
+        p = tmp_path / "x.csv"
+        write_csv(vt.GridFunction(g, vals), p)
+        rows = "".join(f"{t:.17g},{a:.17g},{b:.17g}\n" for t, (a, b) in zip(g.nodes, vals))
+        assert p.read_bytes() == ("t,x_1,x_2\n" + rows).encode()
+        assert np.array_equal(read_csv(p).values, vals)
+
     def test_rejects_bad_header(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("time,value\n0,0\n1,1\n")
         with pytest.raises(ValueError):
+            read_csv(p)
+
+    @pytest.mark.parametrize("body", ["0,0,0\n0.5,1,1\n", "0\n0.5\n", ""],
+                             ids=["wide", "narrow", "no rows"])
+    def test_rejects_rows_that_do_not_match_the_header(self, tmp_path, body):
+        p = tmp_path / "bad.csv"
+        p.write_text("t,x_1\n" + body)
+        with pytest.raises(ValueError, match="CSV rows do not match header"):
             read_csv(p)
 
     def test_rejects_ragged_rows(self, tmp_path):

@@ -248,6 +248,27 @@ class TestNeumann:
         assert not rep.converged
         assert rep.iterations == 3
 
+    @pytest.mark.parametrize("ker", [linear_kernel(0.5), linear_kernel(2.0), example1_kernel(1.0)],
+                             ids=lambda k: k.name)
+    def test_reported_tail_is_the_gap_the_stop_tested(self, ker):
+        # the factorial tail of the returned h_m starts at iterate_bound(m)
+        g = Grid(0.0, 1.0, 400)
+        rhs = from_callable(lambda t: t, g)
+        x0 = from_callable(lambda t: t / 2.0, g)
+        h, rep = neumann_solve(ker, x0, rhs, tol=1e-10)
+        nb = NeumannBound.for_interval(rep.l_rho, sup_norm(rhs), 0.0, 1.0)
+        m = rep.iterations
+        assert rep.converged
+        assert rep.tail_bound == iterate_bound(m, nb) + tail_bound(m, nb)
+        assert rep.tail_bound >= ac_norm(sub(h, collocation_solve(ker, x0, rhs)))
+
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_rejects_an_empty_budget(self, max_iter):
+        g = Grid(0.0, 1.0, 50)
+        rhs = from_callable(lambda t: t, g)
+        with pytest.raises(ValueError, match="max_iter"):
+            neumann_solve(linear_kernel(1.0), zeros(g), rhs, tol=1e-10, max_iter=max_iter)
+
     @pytest.mark.parametrize("smooth", [False, True])
     def test_walks_v_x_once_per_iteration(self, smooth):
         # one apply_T per iteration, none for T 0, plus the l_rho samples;

@@ -94,6 +94,20 @@ class TestNewton:
         assert rep.iterations == 1
         assert not rep.converged
 
+    def test_stalled_line_search_raises_with_partial_report(self):
+        # v = 0 but v_x claims -64 for t > 1/2, so the Newton directions
+        # are wrong: one damped step lowers the residual, the next cannot
+        g = Grid(0.0, 1.0, 16)
+        ker = scalar_kernel(lambda t, tau, x: 0.0 * x, lambda t, tau, x: 0.0 * x,
+                            lambda t, tau, x: np.where(t > 0.5, -64.0, 0.0) + 0.0 * x,
+                            lambda t, tau, x: 0.0 * x)
+        with pytest.raises(LineSearchStalled, match="no decrease above step") as err:
+            solve_newton(ker, from_callable(lambda t: t, g), x_init=vt.zeros(g))
+        rep = err.value.report
+        assert rep.method == "newton" and not rep.converged
+        assert rep.iterations == 1 and len(rep.residual_history) == 2
+        assert rep.residual_history[1] < rep.residual_history[0]
+
     def test_needs_no_time_derivatives(self):
         # the merit is the residual itself: no v_t or v_tx is evaluated
         def refuse(t, tau, x):
