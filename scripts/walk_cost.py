@@ -5,8 +5,11 @@ v_t walk of inner_integral and of the v_tx transpose of
 inner_integral_adjoint, each with example1's evaluator and with a free
 one that returns a cached zero array of the shape asked for, and the
 evaluator calls per walk.  The free walk is quadrature's own cost: the
-views, the far checks, the reductions and the scatter.  Times are the
-best of --repeat runs in one process.
+views, the far checks, the reductions and the scatter.  Each v_t row
+also gives apply_T's v_x walk at its N, evaluated and replayed as
+neumann_solve replays it after its first iteration, so that the walk's
+own cost per Neumann iteration shows (transpose rows print "-").
+Times are the best of --repeat runs in one process.
 
     python scripts/walk_cost.py [--cells 1000 2000 16000] [--repeat 20]
 """
@@ -18,7 +21,8 @@ import numpy as np
 
 import volterra as vt
 from volterra.kernels import SmoothInT
-from volterra.quadrature import inner_integral, inner_integral_adjoint
+from volterra.linear_solver import _replayed
+from volterra.quadrature import inner_integral, inner_integral_adjoint, node_integral
 
 
 def _free(trailing):
@@ -47,6 +51,19 @@ def _counted(f):
     return SmoothInT(ev), calls
 
 
+def _replaying(f, grid, x, h):
+    """apply_T's walk of f applied to h, replaying f's samples from the
+    second walk on."""
+    ev, replay = _replayed(f)
+    integrand = SmoothInT(ev)
+
+    def walk():
+        node_integral(integrand, grid, x, h)
+        replay()
+
+    return walk
+
+
 def _best(walk, repeat):
     walk()  # a shape is laid out on its first walk
     best = float("inf")
@@ -63,7 +80,8 @@ def main():
     ap.add_argument("--repeat", type=int, default=20)
     args = ap.parse_args()
     kernel = vt.example1_kernel(1.0)
-    print(f"{'walk':>5} {'N':>6} {'example1 ms':>12} {'free ms':>9} {'free/ex1':>9} {'calls':>6}")
+    print(f"{'walk':>5} {'N':>6} {'example1 ms':>12} {'free ms':>9} {'free/ex1':>9} {'calls':>6} "
+          f"{'v_x ms':>8} {'replay ms':>10}")
     for which, trailing in (("v_t", (1,)), ("v_tx", (1, 1))):
         for n in args.cells:
             grid = vt.Grid(0.0, 1.0, n)
@@ -78,8 +96,14 @@ def main():
             t_ex1, t_free = (_best(walk, args.repeat) for walk in walks[:2])
             walks[2]()
             name = which if which == "v_t" else "v_tx'"
+            v_x = f"{'-':>8} {'-':>10}"
+            if which == "v_t":
+                h = vt.from_callable(lambda t: t * np.cos(5.0 * t), grid).values
+                t_eval = _best(lambda: node_integral(kernel.integrand("v_x"), grid, x, h), args.repeat)
+                t_replay = _best(_replaying(kernel.v_x, grid, x, h), args.repeat)
+                v_x = f"{1e3 * t_eval:>8.3f} {1e3 * t_replay:>10.3f}"
             print(f"{name:>5} {n:>6} {1e3 * t_ex1:>12.3f} {1e3 * t_free:>9.3f} "
-                  f"{t_free / t_ex1:>9.2f} {calls[0]:>6}")
+                  f"{t_free / t_ex1:>9.2f} {calls[0]:>6} {v_x}")
 
 
 if __name__ == "__main__":

@@ -164,6 +164,17 @@ def _check_params(name: str, params: dict, required: set, optional: set = frozen
             raise ConfigError(f"kernel {name!r}: param {key!r} must be a finite number")
 
 
+def _atan_offset(A: float) -> float:
+    """sup over u >= 0 of atan(u) - A u, the least B with |atan x| <= A|x| + B
+    (A >= 0): 0 for A >= 1, pi/2 for A = 0, else its value at u = sqrt(1/A - 1)."""
+    if A >= 1.0:
+        return 0.0
+    if A == 0.0:
+        return math.pi / 2.0
+    u = math.sqrt(1.0 / A - 1.0)
+    return math.atan(u) - A * u
+
+
 def _build_kernel(name: str, params: dict, alpha: float, beta: float) -> KernelSpec:
     if name == "zero":
         _check_params(name, params, set())
@@ -182,6 +193,9 @@ def _build_kernel(name: str, params: dict, alpha: float, beta: float) -> KernelS
             raise ConfigError("example2_linw_atan requires alpha = 0")
         A = float(params.get("A", 1.0))
         B = float(params.get("B", 0.0))
+        if A >= 0 and B < _atan_offset(A):
+            raise ConfigError(f"example2_linw_atan: |atan x| <= A|x| + B needs B >= "
+                              f"{_atan_offset(A):.17g} for A = {A}, got B = {B}")
         try:
             return example2_kernel(
                 w=lambda s: np.asarray(s, float),

@@ -18,7 +18,10 @@ A walk calls an evaluator once per chunk of at most 8192 samples, with
 t, tau and x read-only broadcast views (a leaf's triangle: gathered
 arrays), so an evaluator must never write into its inputs.  Every walk
 of a shape passes the same views, of buffers the next walk refills, so
-an evaluator must not keep its inputs past a call either.  In-place
+an evaluator must not keep its inputs past a call either.
+neumann_solve keeps the arrays v_x returns for the length of a solve
+and replays them, so an evaluator must not write into an array it has
+returned, nor return different samples for the same inputs.  In-place
 arithmetic (*=, /=, +=) on its own temporaries, each freed as soon as
 it is spent, keeps few chunk-sized arrays alive at once: the allocator
 then reuses the same heap pages from chunk to chunk instead of trimming

@@ -15,7 +15,8 @@ directions built from the Riesz representative of its gradient in the
 derivative inner product, which costs two cumulative sums per step and
 avoids assembling any second derivative of the kernel.  The line
 search's slope is that gradient's dot product with the step, so no
-forward-mode derivative is taken.
+forward-mode derivative is taken, and a trial that already meets tol^2
+ends the search without a refinement.
 """
 
 from __future__ import annotations
@@ -237,9 +238,9 @@ def solve_gradient(kernel, y: GridFunction, x_init: GridFunction | None = None,
     which conjugate directions converge superlinearly.  The slope of F
     along d_k is the gradient's dot product with its node values
     (functional_gradient's identity with directional_dF), so a step
-    walks v_tx once.  Each line search tries s = 1, refines once by a
-    parabola through F(0), its slope and F(1), then halves until F
-    decreases.  Each merit evaluation walks v_t once; the gradient takes
+    walks v_tx once.  Each line search tries s = 1 and accepts it at
+    once if F(1) <= tol^2; else it refines once by a parabola through
+    F(0), its slope and F(1), then halves until F decreases.  Each merit evaluation walks v_t once; the gradient takes
     the defect D of the accepted one, so it walks no v_t of its own.
     Convergence means F(x) <= tol^2.  Slower than Newton but needs no
     linear solves against the kernel.
@@ -276,9 +277,10 @@ def solve_gradient(kernel, y: GridFunction, x_init: GridFunction | None = None,
             break  # numerically stationary; fall through to the final check
         s = 1.0
         F_trial, D_trial = _merit(kernel, axpy(s, direction, x), y)
-        # One parabolic refinement from phi(0), phi'(0), phi(s).
+        # One parabolic refinement from phi(0), phi'(0), phi(s), unless
+        # the trial already converged (F > ftol here, so it also decreased).
         denom = F_trial - F - slope * s
-        if denom > 0:
+        if F_trial > ftol and denom > 0:
             s_star = -slope * s * s / (2.0 * denom)
             if 0 < s_star:
                 F_star, D_star = _merit(kernel, axpy(s_star, direction, x), y)

@@ -94,14 +94,33 @@ class TestCheck:
         assert json.loads(rep_path.read_text())["hypothesis"] == hyp
 
     def test_example2_config_with_zero_slope_bound_has_no_closed_form(self, tmp_path, capsys):
-        # A = 0 declares c0 = 0: A3 holds and there is nothing to gate
-        cfg = _write_cfg(tmp_path, kernel={"name": "example2_linw_atan", "params": {"A": 0.0}},
+        # A = 0 and B = pi/2 declare c0 = 0, a true majorant of atan: A3
+        # holds and there is nothing to gate
+        cfg = _write_cfg(tmp_path, kernel={"name": "example2_linw_atan",
+                                           "params": {"A": 0.0, "B": math.pi / 2}},
                          interval=[0.0, 0.9])
         assert main(["check", str(cfg)]) == 0
         captured = capsys.readouterr()
         hyp = json.loads(captured.out)["hypothesis"]
         assert "closed_form" not in hyp and hyp["certified"] is True
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("A, B", [(0.0, 0.0), (0.5, 0.0), (0.5, 0.2)])
+    def test_example2_config_with_a_false_majorant_exits_two(self, tmp_path, capsys, A, B):
+        # |atan x| <= A|x| + B needs B >= atan(u) - A u at u = sqrt(1/A - 1),
+        # 0.2854 for A = 0.5, and B >= pi/2 for A = 0
+        cfg = _write_cfg(tmp_path, kernel={"name": "example2_linw_atan",
+                                           "params": {"A": A, "B": B}},
+                         interval=[0.0, 0.9])
+        assert main(["check", str(cfg)]) == 2
+        assert "atan" in capsys.readouterr().err
+
+    def test_example2_config_with_the_least_offset_is_accepted(self, tmp_path):
+        u = 1.0  # A = 0.5: the offset peaks at u = 1
+        cfg = _write_cfg(tmp_path, kernel={"name": "example2_linw_atan",
+                                           "params": {"A": 0.5, "B": math.atan(u) - 0.5 * u}},
+                         interval=[0.0, 0.9])
+        assert main(["check", str(cfg)]) == 0
 
     def test_report_file_written(self, tmp_path):
         cfg = _write_cfg(tmp_path)

@@ -120,6 +120,21 @@ class TestKernelRegistry:
                 kernel={"name": "example2_linw_atan", "params": {}},
                 interval=[0.1, 1.0]))
 
+    @pytest.mark.parametrize("A", [0.0, 0.1, 0.5, 0.9, 0.999, 1.0, 2.0])
+    def test_atan_offset_is_the_least_majorant(self, A):
+        # |atan x| <= A|x| + B exactly for B at least the sup over u of
+        # atan(u) - A u; a fine sample of u comes within 1e-9 of it
+        from volterra.config import _atan_offset
+
+        u = np.concatenate([np.linspace(0.0, 100.0, 1_000_001), [1e6, 1e12]])
+        sampled = (np.arctan(u) - A * u).max()
+        assert _atan_offset(A) >= sampled - 1e-15
+        assert _atan_offset(A) <= sampled + (1e-9 if A > 0 else 1e-6)
+        with pytest.raises(ConfigError, match="atan"):
+            ProblemConfig.from_dict(_base(
+                kernel={"name": "example2_linw_atan", "params": {"A": A, "B": sampled - 1e-6}},
+                interval=[0.0, 0.9]))
+
 
 class TestRhs:
     def test_expressions_are_anchored_to_alpha(self):

@@ -1,7 +1,10 @@
 """Neumann iteration with factorial tail certificates, and direct collocation."""
 
+import gc
+import logging
 import math
 import time
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -35,7 +38,32 @@ from volterra import (
     zeros,
 )
 from volterra.kernels import KernelSpec
-from volterra.linear_solver import _halton
+from volterra.linear_solver import NeumannReport, _halton, _replayed
+
+
+def _atan_lag():
+    # w(s) = s, z = atan: a lag kernel, which keeps its FFT route
+    return vt.example2_kernel(w=lambda s: np.asarray(s, float),
+                              w_prime=lambda s: np.ones_like(np.asarray(s, float)),
+                              z=np.arctan, z_prime=lambda x: 1.0 / (1.0 + np.asarray(x, float) ** 2),
+                              A=1.0, B=0.0)
+
+
+def _walked_neumann(ker, x0, g, tol, samples):
+    # neumann_solve as an explicit loop that walks T in every iteration
+    l_rho = estimate_l_rho(ker, rho=sup_norm(x0) + 1.0, samples=samples,
+                           domain=TriangularDomain(g.grid.alpha, g.grid.beta),
+                           include_time_derivative=True)
+    nb = NeumannBound.for_interval(l_rho, sup_norm(g), g.grid.alpha, g.grid.beta)
+    h = Th = zeros(g.grid, g.dim)
+    for m in range(1, 201):
+        h = g - Th
+        Th = apply_T(ker, x0, h)
+        residual = ac_norm(h + Th - g)
+        gap = iterate_bound(m, nb) + tail_bound(m, nb)
+        if residual <= tol or gap <= tol:
+            break
+    return h, NeumannReport(m, float(residual), gap, bool(residual <= tol), l_rho, tol)
 
 
 class TestApplyT:
@@ -173,6 +201,11 @@ def test_halton_matches_scipy_unscrambled(d):
     assert np.array_equal(_halton(2048, d), ref)
 
 
+def test_halton_points_are_built_once_and_read_only():
+    u = _halton(512, 3)
+    assert _halton(512, 3) is u and not u.flags.writeable
+
+
 class TestEstimateLRho:
     def test_linear_kernel_is_flat(self):
         ker = linear_kernel(0.6)
@@ -212,6 +245,12 @@ class TestEstimateLRho:
         with pytest.raises(vt.KernelContract, match=broken):
             estimate_l_rho(ker, 1.0, 2048, domain=TriangularDomain(0.0, 1.0),
                            include_time_derivative=True)
+
+    def test_a_second_call_returns_the_same_value(self):
+        ker = example1_kernel(1.0)
+        dom = TriangularDomain(0.0, 1.0)
+        first = estimate_l_rho(ker, 2.0, 2048, domain=dom, include_time_derivative=True)
+        assert estimate_l_rho(ker, 2.0, 2048, domain=dom, include_time_derivative=True) == first
 
     def test_rejects_bad_arguments(self):
         ker = linear_kernel(1.0)
@@ -270,10 +309,11 @@ class TestNeumann:
             neumann_solve(linear_kernel(1.0), zeros(g), rhs, tol=1e-10, max_iter=max_iter)
 
     @pytest.mark.parametrize("smooth", [False, True])
-    def test_walks_v_x_once_per_iteration(self, smooth):
-        # one apply_T per iteration, none for T 0, plus the l_rho samples;
-        # an apply_T takes fewer samples when far rectangles are
-        # interpolated in t
+    def test_walks_v_x_once_per_solve(self, smooth):
+        # the first apply_T evaluates T's samples and every later one
+        # replays them, so a solve takes one apply_T's samples, however
+        # many iterations, plus the l_rho samples; an apply_T takes fewer
+        # samples when far rectangles are interpolated in t
         counts = {"v_x": 0}
 
         def v_x(t, tau, x):
@@ -288,12 +328,103 @@ class TestNeumann:
         _, rep = neumann_solve(replace(ker, v_x=v_x), x0, rhs, tol=1e-10, samples=512)
         assert rep.converged and rep.iterations >= 2
         if not smooth:
-            assert counts["v_x"] == rep.iterations * 100 * 101 // 2 + 512
+            assert counts["v_x"] == 100 * 101 // 2 + 512
         else:
             solve, counts["v_x"] = counts["v_x"], 0
             apply_T(replace(ker, v_x=v_x), x0, rhs)
             assert counts["v_x"] < 100 * 101 // 2
-            assert solve == rep.iterations * counts["v_x"] + 512
+            assert solve == counts["v_x"] + 512
+
+    @pytest.mark.parametrize("ker", [replace(example1_kernel(1.0), smooth_in_t=False),
+                                     example1_kernel(1.0), _atan_lag()],
+                             ids=["generic", "smooth", "lag"])
+    def test_replay_is_bit_identical_to_walking_each_iteration(self, ker):
+        g = Grid(0.0, 1.0, 400)
+        rng = np.random.default_rng(1)
+        x0 = random_anchored(g, 1, rng, norm=1.0)
+        rhs = random_anchored(g, 1, rng, norm=0.5)
+        h, rep = neumann_solve(ker, x0, rhs, tol=1e-12, samples=512)
+        h_ref, rep_ref = _walked_neumann(ker, x0, rhs, tol=1e-12, samples=512)
+        assert rep.iterations >= 3
+        assert np.array_equal(h.values, h_ref.values)
+        assert rep == rep_ref
+
+    def test_replays_the_fallbacks_of_a_false_declaration(self, caplog):
+        # |t - 1/2| (t - tau) cos x is declared smooth in t but has a kink
+        # at t = 1/2: three far blocks fall back on every walk, replayed
+        # or not, and the replay gives the walked iterates bit for bit
+        caplog.set_level(logging.DEBUG, logger="volterra.quadrature")
+        counts = {"v_x": 0}
+
+        def v_x(t, tau, x):
+            counts["v_x"] += np.broadcast(np.asarray(t), np.asarray(tau)).size
+            return base.v_x(t, tau, x)
+
+        base = scalar_kernel(lambda t, tau, x: np.abs(t - 0.5) * (t - tau) * np.sin(x),
+                             lambda t, tau, x: 0.0 * x,
+                             lambda t, tau, x: np.abs(t - 0.5) * (t - tau) * np.cos(x),
+                             lambda t, tau, x: 0.0 * x, smooth_in_t=True)
+        ker = replace(base, v_x=v_x)
+        g = Grid(0.0, 1.0, 1000)
+        x0 = from_callable(lambda t: 2.0 * np.sin(3.0 * t), g)
+        rhs = from_callable(lambda t: t, g)
+        caplog.clear()
+        h, rep = neumann_solve(ker, x0, rhs, tol=1e-12, samples=512)
+        records = [r.getMessage() for r in caplog.records]
+        solve, counts["v_x"] = counts["v_x"], 0
+        caplog.clear()
+        h_ref, rep_ref = _walked_neumann(ker, x0, rhs, tol=1e-12, samples=512)
+        assert rep.iterations >= 3
+        assert np.array_equal(h.values, h_ref.values) and rep == rep_ref
+        assert records == [r.getMessage() for r in caplog.records]
+        assert len(records) == rep.iterations
+        assert records[0].startswith("3 far blocks fell back to exact samples")
+        assert solve - 512 == (counts["v_x"] - 512) // rep.iterations
+
+    def test_no_recorded_sample_outlives_the_solve(self):
+        # the recorder holds no reference cycle: with the collector off,
+        # every array v_x returned is freed when the solve returns
+        refs = []
+
+        def v_x(t, tau, x):
+            out = base.v_x(t, tau, x)
+            refs.append(weakref.ref(out))
+            return out
+
+        base = example1_kernel(1.0)
+        g = Grid(0.0, 1.0, 400)
+        x0 = from_callable(lambda t: t, g)
+        rhs = from_callable(lambda t: t, g)
+        gc.collect()
+        gc.disable()
+        try:
+            h, rep = neumann_solve(replace(base, v_x=v_x), x0, rhs, tol=1e-10, samples=512)
+            alive = sum(r() is not None for r in refs)
+        finally:
+            gc.enable()
+        assert rep.converged and rep.iterations >= 2 and len(refs) > 2
+        assert alive == 0
+
+    def test_a_replay_that_leaves_the_recorded_walk_raises(self):
+        f = example1_kernel(1.0).v_x
+        t, tau, x = np.full((2, 3), 0.5), np.full((2, 3), 0.25), np.ones((2, 3, 1))
+        evaluator, replay = _replayed(f)
+        first = evaluator(t, tau, x)
+        replay()
+        assert evaluator(t, tau, x) is first
+        replay()
+        with pytest.raises(RuntimeError, match="shape"):
+            evaluator(t[:1], tau[:1], x[:1])
+        evaluator, replay = _replayed(f)
+        evaluator(t, tau, x), evaluator(t, tau, x)
+        replay()
+        evaluator(t, tau, x)
+        with pytest.raises(RuntimeError, match="1 of the 2"):
+            replay()
+        evaluator, replay = _replayed(f)
+        replay()  # a walk that recorded nothing has nothing to replay
+        with pytest.raises(RuntimeError, match="call 0 of the 0"):
+            evaluator(t, tau, x)
 
     def test_twenty_partial_sums_match_alternating_series(self):
         # sum_{k<20} (-1)^k T^k g with (T^k g)(t) = t^{k+1}/(k+1)!

@@ -608,6 +608,26 @@ class TestGradient:
         assert counts["merits"] <= 2 * rep.iterations + 1
         assert counts["v_tx"] == rep.iterations
 
+    def test_a_converged_trial_ends_the_line_search(self, monkeypatch):
+        # the start, then a trial and its refinement per iteration but the
+        # last, whose trial at s = 1 meets tol^2 and is taken as it is
+        values, merit = [], nonlinear_solver._merit
+
+        def counted_merit(*args):
+            out = merit(*args)
+            values.append(out[0])
+            return out
+
+        monkeypatch.setattr(nonlinear_solver, "_merit", counted_merit)
+        g = Grid(0.0, 1.0, 200)
+        rng = np.random.default_rng(3)
+        y = from_callable(lambda t: t, g) + random_anchored(g, 1, rng, norm=0.5)
+        _, rep = solve_gradient(example1_kernel(1.0), y, tol=1e-6)
+        assert rep.converged and rep.iterations >= 3
+        assert len(values) == 2 * rep.iterations
+        assert values[-1] <= 1e-12 < values[-2]
+        assert rep.functional_history[-1] == values[-1]
+
     def test_linear_kernel_in_six_iterations(self):
         # steepest descent along -P g took 18
         y = from_callable(lambda t: t, Grid(0.0, 1.0, 200))
