@@ -10,13 +10,17 @@ Newton solves the linearized discrete system by collocation and damps
 each step by backtracking on the derivative norm of that same residual
 y - V(x), so a trial costs one apply_V; it takes any start, which
 multistart_uniqueness needs.  The gradient route minimizes the
-least-squares functional F, its merit, along Polak-Ribiere+ conjugate
-directions built from the Riesz representative of its gradient in the
-derivative inner product, which costs two cumulative sums per step and
-avoids assembling any second derivative of the kernel.  The line
-search's slope is that gradient's dot product with the step, so no
-forward-mode derivative is taken, and a trial that already meets tol^2
-ends the search without a refinement.
+least-squares functional F, its merit.  It starts with Picard steps,
+x less the running integral of the defect d/dt V(x) - y' that the last
+merit returned, each one merit evaluation (one v_t walk) and no
+gradient, for as long as they strictly lower F; on example1 they alone
+converge.  At the first that does not, it goes on along Polak-Ribiere+
+conjugate directions built from the Riesz representative of the
+gradient in the derivative inner product, which costs two cumulative
+sums and one v_tx walk per step and avoids assembling any second
+derivative of the kernel.  The line search's slope is that gradient's
+dot product with the step, so no forward-mode derivative is taken, and
+a trial that already meets tol^2 ends the search without a refinement.
 """
 
 from __future__ import annotations
@@ -223,7 +227,18 @@ def _ac_riesz(grid, g_nodes: np.ndarray) -> GridFunction:
 def solve_gradient(kernel, y: GridFunction, x_init: GridFunction | None = None,
                    tol: float = 1e-6, max_iter: int = 500
                    ) -> tuple[GridFunction, SolveReport]:
-    """Minimize the least-squares functional along conjugate directions.
+    """Minimize the least-squares functional by Picard steps, then along
+    conjugate directions.
+
+    The solve starts with Picard steps x_k <- x_k - delta sum_{i<k} D_i
+    at every node k, the anchor kept at 0, where D = d/dt V(x) - y' is
+    the defect of the last accepted merit: successive approximation of
+    x = y - integral of v, the chord step with the Jacobian cut down to
+    its identity part.  A Picard step costs one merit evaluation and no
+    gradient, and is kept only when its F is strictly below the current
+    F; a trial point or merit that is not finite is not below.  At the
+    first step that is not, the trial is discarded and the rest of the
+    solve runs along conjugate directions from the current x.
 
     With g_k the node gradient of F and P = _ac_riesz its Riesz map in
     the derivative inner product, the direction is Polak-Ribiere+:
@@ -240,16 +255,23 @@ def solve_gradient(kernel, y: GridFunction, x_init: GridFunction | None = None,
     (functional_gradient's identity with directional_dF), so a step
     walks v_tx once.  Each line search tries s = 1 and accepts it at
     once if F(1) <= tol^2; else it refines once by a parabola through
-    F(0), its slope and F(1), then halves until F decreases.  Each merit evaluation walks v_t once; the gradient takes
-    the defect D of the accepted one, so it walks no v_t of its own.
-    Convergence means F(x) <= tol^2.  Slower than Newton but needs no
-    linear solves against the kernel.
+    F(0), its slope and F(1), then halves until F decreases.  Each
+    merit evaluation walks v_t once; the gradient takes the defect D of
+    the accepted one, so it walks no v_t of its own.  On example1 with
+    a_bar <= 2 the Picard steps alone converge, in 2 or 3 steps at
+    tol 1e-7: 3 or 4 walks of v_t and none of v_tx or v_x.  A kernel
+    whose first Picard trial climbs pays that one merit and then takes
+    the conjugate steps.  Convergence means F(x) <= tol^2.
 
-    The report's functional_history holds F at the start and after each
-    accepted step.  Its residual_history holds one entry, as the
-    march's does: ac_norm(y - apply_V(x)) at the x returned, or at the
-    last iterate when MaxIterExceeded is raised with the report
-    attached, so a solve walks v once, for its report.
+    The report's iterations count the steps of both kinds, which
+    max_iter caps together; its functional_history holds F at the start
+    and after each accepted step.  Its residual_history holds one
+    entry, as the march's does: ac_norm(y - apply_V(x)) at the x
+    returned, or at the last iterate with the report attached to a
+    failure, so a solve walks v once, for its report.  Raises
+    MaxIterExceeded when max_iter steps leave F above tol^2, and
+    LineSearchStalled when a conjugate step finds no decrease above the
+    least step or a direction whose slope is not negative.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -257,9 +279,25 @@ def solve_gradient(kernel, y: GridFunction, x_init: GridFunction | None = None,
     F, D = _merit(kernel, x, y)
     report = SolveReport("gradient", 0, [], [F], False)
     ftol = tol * tol
-    g_prev = pg_prev = d_prev = None
 
-    for _ in range(max_iter):
+    # Picard steps for as long as they lower F, then conjugate directions
+    while report.iterations < max_iter and F > ftol:
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = x.values.copy()
+            vals[1:] -= x.grid.delta * np.cumsum(D, axis=0)
+        if not np.isfinite(vals).all():
+            break
+        x_trial = GridFunction(x.grid, vals)
+        F_trial, D_trial = _merit(kernel, x_trial, y)
+        if not F_trial < F:  # nan is not lower; F >= 0, so a lower F_trial is finite
+            break
+        x, F, D = x_trial, F_trial, D_trial
+        report.iterations += 1
+        report.functional_history.append(F)
+
+    stall = None
+    g_prev = pg_prev = d_prev = None
+    for _ in range(max_iter - report.iterations):
         if F <= ftol:
             break
         g_nodes = functional_gradient(kernel, x, y, defect=D)
@@ -274,7 +312,8 @@ def solve_gradient(kernel, y: GridFunction, x_init: GridFunction | None = None,
         g_prev, pg_prev = g_nodes, pg
         slope = float(np.sum(g_nodes * direction.values))
         if slope >= 0:
-            break  # numerically stationary; fall through to the final check
+            stall = "the slope along the direction is not negative"
+            break
         s = 1.0
         F_trial, D_trial = _merit(kernel, axpy(s, direction, x), y)
         # One parabolic refinement from phi(0), phi'(0), phi(s), unless
@@ -292,6 +331,7 @@ def solve_gradient(kernel, y: GridFunction, x_init: GridFunction | None = None,
                 break
             F_trial, D_trial = _merit(kernel, axpy(s, direction, x), y)
         if F_trial >= F:
+            stall = f"no decrease above step {_MIN_STEP}"
             break
         x, F, D, d_prev = axpy(s, direction, x), F_trial, D_trial, direction
         report.iterations += 1
@@ -301,6 +341,10 @@ def solve_gradient(kernel, y: GridFunction, x_init: GridFunction | None = None,
     if F <= ftol:
         report.converged = True
         return x, report
+    if stall is not None:
+        raise LineSearchStalled(
+            f"gradient: F {F:.3e} > tol^2 {ftol:.1e} after {report.iterations} iterations: "
+            f"{stall}", report=report)
     raise MaxIterExceeded(
         f"gradient: F {F:.3e} > tol^2 {ftol:.1e} after {report.iterations} iterations",
         report=report,

@@ -16,9 +16,9 @@ import numpy as np
 import pytest
 
 import volterra as vt
-from volterra import SingularBlock, quadrature
+from volterra import SingularBlock, nonlinear_solver, quadrature
 from volterra.certification import _inner_bound
-from volterra.operator import frechet_dt
+from volterra.operator import _merit, frechet_dt
 from volterra.quadrature import inner_integral, inner_integral_adjoint, node_integral
 
 _MIX = np.array([[1.0, 0.3], [-0.2, 0.8]])
@@ -99,6 +99,35 @@ def test_singular_block_names_the_same_node_on_both_routes(monkeypatch):
     for kernel in (ker, _twin(ker)):
         with pytest.raises(SingularBlock, match="node 12"):
             vt.collocation_solve(kernel, x0, rhs)
+
+
+def test_gradient_route_takes_picard_steps_per_component(monkeypatch):
+    # the first step is x_k - delta sum_{i<k} D_i in each component, D the
+    # defect at the start, and Picard steps alone converge
+    points, apply_V = [], nonlinear_solver.apply_V
+
+    def counted(kernel, x):
+        points.append(x)
+        return apply_V(kernel, x)
+
+    monkeypatch.setattr(nonlinear_solver, "apply_V", counted)
+    ker = _lag(2)
+    g = vt.Grid(0.0, 1.0, 200)
+    y = vt.random_anchored(g, 2, np.random.default_rng(2), norm=1.0)
+    with pytest.raises(vt.MaxIterExceeded):
+        vt.solve_gradient(ker, y, tol=1e-13, max_iter=1)
+    [first] = points
+    D = _merit(ker, y, y)[1]
+    for c in range(2):
+        expected = y.values[:, c].copy()
+        total = 0.0
+        for k in range(1, g.n_cells + 1):
+            total += D[k - 1, c]
+            expected[k] -= g.delta * total
+        assert np.array_equal(first.values[:, c], expected)
+    x, rep = vt.solve_gradient(ker, y, tol=1e-8)
+    assert rep.converged and vt.functional_F(ker, x, y) <= 1e-16
+    assert rep.functional_history == sorted(rep.functional_history, reverse=True)
 
 
 def test_swapped_evaluators_keep_the_route():

@@ -205,6 +205,18 @@ def _check_march(ker, y, tol=1e-10):
     assert ac_norm(sub(x, x_ref)) <= 1e-12
 
 
+def _picard_step(kernel, x, y):
+    # x_k - delta sum_{i<k} D_i at node k, D the defect of the merit at x,
+    # summed cell by cell
+    D = operator._merit(kernel, x, y)[1]
+    vals = x.values.copy()
+    acc = np.zeros(x.dim)
+    for k in range(1, x.grid.n_cells + 1):
+        acc = acc + D[k - 1]
+        vals[k] = vals[k] - x.grid.delta * acc
+    return GridFunction(x.grid, vals)
+
+
 def _steepest_descent_step(kernel, x, y):
     # one step along -P g with the gradient route's line search: a trial
     # at s = 1, one parabolic refinement, then halvings until F decreases
@@ -464,6 +476,28 @@ class TestGradient:
         with pytest.raises(MaxIterExceeded):
             solve_gradient(ker, y, tol=1e-13, max_iter=2)
 
+    def test_a_stalled_line_search_raises_line_search_stalled(self, unit_grid):
+        # F reaches its rounding floor above tol^2 = 1e-30 well inside the
+        # budget: no step above the least one decreases F any more
+        y = from_callable(lambda t: t, unit_grid)
+        with pytest.raises(LineSearchStalled, match="no decrease above step") as err:
+            solve_gradient(example1_kernel(1.0), y, tol=1e-15, max_iter=500)
+        rep = err.value.report
+        assert not rep.converged and 0 < rep.iterations < 500
+        assert len(rep.functional_history) == rep.iterations + 1
+        assert rep.functional_history[-1] > 1e-30 and len(rep.residual_history) == 1
+
+    def test_a_direction_that_does_not_descend_raises_line_search_stalled(self, monkeypatch):
+        # a zero gradient gives a zero direction, whose slope is 0: the
+        # route stops at once, at the start, with the budget unused
+        monkeypatch.setattr(nonlinear_solver, "functional_gradient",
+                            lambda kernel, x, y, defect: np.zeros_like(x.values))
+        y = from_callable(lambda t: t, Grid(0.0, 1.0, 100))
+        with pytest.raises(LineSearchStalled, match="slope") as err:
+            solve_gradient(_stiff(10.0, 3.0), y, tol=1e-6, max_iter=500)
+        rep = err.value.report
+        assert rep.iterations == 0 and len(rep.functional_history) == 1
+
     @staticmethod
     def _apply_V_points(monkeypatch) -> list:
         # the points at which solve_gradient calls apply_V, in order
@@ -504,26 +538,35 @@ class TestGradient:
 
     @pytest.mark.parametrize("smooth", [False, True])
     def test_walks_v_tx_once_per_step(self, smooth):
-        # the line-search slope is <gradient, direction>, so v_tx is
-        # walked only by the gradient: N(N+1)/2 samples per step, or one
-        # gradient's worth when far rectangles are interpolated in t
+        # a Picard step walks no v_tx; a conjugate step walks it once, for
+        # the gradient, since the line-search slope is <gradient,
+        # direction>: N(N+1)/2 samples, or one gradient's worth when far
+        # rectangles are interpolated in t.  On example1 the Picard steps
+        # converge; on v = 10 atan(3x) the first Picard trial climbs, so
+        # every step is a conjugate one
         counts = {"v_tx": 0}
 
-        def v_tx(t, tau, x):
-            counts["v_tx"] += np.broadcast(np.asarray(t), np.asarray(tau)).size
-            return ker.v_tx(t, tau, x)
+        def counted(ker):
+            def v_tx(t, tau, x):
+                counts["v_tx"] += np.broadcast(np.asarray(t), np.asarray(tau)).size
+                return ker.v_tx(t, tau, x)
 
-        ker = replace(example1_kernel(1.0), smooth_in_t=smooth)
+            return replace(ker, v_tx=v_tx, smooth_in_t=smooth)
+
         g = Grid(0.0, 1.0, 100)
         rng = np.random.default_rng(0)
         y = from_callable(lambda t: t, g) + random_anchored(g, 1, rng, norm=0.5)
-        _, rep = solve_gradient(replace(ker, v_tx=v_tx), y, tol=1e-6)
+        _, rep = solve_gradient(counted(example1_kernel(1.0)), y, tol=1e-6)
+        assert rep.converged and rep.iterations >= 2
+        assert counts["v_tx"] == 0
+        ker = counted(_stiff(10.0, 3.0))
+        _, rep = solve_gradient(ker, y, tol=1e-6)
         assert rep.converged and rep.iterations >= 2
         if not smooth:
             assert counts["v_tx"] == rep.iterations * 100 * 101 // 2
         else:
             steps, counts["v_tx"] = counts["v_tx"], 0
-            vt.functional_gradient(replace(ker, v_tx=v_tx), y, y)
+            vt.functional_gradient(ker, y, y)
             assert counts["v_tx"] < 100 * 101 // 2
             assert steps == rep.iterations * counts["v_tx"]
 
@@ -584,8 +627,9 @@ class TestGradient:
         assert counts["samples"] > 0 and counts["in_gradient"] == 0
 
     def test_counted_steps_on_example1(self, monkeypatch):
-        # four iterations where steepest descent took six or seven; each
-        # takes a trial, at most one refinement and one v_tx walk
+        # at most three Picard steps where conjugate directions took four
+        # and steepest descent six or seven; each takes one merit and no
+        # v_tx walk, so the solve takes one merit more than its steps
         counts = {"merits": 0, "v_tx": 0}
         merit, adjoint = nonlinear_solver._merit, operator.inner_integral_adjoint
 
@@ -604,13 +648,15 @@ class TestGradient:
         rng = np.random.default_rng(3)
         y = from_callable(lambda t: t, g) + random_anchored(g, 1, rng, norm=0.5)
         _, rep = solve_gradient(ker, y, tol=1e-6)
-        assert rep.converged and rep.iterations <= 5
-        assert counts["merits"] <= 2 * rep.iterations + 1
-        assert counts["v_tx"] == rep.iterations
+        assert rep.converged and rep.iterations <= 3
+        assert counts["merits"] == rep.iterations + 1
+        assert counts["v_tx"] == 0
 
     def test_a_converged_trial_ends_the_line_search(self, monkeypatch):
-        # the start, then a trial and its refinement per iteration but the
-        # last, whose trial at s = 1 meets tol^2 and is taken as it is
+        # on lam = 3 the first Picard trial climbs, so the merits are the
+        # start, that trial, then a trial and its refinement per conjugate
+        # step but the last, whose trial at s = 1 meets tol^2 and is taken
+        # as it is
         values, merit = [], nonlinear_solver._merit
 
         def counted_merit(*args):
@@ -622,19 +668,86 @@ class TestGradient:
         g = Grid(0.0, 1.0, 200)
         rng = np.random.default_rng(3)
         y = from_callable(lambda t: t, g) + random_anchored(g, 1, rng, norm=0.5)
-        _, rep = solve_gradient(example1_kernel(1.0), y, tol=1e-6)
+        _, rep = solve_gradient(linear_kernel(3.0), y, tol=1e-6)
         assert rep.converged and rep.iterations >= 3
-        assert len(values) == 2 * rep.iterations
+        assert values[1] > values[0]
+        assert len(values) == 2 * rep.iterations + 1
         assert values[-1] <= 1e-12 < values[-2]
         assert rep.functional_history[-1] == values[-1]
 
-    def test_linear_kernel_in_six_iterations(self):
-        # steepest descent along -P g took 18
+    def test_linear_kernel_in_fifteen_walks(self, monkeypatch):
+        # one walk per merit and per gradient: conjugate directions took
+        # 12 merits and 6 gradients, steepest descent along -P g 18 steps
+        counts = {"walks": 0}
+        merit, gradient = nonlinear_solver._merit, nonlinear_solver.functional_gradient
+
+        def counted(f):
+            def walk(*args, **kwargs):
+                counts["walks"] += 1
+                return f(*args, **kwargs)
+
+            return walk
+
+        monkeypatch.setattr(nonlinear_solver, "_merit", counted(merit))
+        monkeypatch.setattr(nonlinear_solver, "functional_gradient", counted(gradient))
         y = from_callable(lambda t: t, Grid(0.0, 1.0, 200))
         _, rep = solve_gradient(linear_kernel(2.0), y, tol=1e-8)
-        assert rep.converged and rep.iterations <= 6
+        assert rep.converged and counts["walks"] <= 15
 
-    def test_first_step_is_the_steepest_descent_step(self, monkeypatch):
+    def test_first_step_is_the_picard_step(self, monkeypatch):
+        # x_k - delta sum_{i<k} D_i at every node, D the defect at the start
+        points = self._apply_V_points(monkeypatch)
+        ker = example1_kernel(1.0)
+        y = from_callable(lambda t: np.sin(5.0 * t), Grid(0.0, 1.0, 200))
+        with pytest.raises(MaxIterExceeded):
+            solve_gradient(ker, y, tol=1e-13, max_iter=1)
+        [last] = points
+        assert np.array_equal(last.values, _picard_step(ker, y, y).values)
+
+    def test_first_conjugate_step_is_the_steepest_descent_step(self, monkeypatch):
+        # on v = 10 atan(3x) the Picard trial climbs and is discarded, so
+        # the first step is the one along -P g from y
+        points = self._apply_V_points(monkeypatch)
+        ker = _stiff(10.0, 3.0)
+        y = from_callable(lambda t: np.sin(6.0 * t), Grid(0.0, 1.0, 100))
+        F0 = vt.functional_F(ker, y, y)
+        assert vt.functional_F(ker, _picard_step(ker, y, y), y) > F0
+        with pytest.raises(MaxIterExceeded) as err:
+            solve_gradient(ker, y, tol=1e-13, max_iter=1)
+        [last] = points
+        assert np.array_equal(last.values, _steepest_descent_step(ker, y, y).values)
+        assert err.value.report.functional_history[0] == F0
+
+    def test_picard_steps_start_from_x_init(self, monkeypatch):
+        points = self._apply_V_points(monkeypatch)
+        ker = example1_kernel(1.0)
+        g = Grid(0.0, 1.0, 200)
+        y = from_callable(lambda t: t, g)
+        x0 = random_anchored(g, 1, np.random.default_rng(5), norm=0.3)
+        with pytest.raises(MaxIterExceeded):
+            solve_gradient(ker, y, x_init=x0, tol=1e-13, max_iter=1)
+        [last] = points
+        assert np.array_equal(last.values, _picard_step(ker, x0, y).values)
+        x, rep = solve_gradient(ker, y, x_init=x0, tol=1e-7)
+        assert rep.converged and rep.functional_history[0] == vt.functional_F(ker, x0, y)
+        assert vt.functional_F(ker, x, y) <= 1e-14
+
+    def test_a_nonfinite_picard_trial_hands_over_to_conjugate_directions(self, monkeypatch):
+        # a start defect whose running sum overflows makes the Picard
+        # trial point non-finite: it counts as not lower, so the first step
+        # is the steepest-descent one, not a ValueError from GridFunction
+        merit, gradient = nonlinear_solver._merit, nonlinear_solver.functional_gradient
+        merits = []
+
+        def overflowing_start(kernel, x, y):
+            F, D = merit(kernel, x, y)
+            merits.append(F)
+            return F, np.full_like(D, 1e308) if len(merits) == 1 else D
+
+        monkeypatch.setattr(nonlinear_solver, "_merit", overflowing_start)
+        # the gradient recomputes the defect (as it would without a hand-over)
+        monkeypatch.setattr(nonlinear_solver, "functional_gradient",
+                            lambda kernel, x, y, defect: gradient(kernel, x, y))
         points = self._apply_V_points(monkeypatch)
         ker = example1_kernel(1.0)
         y = from_callable(lambda t: np.sin(5.0 * t), Grid(0.0, 1.0, 200))
@@ -642,6 +755,10 @@ class TestGradient:
             solve_gradient(ker, y, tol=1e-13, max_iter=1)
         [last] = points
         assert np.array_equal(last.values, _steepest_descent_step(ker, y, y).values)
+        # and a whole solve from that start converges along conjugate steps
+        merits.clear()
+        _, rep = solve_gradient(ker, y, tol=1e-7)
+        assert rep.converged and rep.functional_history[-1] <= 1e-14
 
     def test_directions_follow_polak_ribiere_plus(self, monkeypatch):
         # d_k = -P g_k + beta_k d_{k-1}, beta_k = max(0, <g_k, P g_k - P g_{k-1}>

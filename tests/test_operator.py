@@ -201,19 +201,20 @@ def test_functional_decreases_along_newton_direction():
 
 # The evaluators each function reads, in its walks or, for v in
 # functional_F and v_x in functional_gradient, on the diagonal alone.
+# solve_gradient converges on example1 by Picard steps, which take merits
+# alone.
 _WALKED = {
     "apply_V": ("v",),
     "apply_T": ("v_x",),
     "functional_F": ("v", "v_t"),
     "functional_gradient": ("v", "v_t", "v_x", "v_tx"),
-    "solve_gradient": ("v", "v_t", "v_x", "v_tx"),
+    "solve_gradient": ("v", "v_t"),
     "neumann_solve": ("v_x", "v_tx"),  # estimate_l_rho samples both
 }
 
 
-@pytest.mark.parametrize("name, broken", [(n, b) for n, evs in _WALKED.items() for b in evs])
-def test_nonfinite_samples_in_a_walk_raise_kernel_contract(name, broken):
-    ker = example1_kernel(1.0)
+def _late_nan(ker, broken):
+    # ker with the evaluator named by broken non-finite for t > 1/2
     f = getattr(ker, broken)
 
     def late_nan(t, tau, x):
@@ -221,7 +222,12 @@ def test_nonfinite_samples_in_a_walk_raise_kernel_contract(name, broken):
         late = np.asarray(t) > 0.5
         return np.where(late.reshape(late.shape + (1,) * (out.ndim - late.ndim)), np.nan, out)
 
-    ker = replace(ker, **{broken: late_nan})
+    return replace(ker, **{broken: late_nan})
+
+
+@pytest.mark.parametrize("name, broken", [(n, b) for n, evs in _WALKED.items() for b in evs])
+def test_nonfinite_samples_in_a_walk_raise_kernel_contract(name, broken):
+    ker = _late_nan(example1_kernel(1.0), broken)
     g = Grid(0.0, 1.0, 100)
     x, y = from_callable(lambda t: np.sin(3.0 * t), g), from_callable(lambda t: t, g)
     call = {
@@ -236,6 +242,21 @@ def test_nonfinite_samples_in_a_walk_raise_kernel_contract(name, broken):
     match = "node 51 " if name in ("apply_V", "apply_T") else None
     with pytest.raises(KernelContract, match=match):
         call()
+
+
+@pytest.mark.parametrize("broken", ["v_x", "v_tx"])
+def test_nonfinite_samples_in_a_conjugate_step_raise_kernel_contract(broken):
+    # on v = 10 atan(3x), a scalar kernel off the lag route, the first
+    # Picard trial climbs, so the solve reaches conjugate directions,
+    # whose gradient reads v_x on the diagonal and walks v_tx
+    ker = _late_nan(vt.scalar_kernel(lambda t, tau, x: 10.0 * np.arctan(3.0 * x),
+                                     lambda t, tau, x: 0.0 * x,
+                                     lambda t, tau, x: 30.0 / (1.0 + (3.0 * x) ** 2),
+                                     lambda t, tau, x: 0.0 * x), broken)
+    assert ker.lag is None
+    y = from_callable(lambda t: t, Grid(0.0, 1.0, 100))
+    with pytest.raises(KernelContract):
+        vt.solve_gradient(ker, y)
 
 
 @pytest.mark.parametrize("call, broken", [("apply_V_dt", "v"), ("frechet_dt", "v_x"),

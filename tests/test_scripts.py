@@ -54,3 +54,18 @@ def test_walk_cost_table():
         ex1, free, ratio, calls = float(r[2]), float(r[3]), float(r[4]), int(r[5])
         # the free evaluator costs nothing, so its walk is the cheaper
         assert 0 < free < ex1 and ratio < 1 and calls > 0
+
+
+def test_gradient_walks_table():
+    out = _run("gradient_walks.py", "--cells", "60", "--tol", "1e-7")
+    assert out.returncode == 0, out.stderr
+    rows = [line.split() for line in out.stdout.strip().splitlines()[1:]]
+    # nine kernels on three right-hand sides; a kernel name may hold a space
+    assert len(rows) == 27
+    for r in rows:
+        iters, merits, grads, walks = map(int, r[-7:-3])
+        assert r[-2] == "True" and float(r[-3]) <= 1e-14, r
+        assert walks == merits + grads and merits >= iters + 1, r
+        if r[0].startswith("example1"):
+            # Picard steps alone: one merit each and no gradient
+            assert grads == 0 and merits == iters + 1, r
