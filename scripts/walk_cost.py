@@ -6,9 +6,10 @@ inner_integral_adjoint, each with example1's evaluator and with a free
 one that returns a cached zero array of the shape asked for, and the
 evaluator calls per walk.  The free walk is quadrature's own cost: the
 views, the far checks, the reductions and the scatter.  Each v_t row
-also gives apply_T's v_x walk at its N, evaluated and replayed as
-neumann_solve replays it after its first iteration, so that the walk's
-own cost per Neumann iteration shows (transpose rows print "-").
+also gives apply_T's v_x walk at its N, evaluated, and replayed from
+the walk's recorder as neumann_solve replays it after its first
+iteration, so that the walk's own cost per Neumann iteration shows
+(transpose rows print "-").
 Times are the best of --repeat runs in one process.
 
     python scripts/walk_cost.py [--cells 1000 2000 16000] [--repeat 20]
@@ -21,8 +22,7 @@ import numpy as np
 
 import volterra as vt
 from volterra.kernels import SmoothInT
-from volterra.linear_solver import _replayed
-from volterra.quadrature import inner_integral, inner_integral_adjoint, node_integral
+from volterra.quadrature import _row_sums, inner_integral, inner_integral_adjoint, node_integral
 
 
 def _free(trailing):
@@ -54,14 +54,8 @@ def _counted(f):
 def _replaying(f, grid, x, h):
     """apply_T's walk of f applied to h, replaying f's samples from the
     second walk on."""
-    ev, replay = _replayed(f)
-    integrand = SmoothInT(ev)
-
-    def walk():
-        node_integral(integrand, grid, x, h)
-        replay()
-
-    return walk
+    integrand, recorded = SmoothInT(f), []
+    return lambda: _row_sums(integrand, grid.nodes, grid, x, h, "node", recorded=recorded)
 
 
 def _best(walk, repeat):

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .certification import check_A3, check_A4, check_example1, check_example2
-from .config import ProblemConfig
+from .config import ProblemConfig, _linw_atan_majorant
 from .errors import ConfigError, SolverError, VolterraError
 from .function_space import ac_norm, from_callable, sub, write_csv
 from .linear_solver import apply_T, collocation_solve
@@ -71,7 +71,7 @@ def _run_checks(config: ProblemConfig, kernel, grid) -> dict:
     if config.kernel_name == "example1":
         closed = check_example1(params["a_bar"], grid.length)
     elif config.kernel_name == "example2_linw_atan":
-        A = params.get("A", 1.0)  # the config's default
+        A = _linw_atan_majorant(params)[0]
         closed = check_example2(np.ones_like, A, T=grid.beta, grid=grid) if A > 0 else None
     if closed is not None:
         section["closed_form"] = closed.to_dict()

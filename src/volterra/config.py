@@ -175,6 +175,11 @@ def _atan_offset(A: float) -> float:
     return math.atan(u) - A * u
 
 
+def _linw_atan_majorant(params: dict) -> tuple[float, float]:
+    """example2_linw_atan's A and B of |atan x| <= A|x| + B, defaults 1 and 0."""
+    return float(params.get("A", 1.0)), float(params.get("B", 0.0))
+
+
 def _build_kernel(name: str, params: dict, alpha: float, beta: float) -> KernelSpec:
     if name == "zero":
         _check_params(name, params, set())
@@ -191,8 +196,7 @@ def _build_kernel(name: str, params: dict, alpha: float, beta: float) -> KernelS
         _check_params(name, params, set(), optional={"A", "B"})
         if abs(alpha) > 1e-12:
             raise ConfigError("example2_linw_atan requires alpha = 0")
-        A = float(params.get("A", 1.0))
-        B = float(params.get("B", 0.0))
+        A, B = _linw_atan_majorant(params)
         if A >= 0 and B < _atan_offset(A):
             raise ConfigError(f"example2_linw_atan: |atan x| <= A|x| + B needs B >= "
                               f"{_atan_offset(A):.17g} for A = {A}, got B = {B}")

@@ -52,6 +52,7 @@ class Grid:
             raise ValueError(f"need beta > alpha, got [{self.alpha}, {self.beta}]")
         if int(self.n_cells) != self.n_cells or self.n_cells < 1:
             raise ValueError(f"n_cells must be a positive integer, got {self.n_cells}")
+        object.__setattr__(self, "n_cells", int(self.n_cells))  # 2.0 -> 2, for linspace
 
     @cached_property
     def delta(self) -> float:

@@ -19,9 +19,11 @@ t, tau and x read-only broadcast views (a leaf's triangle: gathered
 arrays), so an evaluator must never write into its inputs.  Every walk
 of a shape passes the same views, of buffers the next walk refills, so
 an evaluator must not keep its inputs past a call either.
-neumann_solve keeps the arrays v_x returns for the length of a solve
-and replays them, so an evaluator must not write into an array it has
-returned, nor return different samples for the same inputs.  In-place
+A walk may record what an evaluator returns (quadrature._walk's
+recorder): neumann_solve's first walk of v_x keeps the arrays for the
+length of the solve, and every later walk of that shape replays them
+instead of calling v_x, so an evaluator must not write into an array it
+has returned, nor return different samples for the same inputs.  In-place
 arithmetic (*=, /=, +=) on its own temporaries, each freed as soon as
 it is spent, keeps few chunk-sized arrays alive at once: the allocator
 then reuses the same heap pages from chunk to chunk instead of trimming

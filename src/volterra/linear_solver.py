@@ -3,13 +3,13 @@
 T is the Volterra integral operator with kernel v_x(t, tau, x0(tau)).
 Two routes are provided: a Neumann iteration h <- g - T h whose factorial
 tail gives an a-priori error bound, and a direct triangular collocation
-solve.  T's samples depend on x0 alone, not on h, so the iteration
-evaluates them on its first apply_T and replays them on every later
-one (_replayed).  The tail bounds the error only where l_rho bounds v_x
-and v_tx on the ball; estimate_l_rho samples them, so it may fall short
-of the supremum (ROADMAP item 3(a)).  Both routes discretize T
-identically, so they converge to the same node values and can
-cross-check each other.
+solve.  T's samples depend on x0 alone, not on h, so the iteration's
+first walk of T records them and every later walk replays them
+(quadrature._walk's recorder).  The tail bounds the error only where
+l_rho bounds v_x and v_tx on the ball; estimate_l_rho samples them, so
+it may fall short of the supremum (ROADMAP item 3(a)).  Both routes
+discretize T identically, so they converge to the same node values and
+can cross-check each other.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import asdict, dataclass, replace
+import numbers
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .errors import DimMismatch, KernelContract, SingularBlock
 from .function_space import GridFunction, ac_norm, sup_norm, zeros
 from .kernels import KernelSpec, TriangularDomain
 from .quadrature import (_block_sum, _by_halves, _lag_z, _leaf_triangle, _require_finite,
-                         cell_midpoint_values, node_integral)
+                         _row_sums, cell_midpoint_values, node_integral)
 
 # Same grid and dim, or GridMismatch / DimMismatch.
 _require_same = GridFunction._require_compatible
@@ -34,6 +35,15 @@ _require_same = GridFunction._require_compatible
 def _require_kernel_dim(kernel: KernelSpec, x: GridFunction):
     if kernel.dim != x.dim:
         raise DimMismatch(f"kernel dim {kernel.dim} vs function dim {x.dim}")
+
+
+def _require_budget(tol, max_iter):
+    """tol > 0, and max_iter an integer >= 1 as in the config schema:
+    numpy integers pass, a bool does not."""
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    if not isinstance(max_iter, numbers.Integral) or isinstance(max_iter, bool) or max_iter < 1:
+        raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
 
 
 def apply_T(kernel: KernelSpec, x0: GridFunction, g: GridFunction) -> GridFunction:
@@ -214,56 +224,18 @@ class NeumannReport:
         return asdict(self)
 
 
-def _replayed(f):
-    """f as an evaluator that records what it returns, call by call, and
-    replay(), which ends a walk: every later walk gets the recorded
-    values back in the recorded order instead of calling f.
-
-    A walk's calls depend on the grid, x0 and the samples alone, so a
-    walk of the same T makes the same calls, its far checks and
-    fallbacks included.  Each replayed call's sample shape is checked
-    against the recorded one, and a walk that makes more or fewer calls
-    than the recorded walk raises RuntimeError.  Closures over a list,
-    with no reference cycle, so the recorded arrays are freed as soon as
-    the caller drops the evaluator.
-    """
-    recorded = []
-    pos = None  # the next call to replay; None while recording
-
-    def evaluator(t, tau, x):
-        nonlocal pos
-        shape = np.broadcast_shapes(np.shape(t), np.shape(tau), np.shape(x)[:-1])
-        if pos is None:
-            out = f(t, tau, x)
-            recorded.append((shape, out))
-            return out
-        if pos == len(recorded) or recorded[pos][0] != shape:
-            raise RuntimeError(f"a replayed walk asked for samples of shape {shape} at call "
-                               f"{pos} of the {len(recorded)} it recorded")
-        pos += 1
-        return recorded[pos - 1][1]
-
-    def replay():
-        nonlocal pos
-        if pos not in (None, len(recorded)):
-            raise RuntimeError(f"a replayed walk made {pos} of the {len(recorded)} "
-                               "calls it recorded")
-        pos = 0
-
-    return evaluator, replay
-
-
 def neumann_solve(kernel: KernelSpec, x0: GridFunction, g: GridFunction,
                   tol: float, max_iter: int = 200,
                   samples: int = 2048) -> tuple[GridFunction, NeumannReport]:
     """Solve h + T h = g by the Neumann iteration h <- g - T h.
 
     It starts from h = 0, whose image T 0 = 0 needs no walk, so each
-    iteration makes one apply_T.  T's v_x samples do not depend on h:
-    the first apply_T evaluates them and every later one replays them
-    (_replayed), so a solve walks v_x once, holding that walk's
-    O(N log N) samples (O(N^2) for a kernel not smooth in t) until it
-    returns; a lag kernel keeps its FFT route and records nothing.
+    iteration takes one apply_T's walk of T.  T's v_x samples do not
+    depend on h: the first walk records them and every later one replays
+    them (quadrature._walk's recorder), so a solve walks v_x once,
+    holding that walk's O(N log N) samples (O(N^2) for a kernel not
+    smooth in t) until it returns; a lag kernel keeps its FFT route and
+    records nothing.
     l_rho samples the kernel itself.  Stops once the computed residual
     ||h + T h - g|| drops to tol or the a-priori factorial tail puts
     the remaining gap below tol; that tail bounds the gap only where
@@ -274,23 +246,19 @@ def neumann_solve(kernel: KernelSpec, x0: GridFunction, g: GridFunction,
     """
     _require_same(x0, g)
     _require_kernel_dim(kernel, x0)
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    _require_budget(tol, max_iter)
     grid = g.grid
     tri = TriangularDomain(grid.alpha, grid.beta)
     l_rho = estimate_l_rho(kernel, rho=sup_norm(x0) + 1.0, samples=samples,
                            domain=tri, include_time_derivative=True)
     bound = NeumannBound.for_interval(l_rho, sup_norm(g), grid.alpha, grid.beta)
 
-    v_x, replay = _replayed(kernel.v_x)
-    replayed = replace(kernel, v_x=v_x)
+    f, recorded = kernel.integrand("v_x"), []  # apply_T's walk, recorded once
     h = Th = zeros(grid, g.dim)
     for m in range(1, max_iter + 1):
         h = g - Th
-        Th = apply_T(replayed, x0, h)
-        replay()
+        Th = GridFunction(grid, _row_sums(f, grid.nodes, grid, x0.values, h.values, "node",
+                                          recorded=recorded))
         residual = ac_norm(h + Th - g)
         gap = iterate_bound(m, bound) + tail_bound(m, bound)
         if residual <= tol or gap <= tol:

@@ -32,7 +32,8 @@ import numpy as np
 from .errors import LineSearchStalled, MaxIterExceeded
 from .function_space import GridFunction, ac_norm, axpy, random_anchored
 from .kernels import LagIntegrand
-from .linear_solver import _require_kernel_dim, _require_same, _solve_leaf, collocation_solve
+from .linear_solver import (_require_budget, _require_kernel_dim, _require_same, _solve_leaf,
+                            collocation_solve)
 from .operator import _merit, apply_V, functional_gradient
 from .quadrature import (_block_sum, _by_halves, _lag_z, _leaf_triangle, _require_finite,
                          cell_midpoint_values)
@@ -66,8 +67,7 @@ def solve_newton(kernel, y: GridFunction, x_init: GridFunction | None = None,
     MaxIterExceeded or LineSearchStalled with the partial report
     attached.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    _require_budget(tol, max_iter)
     x = x_init if x_init is not None else y
     r = y - apply_V(kernel, x)
     res = ac_norm(r)
@@ -130,8 +130,7 @@ def solve_march(kernel, y: GridFunction, x_init: GridFunction | None = None,
     LineSearchStalled; each with the partial report attached.  A
     non-finite sample of v or v_x raises KernelContract naming where.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    _require_budget(tol, max_iter)
     _require_kernel_dim(kernel, y)
     if x_init is not None:
         _require_same(x_init, y)
@@ -266,15 +265,14 @@ def solve_gradient(kernel, y: GridFunction, x_init: GridFunction | None = None,
     The report's iterations count the steps of both kinds, which
     max_iter caps together; its functional_history holds F at the start
     and after each accepted step.  Its residual_history holds one
-    entry, as the march's does: ac_norm(y - apply_V(x)) at the x
-    returned, or at the last iterate with the report attached to a
-    failure, so a solve walks v once, for its report.  Raises
+    entry, ac_norm(y - apply_V(x)) at the x returned, or at the last
+    iterate with the report attached to a failure, so a solve walks v
+    once, for its report.  Raises
     MaxIterExceeded when max_iter steps leave F above tol^2, and
     LineSearchStalled when a conjugate step finds no decrease above the
     least step or a direction whose slope is not negative.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    _require_budget(tol, max_iter)
     x = x_init if x_init is not None else y
     F, D = _merit(kernel, x, y)
     report = SolveReport("gradient", 0, [], [F], False)

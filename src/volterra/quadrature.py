@@ -312,7 +312,10 @@ def _walk(n_rows: int, n_cols: int, offset: int, tri: bool, smooth: bool, transp
     Evaluators must not keep their inputs past a call.  A walk of the
     shape while this one is in use (an evaluator's own walk, another
     thread) builds a walk of its own.  Built by nested or cached helpers
-    alone, as _plan is.
+    alone, as _plan is.  Given an empty list recorded, a walk appends its
+    shape and each call's float samples; a later walk given the list
+    replays them in order, never calling f, as its calls follow from its
+    shape and samples alone.  A walk of another shape raises RuntimeError.
     """
     size = _CHEB + 1
     rows, cols = np.empty(n_rows), np.empty(n_cols)
@@ -375,11 +378,11 @@ def _walk(n_rows: int, n_cols: int, offset: int, tri: bool, smooth: bool, transp
                           r, c, _chebyshev(int(h[0]))[1], heights,
                           (h.tolist(), b0.tolist(), k, j0, dj)))
     lock = threading.Lock()
+    walk_shape = (n_rows, n_cols, offset, tri, smooth, transpose, leaf, cap, dim)
 
-    def sums(f, rows_in, cols_in, xc_in, hc=None, w=None):
+    def sums(f, rows_in, cols_in, xc_in, hc=None, w=None, recorded=None):
         if not lock.acquire(blocking=False):
-            return _walk.__wrapped__(n_rows, n_cols, offset, tri, smooth, transpose, leaf, cap,
-                                     dim)(f, rows_in, cols_in, xc_in, hc, w)
+            return _walk.__wrapped__(*walk_shape)(f, rows_in, cols_in, xc_in, hc, w, recorded)
         try:
             rows[:], cols[:], xc[:] = rows_in, cols_in, xc_in
             if hc is not None or w is not None:
@@ -388,7 +391,7 @@ def _walk(n_rows: int, n_cols: int, offset: int, tri: bool, smooth: bool, transp
             if firsts.size:  # the first row and the Chebyshev times of every far block
                 a = rows[firsts][:, None]
                 times[:] = np.concatenate([a, a + (rows[lasts][:, None] - a) * points], axis=1)
-            fell = run(f.f if isinstance(f, SmoothInT) else f, hc is not None)
+            fell = run(evaluator(f, recorded), hc is not None)
             if fell:
                 import logging  # here, not at start-up, which it would cost 5 ms
 
@@ -401,11 +404,31 @@ def _walk(n_rows: int, n_cols: int, offset: int, tri: bool, smooth: bool, transp
         finally:
             lock.release()
 
+    def evaluator(f, recorded):
+        # f's float samples, call by call, recorded or replayed
+        f = f.f if isinstance(f, SmoothInT) else f
+        if recorded is None:
+            return lambda t, tau, x: np.asarray(f(t, tau, x), float)
+        if recorded:
+            if recorded[0] != walk_shape:
+                raise RuntimeError(f"a walk of shape {walk_shape} cannot replay the samples "
+                                   f"of a walk of shape {recorded[0]}")
+            replay = iter(recorded[1:])
+            return lambda t, tau, x: next(replay)
+        recorded.append(walk_shape)
+
+        def record(t, tau, x):
+            S = np.asarray(f(t, tau, x), float)
+            recorded.append(S)
+            return S
+
+        return record
+
     def run(f, with_h):
-        # the calls in order; the far blocks that fell back
+        # the calls in order, f giving float samples; the far blocks that fell back
         def sample_exact(call):
             _, t, tau, x, r, c = call
-            S = np.asarray(f(t, tau, x), float)
+            S = f(t, tau, x)
             if transpose:
                 c += np.einsum("nikba,nib->nka", S, r)
             elif with_h:
@@ -415,7 +438,7 @@ def _walk(n_rows: int, n_cols: int, offset: int, tri: bool, smooth: bool, transp
 
         def sample_far(call):
             _, t, tau, x, r, c, M, heights, (h, b0, k, j0, dj) = call
-            S = np.asarray(f(t, tau, x), float)
+            S = f(t, tau, x)
             # per block, the largest miss of its exact first row by the
             # interpolant and that row's largest value, by one product;
             # the bound must be finite, and no non-finite miss meets it
@@ -458,7 +481,7 @@ def _walk(n_rows: int, n_cols: int, offset: int, tri: bool, smooth: bool, transp
                 t, tau, x = t.take(p, 1), tau.repeat(runs, 1), x.repeat(runs, 1)
             else:  # in row order: row p repeats over its run
                 t, tau, x = t.repeat(runs, 1), tau.take(q, 1), x.take(q, 1)
-            S = np.asarray(f(t, tau, x), float)
+            S = f(t, tau, x)
             if transpose:
                 c += np.add.reduceat(np.einsum("ntba,ntb->nta", S, r.take(p, 1)), starts, 1)
             elif with_h:
@@ -477,7 +500,8 @@ def _walk(n_rows: int, n_cols: int, offset: int, tri: bool, smooth: bool, transp
 
 def _block_sum(f, rows: np.ndarray, cols: np.ndarray, xc: np.ndarray,
                hc: np.ndarray | None = None, zc: np.ndarray | None = None, *,
-               tri: bool = False, w: np.ndarray | None = None, why: str = _KERNEL) -> np.ndarray:
+               tri: bool = False, w: np.ndarray | None = None, why: str = _KERNEL,
+               recorded: list | None = None) -> np.ndarray:
     """sum over j of f(rows[i], cols[j], xc[j]), applied to hc[j] if given.
 
     With tri, row i takes the columns j < i alone, so row 0 takes none.
@@ -488,8 +512,9 @@ def _block_sum(f, rows: np.ndarray, cols: np.ndarray, xc: np.ndarray,
     lag rows[0] - cols[j - i] for j > i); zc, if given, is its f.z(xc)
     from _lag_z, which a solve evaluates once and slices per block, and
     a non-finite factor raises KernelContract ending in why.  Any other
-    f is walked over the tree of the rows' blocks.  This is the one
-    place that chooses the route of a sum.
+    f is walked over the tree of the rows' blocks, recording or replaying
+    its samples in recorded if given (_walk).  This is the one place that
+    chooses the route of a sum.
     """
     R, C = rows.size, cols.size
     if isinstance(f, LagIntegrand):
@@ -517,7 +542,7 @@ def _block_sum(f, rows: np.ndarray, cols: np.ndarray, xc: np.ndarray,
     offset = round(2.0 * (rows[0] - cols[0]) / spacing)
     walk = _walk(R, C, offset, tri, isinstance(f, SmoothInT), w is not None, _LEAF,
                  _BLOCK_SAMPLES, xc.shape[1])
-    return walk(f, rows, cols, xc, hc, w)
+    return walk(f, rows, cols, xc, hc, w, recorded)
 
 
 @functools.cache
@@ -579,10 +604,11 @@ def _fft_size(n: int) -> int:
     return 1 << max(0, n - 1).bit_length()
 
 
-def _row_sums(f, rows, grid: Grid, values, hvalues, at: str, why: str):
+def _row_sums(f, rows, grid: Grid, values, hvalues, at: str, why: str = _KERNEL, recorded=None):
     """delta * sum over j < i of f(rows[i], m_j, x(m_j)), times h(m_j) if given."""
     hm = None if hvalues is None else cell_midpoint_values(hvalues)
-    out = _block_sum(f, rows, grid.midpoints, cell_midpoint_values(values), hm, tri=True, why=why)
+    out = _block_sum(f, rows, grid.midpoints, cell_midpoint_values(values), hm, tri=True, why=why,
+                     recorded=recorded)
     _require_finite(out, f"the sum of the row at {at}", range(rows.size), why)
     return grid.delta * out
 
@@ -602,7 +628,7 @@ def node_integral(f, grid: Grid, values: np.ndarray,
     shape (dim,) per sample; with hvalues it returns a matrix per sample
     that is applied to h(tau).  Output shape (N + 1, dim); row 0 is zero.
     """
-    return _row_sums(f, grid.nodes, grid, values, hvalues, "node", _KERNEL)
+    return _row_sums(f, grid.nodes, grid, values, hvalues, "node")
 
 
 def inner_integral(f, grid: Grid, values: np.ndarray,

@@ -47,6 +47,13 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid(0.0, 1.0, 0)
 
+    def test_an_integral_float_cell_count_is_stored_as_an_int(self):
+        g = Grid(0.0, 1.0, 2.0)
+        assert type(g.n_cells) is int
+        assert np.array_equal(g.nodes, Grid(0.0, 1.0, 2).nodes)
+        with pytest.raises(ValueError, match="n_cells"):
+            Grid(0.0, 1.0, 2.5)
+
     @pytest.mark.parametrize("alpha, beta", [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0),
                                              (0.0, math.nan), (-math.inf, math.inf)])
     def test_rejects_nonfinite_endpoints(self, alpha, beta):

@@ -38,7 +38,7 @@ from volterra import (
     zeros,
 )
 from volterra.kernels import KernelSpec
-from volterra.linear_solver import NeumannReport, _halton, _replayed
+from volterra.linear_solver import NeumannReport, _halton
 
 
 def _atan_lag():
@@ -406,25 +406,33 @@ class TestNeumann:
         assert alive == 0
 
     def test_a_replay_that_leaves_the_recorded_walk_raises(self):
-        f = example1_kernel(1.0).v_x
-        t, tau, x = np.full((2, 3), 0.5), np.full((2, 3), 0.25), np.ones((2, 3, 1))
-        evaluator, replay = _replayed(f)
-        first = evaluator(t, tau, x)
-        replay()
-        assert evaluator(t, tau, x) is first
-        replay()
-        with pytest.raises(RuntimeError, match="shape"):
-            evaluator(t[:1], tau[:1], x[:1])
-        evaluator, replay = _replayed(f)
-        evaluator(t, tau, x), evaluator(t, tau, x)
-        replay()
-        evaluator(t, tau, x)
-        with pytest.raises(RuntimeError, match="1 of the 2"):
-            replay()
-        evaluator, replay = _replayed(f)
-        replay()  # a walk that recorded nothing has nothing to replay
-        with pytest.raises(RuntimeError, match="call 0 of the 0"):
-            evaluator(t, tau, x)
+        # a recorder replays its samples to walks of the shape that took
+        # them, without calling v_x; a walk of another shape raises
+        calls = {"v_x": 0}
+
+        def v_x(t, tau, x):
+            calls["v_x"] += 1
+            return base.v_x(t, tau, x)
+
+        base = example1_kernel(1.0)
+        f = replace(base, v_x=v_x).integrand("v_x")
+        walks = {}
+        for n in (300, 400):
+            g = Grid(0.0, 1.0, n)
+            x0 = from_callable(lambda t: 2.0 * np.sin(3.0 * t), g).values
+            h = from_callable(lambda t: t * np.cos(5.0 * t), g).values
+            walks[n] = lambda recorded, g=g, x0=x0, h=h: quadrature._row_sums(
+                f, g.nodes, g, x0, h, "node", recorded=recorded)
+        recorded = []
+        first = walks[300](recorded)
+        taken, calls["v_x"] = calls["v_x"], 0
+        assert taken > 0 and len(recorded) == taken + 1
+        assert np.array_equal(walks[300](recorded), first) and calls["v_x"] == 0
+        assert np.array_equal(walks[300](None), first) and calls["v_x"] == taken
+        calls["v_x"] = 0
+        with pytest.raises(RuntimeError, match="cannot replay"):
+            walks[400](recorded)
+        assert calls["v_x"] == 0
 
     def test_twenty_partial_sums_match_alternating_series(self):
         # sum_{k<20} (-1)^k T^k g with (T^k g)(t) = t^{k+1}/(k+1)!

@@ -435,6 +435,28 @@ def test_nan_fails_the_positivity_guards(call, name):
         call(linear_kernel(0.5), y)
 
 
+@pytest.mark.parametrize("max_iter", [-1, 0, 2.5, True])
+@pytest.mark.parametrize("call", [
+    lambda k, y, n: solve_march(k, y, max_iter=n),
+    lambda k, y, n: solve_newton(k, y, max_iter=n),
+    lambda k, y, n: solve_gradient(k, y, max_iter=n),
+    lambda k, y, n: vt.neumann_solve(k, y, y, tol=1e-10, max_iter=n),
+], ids=["march", "newton", "gradient", "neumann"])
+def test_an_iteration_budget_must_be_a_positive_integer(call, max_iter):
+    # as in the config schema: an integer >= 1, and a bool is not one
+    y = from_callable(lambda t: t, Grid(0.0, 1.0, 8))
+    with pytest.raises(ValueError, match="max_iter must be an integer >= 1"):
+        call(linear_kernel(0.5), y, max_iter)
+
+
+@pytest.mark.parametrize("max_iter", [3, np.int64(3)], ids=["int", "numpy"])
+def test_integer_budgets_of_either_kind_are_taken(max_iter):
+    y = from_callable(lambda t: t, Grid(0.0, 1.0, 8))
+    for solve in (solve_march, solve_newton, solve_gradient):
+        assert solve(zero_kernel(), y, max_iter=max_iter)[1].converged
+    assert vt.neumann_solve(zero_kernel(), y, y, tol=1e-10, max_iter=max_iter)[1].converged
+
+
 class TestGradient:
     def test_zero_kernel_converges_immediately(self, unit_grid, rng):
         # F = half the squared distance to y; the lifted gradient points at y

@@ -40,6 +40,7 @@ _RUNS = {
         k.integrand("v_tx"), g, x.values, w),
     "collocation_solve": lambda k, g, x, h, y, w: vt.collocation_solve(k, x, h).values,
     "solve_march": lambda k, g, x, h, y, w: vt.solve_march(k, y)[0].values,
+    "neumann_solve": lambda k, g, x, h, y, w: vt.neumann_solve(k, x, h, tol=1e-10)[0].values,
 }
 
 
