@@ -10,18 +10,26 @@ also gives apply_T's v_x walk at its N, evaluated, and replayed from
 the walk's recorder as neumann_solve replays it after its first
 iteration, so that the walk's own cost per Neumann iteration shows
 (transpose rows print "-").
+
+A second table gives the lag route: collocation_solve at Newton's
+solution and solve_march, on the example2_linw_atan problem of the CLI
+on [0, 0.9] with y = t, per --lag-cells N, with the ms per solve and
+the calls per solve of the kernel's lag factors w (w and w') and z (z
+and z').  Each solve evaluates w once, on the grid's N lags.
 Times are the best of --repeat runs in one process.
 
-    python scripts/walk_cost.py [--cells 1000 2000 16000] [--repeat 20]
+    python scripts/walk_cost.py [--cells 1000 2000 16000] [--lag-cells 4000 100000]
+                                [--repeat 20]
 """
 
 import argparse
+import dataclasses
 import time
 
 import numpy as np
 
 import volterra as vt
-from volterra.kernels import SmoothInT
+from volterra.kernels import LagFactors, SmoothInT
 from volterra.quadrature import _row_sums, inner_integral, inner_integral_adjoint, node_integral
 
 
@@ -58,6 +66,42 @@ def _replaying(f, grid, x, h):
     return lambda: _row_sums(integrand, grid.nodes, grid, x, h, "node", recorded=recorded)
 
 
+def _counted_factors(kernel):
+    """kernel with its lag factors counted: calls["w"] counts the calls of
+    w and w', calls["z"] those of z and z'."""
+    calls = {"w": 0, "z": 0}
+
+    def counted(name, fn):
+        def factor(arg):
+            calls[name] += 1
+            return fn(arg)
+        return factor
+
+    lag = kernel.lag
+    factors = LagFactors(counted("w", lag.w), counted("w", lag.w_prime),
+                         counted("z", lag.z), counted("z", lag.z_prime))
+    return dataclasses.replace(kernel, lag=factors), calls
+
+
+def lag_table(cells, repeat):
+    """ms, w calls and z calls per solve on the lag route, per N."""
+    print(f"\n{'solve':>17} {'N':>6} {'ms':>9} {'w calls':>8} {'z calls':>8}")
+    for n in cells:
+        config = vt.ProblemConfig.from_dict({
+            "kernel": {"name": "example2_linw_atan"}, "interval": [0.0, 0.9], "n_cells": n,
+            "rhs": {"expression": "t"}, "tol": 1e-10})
+        grid, kernel = config.build_grid(), config.build_kernel()
+        y = config.build_rhs(grid)
+        x, _ = vt.solve_newton(kernel, y, tol=config.tol)
+        counted, calls = _counted_factors(kernel)
+        for name, solve in (("collocation_solve", lambda k: vt.collocation_solve(k, x, y)),
+                            ("solve_march", lambda k: vt.solve_march(k, y, tol=config.tol))):
+            best = _best(lambda: solve(kernel), repeat)
+            calls.update(w=0, z=0)
+            solve(counted)
+            print(f"{name:>17} {n:>6} {1e3 * best:>9.3f} {calls['w']:>8} {calls['z']:>8}")
+
+
 def _best(walk, repeat):
     walk()  # a shape is laid out on its first walk
     best = float("inf")
@@ -71,6 +115,7 @@ def _best(walk, repeat):
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--cells", type=int, nargs="+", default=[1000, 2000, 16000])
+    ap.add_argument("--lag-cells", type=int, nargs="+", default=[4000, 100000])
     ap.add_argument("--repeat", type=int, default=20)
     args = ap.parse_args()
     kernel = vt.example1_kernel(1.0)
@@ -98,6 +143,7 @@ def main():
                 v_x = f"{1e3 * t_eval:>8.3f} {1e3 * t_replay:>10.3f}"
             print(f"{name:>5} {n:>6} {1e3 * t_ex1:>12.3f} {1e3 * t_free:>9.3f} "
                   f"{t_free / t_ex1:>9.2f} {calls[0]:>6} {v_x}")
+    lag_table(args.lag_cells, args.repeat)
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ magnitudes are Euclidean.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 import warnings
 from dataclasses import dataclass
@@ -50,8 +51,10 @@ class Grid:
             raise ValueError(f"need finite alpha and beta, got [{self.alpha}, {self.beta}]")
         if not self.beta > self.alpha:
             raise ValueError(f"need beta > alpha, got [{self.alpha}, {self.beta}]")
-        if int(self.n_cells) != self.n_cells or self.n_cells < 1:
-            raise ValueError(f"n_cells must be a positive integer, got {self.n_cells}")
+        n = self.n_cells  # a whole number >= 1 of any real type but bool
+        if (isinstance(n, bool) or not isinstance(n, numbers.Real) or not math.isfinite(n)
+                or int(n) != n or n < 1):
+            raise ValueError(f"n_cells must be a positive integer, got {n!r}")
         object.__setattr__(self, "n_cells", int(self.n_cells))  # 2.0 -> 2, for linspace
 
     @cached_property

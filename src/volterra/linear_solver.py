@@ -25,8 +25,8 @@ import numpy as np
 from .errors import DimMismatch, KernelContract, SingularBlock
 from .function_space import GridFunction, ac_norm, sup_norm, zeros
 from .kernels import KernelSpec, TriangularDomain
-from .quadrature import (_block_sum, _by_halves, _lag_z, _leaf_triangle, _require_finite,
-                         _row_sums, cell_midpoint_values, node_integral)
+from .quadrature import (_block_sum, _by_halves, _lag_table, _lag_z, _leaf_triangle,
+                         _require_finite, _row_sums, cell_midpoint_values, node_integral)
 
 # Same grid and dim, or GridMismatch / DimMismatch.
 _require_same = GridFunction._require_compatible
@@ -283,8 +283,10 @@ def collocation_solve(kernel: KernelSpec, x0: GridFunction,
     to its right as one sum of v_x against h, quadrature._block_sum,
     the one sum of the package, which walks the tree of those rows'
     blocks or, with lag factors, takes one Toeplitz product
-    (O(N log^2 N) in all).  A leaf's own nodes are one dense
-    (leaf * dim)^2 solve, whose diagonal blocks
+    (O(N log^2 N) in all).  A lag kernel's w and z' are evaluated once
+    per solve, w on the grid's N lags (quadrature._lag_table) and z' on
+    x0's midpoint values, and every leaf and merge reads them.  A leaf's
+    own nodes are one dense (leaf * dim)^2 solve, whose diagonal blocks
     I + delta/2 * v_x(t_i, m_{i-1}, x0) are checked for singularity
     first.  The discrete equations are satisfied to rounding, so the
     residual measured with apply_T is at machine level.  A non-finite
@@ -295,7 +297,8 @@ def collocation_solve(kernel: KernelSpec, x0: GridFunction,
     grid = g.grid
     f, d, rows, cols = kernel.integrand("v_x"), grid.delta, grid.nodes, grid.midpoints
     x0m = cell_midpoint_values(x0.values)
-    zc = _lag_z(f, x0m, cols)  # a lag kernel's z(x0(m_j)), once for every block
+    zc = _lag_z(f, x0m, cols)  # a lag kernel's z'(x0(m_j)) and w, once for every block
+    wt = _lag_table(f, grid)
     h = np.zeros_like(g.values)
     rhs = g.values.copy()  # g less the cells solved so far
 
@@ -306,11 +309,11 @@ def collocation_solve(kernel: KernelSpec, x0: GridFunction,
         # Row i reads h_i + delta sum_{j<i} W_ij (h_j + h_{j+1}) / 2 = g_i.
         rhs[mid:hi] -= d * _block_sum(f, rows[mid:hi], cols[lo - 1 : mid - 1],
                                       x0m[lo - 1 : mid - 1], cell_midpoint_values(h[lo - 1 : mid]),
-                                      zc=z(lo - 1, mid - 1))
+                                      zc=z(lo - 1, mid - 1), wt=wt)
 
     def leaf(c0, c1):
         S = _leaf_triangle(f, rows[c0:c1], cols[c0 - 1 : c1 - 1], x0m[c0 - 1 : c1 - 1],
-                           zc=z(c0 - 1, c1 - 1))
+                           zc=z(c0 - 1, c1 - 1), wt=wt)
         # the leaf's first cell has its left end value h_{c0-1} solved
         h[c0:c1] = _solve_leaf(S, rhs[c0:c1] - 0.5 * d * (S[:, 0] @ h[c0 - 1]), d, c0)
 
@@ -333,20 +336,25 @@ def _solve_leaf(S: np.ndarray, rhs: np.ndarray, d: float, c0: int) -> np.ndarray
     """
     L, n = rhs.shape
     _require_finite(rhs, "the history of the row at node", range(c0, c0 + L))
-    diag = np.eye(n) + 0.5 * d * S[np.arange(L), np.arange(L)]
+    # S[p, k] + S[p, k + 1] as one flat sum, which wraps into the next row at
+    # k = L - 1, where S[p, L - 1] alone is right
+    A, step = np.empty(S.shape), n * n
+    np.add(S.reshape(-1)[:-step], S.reshape(-1)[step:], out=A.reshape(-1)[:-step])
+    A[:, -1] = S[:, -1]
+    M = A.transpose(0, 2, 1, 3).reshape(L * n, L * n)
+    M *= 0.5 * d
+    M.reshape(-1)[:: L * n + 1] += 1.0  # + I, without building it
+    # S[p, p + 1] = 0, so M's diagonal blocks are the B
+    diag = M.reshape(L, n, L, n).diagonal(0, 0, 2).transpose(2, 0, 1)
     _require_finite(diag, "the diagonal block at node", range(c0, c0 + L))
     # A 1 x 1 block is its own singular value; LAPACK's SVD costs about
     # six times a det per block, which shows on long dim-1 grids.
     sv = np.abs(diag[:, 0]) if n == 1 else np.linalg.svd(diag, compute_uv=False)
-    bad = np.flatnonzero(sv[:, -1] < 1e-14 * np.maximum(1.0, sv[:, 0]))
-    if bad.size:
+    singular = sv[:, -1] < 1e-14 * np.maximum(1.0, sv[:, 0])
+    if singular.any():
         raise SingularBlock(
-            f"diagonal block at node {c0 + bad[0]} is singular; refine the grid"
+            f"diagonal block at node {c0 + singular.argmax()} is singular; refine the grid"
         )
-    A = S.copy()
-    A[:, :-1] += S[:, 1:]
-    M = 0.5 * d * A.transpose(0, 2, 1, 3).reshape(L * n, L * n)
-    M.flat[:: L * n + 1] += 1.0  # + I, without building it
     h = np.linalg.solve(M, rhs.ravel()).reshape(L, n)
     _require_finite(h, "the solution at node", range(c0, c0 + L))
     return h

@@ -31,12 +31,11 @@ import numpy as np
 
 from .errors import LineSearchStalled, MaxIterExceeded
 from .function_space import GridFunction, ac_norm, axpy, random_anchored
-from .kernels import LagIntegrand
 from .linear_solver import (_require_budget, _require_kernel_dim, _require_same, _solve_leaf,
                             collocation_solve)
 from .operator import _merit, apply_V, functional_gradient
-from .quadrature import (_block_sum, _by_halves, _lag_z, _leaf_triangle, _require_finite,
-                         cell_midpoint_values)
+from .quadrature import (_block_sum, _by_halves, _lag_table, _lag_z, _leaf_triangle,
+                         _require_finite, cell_midpoint_values)
 
 _MIN_STEP = 2.0**-20
 
@@ -129,6 +128,12 @@ def solve_march(kernel, y: GridFunction, x_init: GridFunction | None = None,
     stalled line search, or a final residual above tol, raises
     LineSearchStalled; each with the partial report attached.  A
     non-finite sample of v or v_x raises KernelContract naming where.
+
+    With lag factors, v and v_x share w, which the solve evaluates once,
+    on the grid's N lags (quadrature._lag_table); every merge, trial
+    triangle of v and Jacobian of v_x reads it.  z is evaluated once per
+    trial of a leaf and z' once per Jacobian; the merges take the z of
+    each leaf's accepted trial.
     """
     _require_budget(tol, max_iter)
     _require_kernel_dim(kernel, y)
@@ -142,13 +147,15 @@ def solve_march(kernel, y: GridFunction, x_init: GridFunction | None = None,
     history = np.zeros_like(x)
     r = np.zeros_like(x)  # each leaf's final row residuals
     report = SolveReport("march", 0, [], [], False)
-    # a lag kernel's z(x(m_j)): each leaf's last accepted trial, for every merge
-    zc = np.zeros_like(x[1:]) if isinstance(fv, LagIntegrand) else None
+    # a lag kernel's w on the grid's lags, once for v and v_x alike, and
+    # z(x(m_j)): each leaf's last accepted trial, for every merge
+    wt = _lag_table(fv, grid)
+    zc = None if wt is None else np.zeros_like(x[1:])
 
     def merge(lo, mid, hi):
         history[mid:hi] += _block_sum(fv, nodes[mid:hi], mids[lo - 1 : mid - 1],
                                       cell_midpoint_values(x[lo - 1 : mid]),
-                                      zc=None if zc is None else zc[lo - 1 : mid - 1])
+                                      zc=None if zc is None else zc[lo - 1 : mid - 1], wt=wt)
 
     def leaf(c0, c1):
         rows, cols = nodes[c0:c1], mids[c0 - 1 : c1 - 1]
@@ -160,7 +167,7 @@ def solve_march(kernel, y: GridFunction, x_init: GridFunction | None = None,
             # the leaf's midpoint values and a lag kernel's z of them
             xm = cell_midpoint_values(np.concatenate([x[c0 - 1 : c0], xl]))
             zl = _lag_z(fv, xm, cols)
-            V = _leaf_triangle(fv, rows, cols, xm, zc=zl)
+            V = _leaf_triangle(fv, rows, cols, xm, zc=zl, wt=wt)
             R = _require_finite(base - xl - d * V.sum(axis=1), "the residual of the row at node",
                                 range(c0, c1))
             return R, floor * (np.abs(base) + np.abs(xl) + d * np.abs(V).sum(axis=1)), xm, zl
@@ -176,7 +183,7 @@ def solve_march(kernel, y: GridFunction, x_init: GridFunction | None = None,
                 raise MaxIterExceeded(f"march: leaf at node {c0}: residual above its "
                                       f"rounding floor after {max_iter} iterations",
                                       report=report)
-            step = _solve_leaf(_leaf_triangle(fvx, rows, cols, xm), R, d, c0)
+            step = _solve_leaf(_leaf_triangle(fvx, rows, cols, xm, wt=wt), R, d, c0)
             res, s = np.linalg.norm(R), 1.0
             while True:
                 trial = residual(xl + s * step)

@@ -68,7 +68,11 @@ so every sum is one Toeplitz product, taken by FFT at O(N log N): the
 triangle convolves the symbol w(r_k - m_0), zero at k = 0, with
 z(x(m_j)) (times h(m_j)); a rectangle's symbol spans its R + C - 1
 lags; the transpose runs the same symbol over the reversed weights.
-A solve by halves then costs O(N log^2 N).
+A solve by halves then costs O(N log^2 N).  Its rows are nodes and its
+columns midpoints, so every lag it meets is one of the N lags
+t_k - m_0 of its grid: a solve evaluates and checks w on them once, as
+a _LagTable, from which every merge slices its symbol, taking one FFT
+per shape, and every leaf reads one shared Toeplitz gather.
 
 The certification module evaluates declared growth bounds on exactly
 these nodes.  That alignment matters: it turns the discrete coercivity
@@ -501,7 +505,7 @@ def _walk(n_rows: int, n_cols: int, offset: int, tri: bool, smooth: bool, transp
 def _block_sum(f, rows: np.ndarray, cols: np.ndarray, xc: np.ndarray,
                hc: np.ndarray | None = None, zc: np.ndarray | None = None, *,
                tri: bool = False, w: np.ndarray | None = None, why: str = _KERNEL,
-               recorded: list | None = None) -> np.ndarray:
+               recorded: list | None = None, wt: _LagTable | None = None) -> np.ndarray:
     """sum over j of f(rows[i], cols[j], xc[j]), applied to hc[j] if given.
 
     With tri, row i takes the columns j < i alone, so row 0 takes none.
@@ -509,28 +513,35 @@ def _block_sum(f, rows: np.ndarray, cols: np.ndarray, xc: np.ndarray,
     f(rows[i], cols[j], xc[j])^T w[i].  rows and cols lie on one uniform
     grid of cells and half cells.  A LagIntegrand is one Toeplitz
     product, rows[i] - cols[j] being the lag rows[i - j] - cols[0] (the
-    lag rows[0] - cols[j - i] for j > i); zc, if given, is its f.z(xc)
-    from _lag_z, which a solve evaluates once and slices per block, and
-    a non-finite factor raises KernelContract ending in why.  Any other
-    f is walked over the tree of the rows' blocks, recording or replaying
-    its samples in recorded if given (_walk).  This is the one place that
-    chooses the route of a sum.
+    lag rows[0] - cols[j - i] for j > i).  A solve hands it its zc, f.z(xc)
+    from _lag_z, and its wt, the _LagTable of its grid, both evaluated
+    once per solve and read by every block; wt serves a rectangle of
+    rows on the nodes after its columns on the midpoints, and takes the
+    FFT of its symbol once per shape.  Without them the block evaluates
+    its own, and a non-finite factor raises KernelContract ending in
+    why.  Any other f is walked over the tree of the rows' blocks,
+    recording or replaying its samples in recorded if given (_walk).
+    This is the one place that chooses the route of a sum.
     """
     R, C = rows.size, cols.size
     if isinstance(f, LagIntegrand):
-        # the symbol a: w at the lags rows[0] - cols[C - 1], ..., rows[R - 1] - cols[0]
-        # (with tri: 0, then rows[1:] - cols[0]).  Row i reads entry s + i of
-        # a's causal convolution with u, column j of the transpose entry
-        # s + R - 1 - j of that with the reversed w; no entry read wraps.
-        lags = rows[1:] - cols[0]
-        if not tri:
-            lags = np.concatenate([rows[0] - cols[::-1], lags])
-        a, z = _lag_factors(f, lags, xc, cols, why, zc)
-        if tri:
-            a = np.concatenate([[0.0], a])
-        s, size = a.size - R, _fft_size(R + C - 1)
+        # the symbol: w at the lags rows[0] - cols[C - 1], ..., rows[R - 1] - cols[0]
+        # (with tri: 0, then rows[1:] - cols[0]), n entries of the table from
+        # k0.  Row i reads entry s + i of its causal convolution with u,
+        # column j of the transpose entry s + R - 1 - j of that with the
+        # reversed w; no entry read wraps.
+        if wt is not None:
+            k0 = round((rows[0] - cols[-1]) / wt.delta + 0.5)
+        else:
+            lags = rows[1:] - cols[0]
+            if not tri:
+                lags = np.concatenate([rows[0] - cols[::-1], lags])
+            wt, k0 = _LagTable(f, lags, why), 0 if tri else 1
+        z = _lag_z(f, xc, cols, why) if zc is None else zc
+        n = R if tri else R + C - 1
+        s, size = n - R, _fft_size(R + C - 1)
         u = w[::-1] if w is not None else z if hc is None else np.einsum("jab,jb->ja", z, hc)
-        A = np.fft.rfft(a, size).reshape((-1,) + (1,) * (u.ndim - 1))
+        A = wt.spectrum(k0, n, size).reshape((-1,) + (1,) * (u.ndim - 1))
         y = np.fft.irfft(A * np.fft.rfft(u, size, axis=0), size, axis=0)
         if w is not None:
             return np.einsum("jba,jb->ja", z, y[s + R - C : s + R][::-1])
@@ -554,20 +565,66 @@ def _lag_index(size: int) -> np.ndarray:
     return k
 
 
+class _LagTable:
+    """A LagIntegrand's w on uniform lags, evaluated and checked once.
+
+    a[k] = w(lags[k - 1]) for k >= 1, and a[0] = 0, the causal zero.  The
+    table of a grid (_lag_table) takes the lags t_k - m_0, k = 1, ..., N:
+    on the uniform grid t_i - m_j = t_{i-j} - m_0, so it holds every lag
+    that a solve's rows t_i meet on their columns m_j < t_i, and its
+    delta finds a block's first lag in it.  A block's symbol is a run of
+    a, whose FFT spectrum takes once per run and size; a leaf of L rows
+    reads gather(L), the L x L Toeplitz gather a[max(p - q + 1, 0)],
+    taken once per L.  A table lives as long as its solve.
+    """
+
+    def __init__(self, f: LagIntegrand, lags: np.ndarray, why: str = _KERNEL,
+                 delta: float | None = None):
+        self.a = np.zeros(lags.size + 1)
+        self.a[1:] = _require_finite(_shaped(f.w(lags), lags.shape), "the factor w at t - tau =",
+                                     lags, why)
+        self.delta = delta
+        self._spectra, self._gathers = {}, {}
+
+    def spectrum(self, k0: int, n: int, size: int) -> np.ndarray:
+        """The rfft of a[k0 : k0 + n] at size, read-only."""
+        key = (k0, n, size)
+        if key not in self._spectra:
+            self._spectra[key] = A = np.fft.rfft(self.a[k0 : k0 + n], size)
+            A.flags.writeable = False
+        return self._spectra[key]
+
+    def gather(self, L: int) -> np.ndarray:
+        """a[max(p - q + 1, 0)] for p, q < L, read-only."""
+        if L not in self._gathers:
+            self._gathers[L] = G = self.a[_lag_index(L)]
+            G.flags.writeable = False
+        return self._gathers[L]
+
+
+def _lag_table(f, grid: Grid) -> _LagTable | None:
+    """The _LagTable of f.w on the grid's lags t_k - m_0, k = 1, ..., N;
+    None unless f is a LagIntegrand."""
+    if isinstance(f, LagIntegrand):
+        return _LagTable(f, grid.nodes[1:] - grid.midpoints[0], delta=grid.delta)
+    return None
+
+
 def _leaf_triangle(f, rows: np.ndarray, cols: np.ndarray, xc: np.ndarray,
-                   zc: np.ndarray | None = None) -> np.ndarray:
+                   zc: np.ndarray | None = None, wt: _LagTable | None = None) -> np.ndarray:
     """f(rows[p], cols[q], xc[q]) for q <= p, in one evaluator call.
 
     rows, cols and xc are L long; the result has shape (L, L) + value
-    shape and is zero for q > p.  A LagIntegrand is gathered from its L
-    lags rows[p - q] - cols[0] and L columns (zc as in _block_sum),
-    checked (0 * nan is nan).
+    shape and is zero for q > p.  A LagIntegrand is the gather of its
+    lags rows[p - q] - cols[0] from wt, the _LagTable of the solve's grid,
+    times its L columns zc (both as in _block_sum); without wt the leaf
+    evaluates its own L lags.  Each factor is checked (0 * nan is nan).
     """
     L = rows.size
     if isinstance(f, LagIntegrand):
-        a = np.zeros(L + 1)  # a[0] = 0 clears q > p
-        a[1:], zx = _lag_factors(f, rows - cols[0], xc, cols, zc=zc)
-        return a[_lag_index(L)].reshape((L, L) + (1,) * (zx.ndim - 1)) * zx
+        wt = wt if wt is not None else _LagTable(f, rows - cols[0])
+        zx = _lag_z(f, xc, cols) if zc is None else zc
+        return wt.gather(L).reshape((L, L) + (1,) * (zx.ndim - 1)) * zx
     p, q = _tril(L, False)[:2]
     samples = np.asarray(f(rows[p], cols[q], xc[q]), float)
     out = np.zeros((L, L) + samples.shape[1:])
@@ -591,13 +648,6 @@ def _lag_z(f, xc, taus, why: str = _KERNEL) -> np.ndarray | None:
     if isinstance(f, LagIntegrand):
         return _require_finite(np.asarray(f.z(xc), float), "the factor z at tau =", taus, why)
     return None
-
-
-def _lag_factors(f: LagIntegrand, lags, xc, taus, why: str = _KERNEL, zc=None):
-    """f.w(lags) and f.z(xc), a value per lag and per tau, each checked;
-    zc, if given, is f.z(xc) from _lag_z."""
-    return (_require_finite(_shaped(f.w(lags), lags.shape), "the factor w at t - tau =", lags, why),
-            _lag_z(f, xc, taus, why) if zc is None else zc)
 
 
 def _fft_size(n: int) -> int:

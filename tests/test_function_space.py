@@ -54,6 +54,11 @@ class TestGrid:
         with pytest.raises(ValueError, match="n_cells"):
             Grid(0.0, 1.0, 2.5)
 
+    @pytest.mark.parametrize("n_cells", [math.inf, math.nan, True, -math.inf, "4"])
+    def test_a_cell_count_that_is_not_a_whole_number_names_n_cells(self, n_cells):
+        with pytest.raises(ValueError, match="n_cells"):
+            Grid(0.0, 1.0, n_cells)
+
     @pytest.mark.parametrize("alpha, beta", [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0),
                                              (0.0, math.nan), (-math.inf, math.inf)])
     def test_rejects_nonfinite_endpoints(self, alpha, beta):

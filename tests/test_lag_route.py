@@ -277,8 +277,13 @@ def test_overflowing_lag_sums_raise_kernel_contract(call, named):
             run()
 
 
-def _counting_z(calls):
-    # example2 with z = atan; calls["z"] counts the calls of z and of z'
+def _counting(calls):
+    # example2 with w = s and z = atan; calls["w"] counts the calls of w
+    # and w', calls["z"] those of z and z', both from 0 once it is built
+    def w(s):
+        calls["w"] += 1
+        return s
+
     def z(x):
         calls["z"] += 1
         return np.arctan(x)
@@ -287,18 +292,23 @@ def _counting_z(calls):
         calls["z"] += 1
         return 1.0 / (1.0 + x * x)
 
-    return vt.example2_kernel(w=lambda s: s, w_prime=np.ones_like, z=z,
-                              z_prime=z_prime, A=1.0, B=0.0, T=0.9)
+    def w_prime(s):
+        calls["w"] += 1
+        return np.ones_like(s)
+
+    ker = vt.example2_kernel(w=w, w_prime=w_prime, z=z, z_prime=z_prime, A=1.0, B=0.0, T=0.9)
+    calls.update(w=0, z=0)  # example2_kernel checks w(0)
+    return ker
 
 
-def _z_calls_in(monkeypatch, module, name, calls):
-    # count the z calls made inside module.name under calls[name]
+def _calls_in(monkeypatch, module, name, calls):
+    # count the w and z calls made inside module.name under calls[name]
     inner = getattr(module, name)
 
     def counted(*args, **kwargs):
-        before = calls["z"]
+        before = calls["w"] + calls["z"]
         out = inner(*args, **kwargs)
-        calls[name] += calls["z"] - before
+        calls[name] += calls["w"] + calls["z"] - before
         return out
 
     calls[name] = 0
@@ -306,53 +316,78 @@ def _z_calls_in(monkeypatch, module, name, calls):
 
 
 def _unshared(monkeypatch, module, name):
-    # the quadrature routine with every block evaluating its own z
+    # the quadrature routine with every block evaluating its own w and z
     inner = getattr(quadrature, name)
-    monkeypatch.setattr(module, name, lambda *args, zc=None, **kwargs: inner(*args, **kwargs))
+    monkeypatch.setattr(module, name,
+                        lambda *args, zc=None, wt=None, **kwargs: inner(*args, **kwargs))
+
+
+# Cells of 2^-10: every node, midpoint and lag is exact, so a block's own
+# lags t_i - m_j are the table's t_{i-j} - m_0 to the bit.
+_DYADIC = vt.Grid(0.0, 0.5, 512)
 
 
 @pytest.mark.parametrize("leaf", [8, 64])
-def test_collocation_evaluates_z_once(monkeypatch, leaf):
-    # collocation reads z' alone; sharing it between the blocks changes no bit
+def test_collocation_evaluates_w_and_z_once(monkeypatch, leaf):
+    # collocation reads w and z' alone; sharing them between the blocks
+    # changes no bit
     monkeypatch.setattr(quadrature, "_LEAF", leaf)
-    calls = {"z": 0}
-    ker = _counting_z(calls)
-    g = vt.Grid(0.0, 0.9, 500)
-    y = vt.from_callable(lambda t: t, g)
-    x0 = vt.random_anchored(g, 1, np.random.default_rng(leaf))
+    calls = {"w": 0, "z": 0}
+    ker = _counting(calls)
+    y = vt.from_callable(lambda t: t, _DYADIC)
+    x0 = vt.random_anchored(_DYADIC, 1, np.random.default_rng(leaf))
     h = vt.collocation_solve(ker, x0, y)
-    assert calls["z"] == 1
+    assert calls == {"w": 1, "z": 1}
     for name in ("_block_sum", "_leaf_triangle"):
         _unshared(monkeypatch, vt.linear_solver, name)
     assert np.array_equal(vt.collocation_solve(ker, x0, y).values, h.values)
-    leaves = -(-500 // leaf)
-    assert calls["z"] == 1 + (1 + leaves + leaves - 1)  # unshared: every leaf and merge
+    leaves = -(-512 // leaf)
+    blocks = leaves + leaves - 1  # unshared: every leaf and merge evaluates its own
+    assert calls == {"w": 2 + blocks, "z": 2 + blocks}
 
 
 @pytest.mark.parametrize("leaf", [8, 64])
-def test_march_evaluates_z_once_per_solved_leaf(monkeypatch, leaf):
-    # z is evaluated once per trial of a leaf and z' once per Jacobian,
-    # one of each per leaf triangle, and none besides: the merges take
-    # the z of each leaf's accepted trial; sharing changes no bit
+def test_march_evaluates_w_once_and_z_once_per_solved_leaf(monkeypatch, leaf):
+    # w is evaluated once per solve, for v and v_x alike; z once per trial
+    # of a leaf and z' once per Jacobian, one of each per leaf triangle,
+    # and none besides: the merges take the table and the z of each
+    # leaf's accepted trial; sharing changes no bit
     monkeypatch.setattr(quadrature, "_LEAF", leaf)
-    calls = {"z": 0, "triangles": 0}
-    ker = _counting_z(calls)
-    g = vt.Grid(0.0, 0.9, 500)
-    y = vt.from_callable(lambda t: t, g)
+    calls = {"w": 0, "z": 0, "triangles": 0}
+    ker = _counting(calls)
+    y = vt.from_callable(lambda t: t, _DYADIC)
     triangle = vt.nonlinear_solver._leaf_triangle
 
     def counted(*args, **kwargs):
         calls["triangles"] += 1
         return triangle(*args, **kwargs)
 
-    _z_calls_in(monkeypatch, vt.nonlinear_solver, "_block_sum", calls)
+    _calls_in(monkeypatch, vt.nonlinear_solver, "_block_sum", calls)
     monkeypatch.setattr(vt.nonlinear_solver, "_leaf_triangle", counted)
     x, _ = vt.solve_march(ker, y)
-    assert calls["_block_sum"] == 0
-    assert calls["z"] == calls["triangles"] >= -(-500 // leaf)
+    assert calls["_block_sum"] == 0 and calls["w"] == 1
+    assert calls["z"] == calls["triangles"] >= -(-512 // leaf)
     for name in ("_block_sum", "_leaf_triangle"):
         _unshared(monkeypatch, vt.nonlinear_solver, name)
     assert np.array_equal(vt.solve_march(ker, y)[0].values, x.values)
+
+
+@pytest.mark.parametrize("solve", ["collocation_solve", "solve_march"])
+def test_the_table_agrees_with_each_block_s_own_lags(monkeypatch, solve):
+    # on cells of 0.0018 a block's own lags t_i - m_j round apart from the
+    # table's t_{i-j} - m_0; the solves then agree to rounding
+    monkeypatch.setattr(quadrature, "_LEAF", 8)
+    ker = _lag(1)
+    g = vt.Grid(0.0, 0.9, 500)
+    y = vt.from_callable(lambda t: 0.5 * np.sin(3.0 * t), g)
+    x0 = vt.random_anchored(g, 1, np.random.default_rng(5))
+    module = vt.linear_solver if solve == "collocation_solve" else vt.nonlinear_solver
+    run = {"collocation_solve": lambda: vt.collocation_solve(ker, x0, y).values,
+           "solve_march": lambda: vt.solve_march(ker, y, tol=1e-9)[0].values}[solve]
+    shared = run()
+    for name in ("_block_sum", "_leaf_triangle"):
+        _unshared(monkeypatch, module, name)
+    assert _rel(shared, run()) <= 1e-14
 
 
 def _broken(factor, past):

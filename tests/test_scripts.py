@@ -44,9 +44,10 @@ def test_convergence_study_is_second_order():
 
 
 def test_walk_cost_table():
-    out = _run("walk_cost.py", "--cells", "200", "300", "--repeat", "2")
+    out = _run("walk_cost.py", "--cells", "200", "300", "--lag-cells", "300", "--repeat", "2")
     assert out.returncode == 0, out.stderr
-    rows = [line.split() for line in out.stdout.strip().splitlines()[1:]]
+    walks, lag = out.stdout.strip().split("\n\n")
+    rows = [line.split() for line in walks.splitlines()[1:]]
     # the v_t walk and the v_tx transpose at each N: times, ratio, calls
     assert [(r[0], r[1]) for r in rows] == [("v_t", "200"), ("v_t", "300"),
                                             ("v_tx'", "200"), ("v_tx'", "300")]
@@ -54,6 +55,14 @@ def test_walk_cost_table():
         ex1, free, ratio, calls = float(r[2]), float(r[3]), float(r[4]), int(r[5])
         # the free evaluator costs nothing, so its walk is the cheaper
         assert 0 < free < ex1 and ratio < 1 and calls > 0
+    # the lag route: each solve evaluates w once; collocation z' once, the
+    # march z at least once per leaf
+    rows = [line.split() for line in lag.splitlines()[1:]]
+    assert [(r[0], r[1]) for r in rows] == [("collocation_solve", "300"), ("solve_march", "300")]
+    for r in rows:
+        ms, w_calls, z_calls = float(r[2]), int(r[3]), int(r[4])
+        assert ms > 0 and w_calls == 1 and z_calls >= 1, r
+    assert int(rows[0][4]) == 1 and int(rows[1][4]) >= 5
 
 
 def test_gradient_walks_table():
