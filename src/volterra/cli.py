@@ -142,7 +142,7 @@ def cmd_sensitivity(args) -> int:
     grid = config.build_grid()
     kernel = config.build_kernel()
     y = config.build_rhs(grid)
-    h = _resample_csv(args.direction, grid, "direction csv")
+    h = _resample_csv(args.direction, grid, "direction csv", kernel.dim)
     report = {"hypothesis": None, "solve": None, "sensitivity": None, "meta": _meta(config)}
     try:
         x, solve_section = _solve_section(kernel, config, y)

@@ -140,7 +140,7 @@ class ProblemConfig:
         if "expression" in self.rhs:
             f = _RHS_EXPRESSIONS[self.rhs["expression"]]
             return GridFunction(grid, f(grid.nodes - grid.alpha))
-        return _resample_csv(self.rhs["csv"], grid)
+        return _resample_csv(self.rhs["csv"], grid, "rhs csv", self.build_kernel().dim)
 
 
 def _finite_number(val) -> bool:
@@ -213,15 +213,18 @@ def _build_kernel(name: str, params: dict, alpha: float, beta: float) -> KernelS
     raise ConfigError(f"unknown kernel {name!r}")
 
 
-def _resample_csv(path, grid: Grid, role: str = "rhs csv") -> GridFunction:
-    """The csv at path interpolated to the grid's nodes; a ConfigError
-    names the file by its role ("rhs csv", "direction csv")."""
+def _resample_csv(path, grid: Grid, role: str, dim: int) -> GridFunction:
+    """The csv at path, of dim value columns, interpolated to the grid's
+    nodes; a ConfigError names the file by its role ("rhs csv",
+    "direction csv")."""
     try:
         data = read_csv(path)
     except OSError as exc:
         raise ConfigError(f"cannot read {role}: {exc}") from exc
     except (ValueError, NotAnchoredAtAlpha) as exc:
         raise ConfigError(f"bad {role}: {exc}") from exc
+    if data.dim != dim:
+        raise ConfigError(f"{role} has {data.dim} value columns; the kernel takes {dim}")
     src = data.grid
     pad = 1e-12 * max(1.0, abs(grid.alpha), abs(grid.beta))
     if src.alpha > grid.alpha + pad or src.beta < grid.beta - pad:

@@ -38,6 +38,13 @@ ANCHOR_ATOL = 1e-10
 _UNIFORMITY_RTOL = 1e-12
 
 
+def _require_count(value, name: str, least: int = 1) -> None:
+    """value an integer >= least, as in the config schema: numpy integers
+    pass, a bool does not; else a ValueError naming the argument."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform partition of [alpha, beta] into n_cells cells."""

@@ -69,7 +69,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import KernelContract, OutsideTriangle
-from .function_space import PREDICATE_SLACK
+from .function_space import PREDICATE_SLACK, _require_count
 
 # |w(0)| above this is a contract violation for convolution kernels.
 _W_ANCHOR_ATOL = 1e-10
@@ -202,8 +202,7 @@ class KernelSpec:
     smooth_in_t: bool = False
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be at least 1")
+        _require_count(self.dim, "dim")
 
     def integrand(self, which: str):
         """The evaluator named which ('v', 'v_t', 'v_x' or 'v_tx') as

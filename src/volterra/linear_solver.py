@@ -7,7 +7,7 @@ solve.  T's samples depend on x0 alone, not on h, so the iteration's
 first walk of T records them and every later walk replays them
 (quadrature._walk's recorder).  The tail bounds the error only where
 l_rho bounds v_x and v_tx on the ball; estimate_l_rho samples them, so
-it may fall short of the supremum (ROADMAP item 3(a)).  Both routes
+it may fall short of the supremum (ROADMAP item 2(a)).  Both routes
 discretize T identically, so they converge to the same node values and
 can cross-check each other.
 """
@@ -17,15 +17,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import DimMismatch, KernelContract, SingularBlock
-from .function_space import GridFunction, ac_norm, sup_norm, zeros
+from .function_space import GridFunction, _require_count, ac_norm, sup_norm, zeros
 from .kernels import KernelSpec, TriangularDomain
-from .quadrature import (_block_sum, _by_halves, _lag_table, _lag_z, _leaf_triangle,
+from .quadrature import (_block_sum, _by_halves, _columns, _lattice, _leaf_triangle,
                          _require_finite, _row_sums, cell_midpoint_values, node_integral)
 
 # Same grid and dim, or GridMismatch / DimMismatch.
@@ -38,12 +37,10 @@ def _require_kernel_dim(kernel: KernelSpec, x: GridFunction):
 
 
 def _require_budget(tol, max_iter):
-    """tol > 0, and max_iter an integer >= 1 as in the config schema:
-    numpy integers pass, a bool does not."""
+    """tol > 0, and max_iter a count >= 1 (function_space._require_count)."""
     if not tol > 0:
         raise ValueError("tol must be positive")
-    if not isinstance(max_iter, numbers.Integral) or isinstance(max_iter, bool) or max_iter < 1:
-        raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
+    _require_count(max_iter, "max_iter")
 
 
 def apply_T(kernel: KernelSpec, x0: GridFunction, g: GridFunction) -> GridFunction:
@@ -185,8 +182,7 @@ def estimate_l_rho(kernel: KernelSpec, rho: float, samples: int,
     """
     if not rho > 0:
         raise ValueError("rho must be positive")
-    if samples < 1:
-        raise ValueError("samples must be positive")
+    _require_count(samples, "samples")
     dom = domain or kernel.domain or TriangularDomain(0.0, 1.0)
     u = _halton(samples, 2 + kernel.dim)
     t = dom.alpha + (dom.beta - dom.alpha) * u[:, 0]
@@ -283,9 +279,10 @@ def collocation_solve(kernel: KernelSpec, x0: GridFunction,
     to its right as one sum of v_x against h, quadrature._block_sum,
     the one sum of the package, which walks the tree of those rows'
     blocks or, with lag factors, takes one Toeplitz product
-    (O(N log^2 N) in all).  A lag kernel's w and z' are evaluated once
-    per solve, w on the grid's N lags (quadrature._lag_table) and z' on
-    x0's midpoint values, and every leaf and merge reads them.  A leaf's
+    (O(N log^2 N) in all).  v_x is bound to the grid once
+    (quadrature._lattice) and its columns are taken from x0 once
+    (quadrature._columns), and every leaf and merge reads them: with lag
+    factors, w on the grid's N lags and z' at x0's midpoints.  A leaf's
     own nodes are one dense (leaf * dim)^2 solve, whose diagonal blocks
     I + delta/2 * v_x(t_i, m_{i-1}, x0) are checked for singularity
     first.  The discrete equations are satisfied to rounding, so the
@@ -295,25 +292,19 @@ def collocation_solve(kernel: KernelSpec, x0: GridFunction,
     _require_same(x0, g)
     _require_kernel_dim(kernel, x0)
     grid = g.grid
-    f, d, rows, cols = kernel.integrand("v_x"), grid.delta, grid.nodes, grid.midpoints
-    x0m = cell_midpoint_values(x0.values)
-    zc = _lag_z(f, x0m, cols)  # a lag kernel's z'(x0(m_j)) and w, once for every block
-    wt = _lag_table(f, grid)
+    d, rows, cols = grid.delta, grid.nodes, grid.midpoints
+    f = _lattice(kernel.integrand("v_x"), rows, cols)
+    xc = _columns(f, cell_midpoint_values(x0.values), cols)  # once, for every leaf and merge
     h = np.zeros_like(g.values)
     rhs = g.values.copy()  # g less the cells solved so far
 
-    def z(lo, hi):
-        return None if zc is None else zc[lo:hi]
-
     def merge(lo, mid, hi):
         # Row i reads h_i + delta sum_{j<i} W_ij (h_j + h_{j+1}) / 2 = g_i.
-        rhs[mid:hi] -= d * _block_sum(f, rows[mid:hi], cols[lo - 1 : mid - 1],
-                                      x0m[lo - 1 : mid - 1], cell_midpoint_values(h[lo - 1 : mid]),
-                                      zc=z(lo - 1, mid - 1), wt=wt)
+        rhs[mid:hi] -= d * _block_sum(f, rows[mid:hi], cols[lo - 1 : mid - 1], xc[lo - 1 : mid - 1],
+                                      cell_midpoint_values(h[lo - 1 : mid]))
 
     def leaf(c0, c1):
-        S = _leaf_triangle(f, rows[c0:c1], cols[c0 - 1 : c1 - 1], x0m[c0 - 1 : c1 - 1],
-                           zc=z(c0 - 1, c1 - 1), wt=wt)
+        S = _leaf_triangle(f, rows[c0:c1], cols[c0 - 1 : c1 - 1], xc[c0 - 1 : c1 - 1])
         # the leaf's first cell has its left end value h_{c0-1} solved
         h[c0:c1] = _solve_leaf(S, rhs[c0:c1] - 0.5 * d * (S[:, 0] @ h[c0 - 1]), d, c0)
 

@@ -30,11 +30,11 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import LineSearchStalled, MaxIterExceeded
-from .function_space import GridFunction, ac_norm, axpy, random_anchored
+from .function_space import GridFunction, _require_count, ac_norm, axpy, random_anchored
 from .linear_solver import (_require_budget, _require_kernel_dim, _require_same, _solve_leaf,
                             collocation_solve)
 from .operator import _merit, apply_V, functional_gradient
-from .quadrature import (_block_sum, _by_halves, _lag_table, _lag_z, _leaf_triangle,
+from .quadrature import (_block_sum, _by_halves, _columns, _lattice, _leaf_triangle,
                          _require_finite, cell_midpoint_values)
 
 _MIN_STEP = 2.0**-20
@@ -129,11 +129,12 @@ def solve_march(kernel, y: GridFunction, x_init: GridFunction | None = None,
     LineSearchStalled; each with the partial report attached.  A
     non-finite sample of v or v_x raises KernelContract naming where.
 
-    With lag factors, v and v_x share w, which the solve evaluates once,
-    on the grid's N lags (quadrature._lag_table); every merge, trial
-    triangle of v and Jacobian of v_x reads it.  z is evaluated once per
-    trial of a leaf and z' once per Jacobian; the merges take the z of
-    each leaf's accepted trial.
+    v and v_x are bound to the grid once (quadrature._lattice); with lag
+    factors they share w, evaluated on the grid's N lags, which every
+    merge, trial triangle of v and Jacobian of v_x reads.  Each trial of
+    a leaf takes its columns of v (quadrature._columns: z at its
+    midpoints with lag factors) and each Jacobian its columns of v_x;
+    the merges read the columns of each leaf's accepted trial.
     """
     _require_budget(tol, max_iter)
     _require_kernel_dim(kernel, y)
@@ -141,21 +142,18 @@ def solve_march(kernel, y: GridFunction, x_init: GridFunction | None = None,
         _require_same(x_init, y)
     grid = y.grid
     d, nodes, mids = grid.delta, grid.nodes, grid.midpoints
-    fv, fvx = kernel.integrand("v"), kernel.integrand("v_x")
+    fv = _lattice(kernel.integrand("v"), nodes, mids)
+    fvx = _lattice(kernel.integrand("v_x"), nodes, mids, like=fv)  # v and v_x share w
     floor = 8.0 * np.finfo(float).eps
     x = (y if x_init is None else x_init).values.copy()
     history = np.zeros_like(x)
     r = np.zeros_like(x)  # each leaf's final row residuals
+    xc = np.zeros_like(x[1:])  # the columns of each leaf's accepted trial, for the merges
     report = SolveReport("march", 0, [], [], False)
-    # a lag kernel's w on the grid's lags, once for v and v_x alike, and
-    # z(x(m_j)): each leaf's last accepted trial, for every merge
-    wt = _lag_table(fv, grid)
-    zc = None if wt is None else np.zeros_like(x[1:])
 
     def merge(lo, mid, hi):
         history[mid:hi] += _block_sum(fv, nodes[mid:hi], mids[lo - 1 : mid - 1],
-                                      cell_midpoint_values(x[lo - 1 : mid]),
-                                      zc=None if zc is None else zc[lo - 1 : mid - 1], wt=wt)
+                                      xc[lo - 1 : mid - 1])
 
     def leaf(c0, c1):
         rows, cols = nodes[c0:c1], mids[c0 - 1 : c1 - 1]
@@ -164,16 +162,16 @@ def solve_march(kernel, y: GridFunction, x_init: GridFunction | None = None,
 
         def residual(xl):
             # rows [c0, c1) less the history, the rounding floor of each,
-            # the leaf's midpoint values and a lag kernel's z of them
+            # and the leaf's midpoint values and columns
             xm = cell_midpoint_values(np.concatenate([x[c0 - 1 : c0], xl]))
-            zl = _lag_z(fv, xm, cols)
-            V = _leaf_triangle(fv, rows, cols, xm, zc=zl, wt=wt)
+            cl = _columns(fv, xm, cols)
+            V = _leaf_triangle(fv, rows, cols, cl)
             R = _require_finite(base - xl - d * V.sum(axis=1), "the residual of the row at node",
                                 range(c0, c1))
-            return R, floor * (np.abs(base) + np.abs(xl) + d * np.abs(V).sum(axis=1)), xm, zl
+            return R, floor * (np.abs(base) + np.abs(xl) + d * np.abs(V).sum(axis=1)), xm, cl
 
         xl = base if x_init is None else x[c0:c1]
-        R, tiny, xm, zl = residual(xl)
+        R, tiny, xm, cl = residual(xl)
         steps = 0
         while np.any(np.abs(R) > tiny):
             # a failure reports the residual of the rows marched so far
@@ -183,7 +181,7 @@ def solve_march(kernel, y: GridFunction, x_init: GridFunction | None = None,
                 raise MaxIterExceeded(f"march: leaf at node {c0}: residual above its "
                                       f"rounding floor after {max_iter} iterations",
                                       report=report)
-            step = _solve_leaf(_leaf_triangle(fvx, rows, cols, xm, wt=wt), R, d, c0)
+            step = _solve_leaf(_leaf_triangle(fvx, rows, cols, _columns(fvx, xm, cols)), R, d, c0)
             res, s = np.linalg.norm(R), 1.0
             while True:
                 trial = residual(xl + s * step)
@@ -195,12 +193,10 @@ def solve_march(kernel, y: GridFunction, x_init: GridFunction | None = None,
                     raise LineSearchStalled(f"march: leaf at node {c0}: no decrease "
                                             f"above step {_MIN_STEP}", report=report)
             xl = xl + s * step
-            R, tiny, xm, zl = trial
+            R, tiny, xm, cl = trial
             steps += 1
             report.iterations += 1
-        x[c0:c1], r[c0:c1] = xl, R
-        if zc is not None:
-            zc[c0 - 1 : c1 - 1] = zl
+        x[c0:c1], r[c0:c1], xc[c0 - 1 : c1 - 1] = xl, R, cl
 
     _by_halves(grid.n_cells + 1, leaf, merge)
     res = _ac_rows(r, d)
@@ -367,8 +363,7 @@ def multistart_uniqueness(kernel, y: GridFunction, n_starts: int,
     max pairwise distance among converged results in multistart_spread
     and marks failed starts instead of propagating their errors.
     """
-    if n_starts < 2:
-        raise ValueError("n_starts must be at least 2")
+    _require_count(n_starts, "n_starts", 2)
     rng = np.random.default_rng(seed)
     solutions = []
     report = SolveReport("newton", 0, [], [], False, multistart_spread=None)

@@ -63,16 +63,18 @@ first.
 
 The second route of _block_sum serves integrands w(t - tau) z(x)
 passed as a LagIntegrand (KernelSpec.integrand gives one for kernels
-that declare lag factors).  On the uniform grid r_i - m_j = r_{i-j} - m_0,
-so every sum is one Toeplitz product, taken by FFT at O(N log N): the
-triangle convolves the symbol w(r_k - m_0), zero at k = 0, with
-z(x(m_j)) (times h(m_j)); a rectangle's symbol spans its R + C - 1
-lags; the transpose runs the same symbol over the reversed weights.
-A solve by halves then costs O(N log^2 N).  Its rows are nodes and its
-columns midpoints, so every lag it meets is one of the N lags
-t_k - m_0 of its grid: a solve evaluates and checks w on them once, as
-a _LagTable, from which every merge slices its symbol, taking one FFT
-per shape, and every leaf reads one shared Toeplitz gather.
+that declare lag factors).  A caller binds it once to its rows r and
+columns m (_lattice): on the uniform grid r_i - m_j = r_{i-j} - m_0, so
+w is evaluated and checked once, on the lags r_k - m_0, as a _LagTable,
+and the sums read z(x(m_j)) where any other integrand reads x(m_j)
+(_columns).  Every sum is one Toeplitz product, by FFT at O(N log N):
+the triangle convolves the symbol w(r_k - m_0), zero at k = 0, with
+z(x(m_j)) (times h(m_j)); a rectangle's symbol is the table's run over
+its R + C - 1 lags; the transpose runs the same symbol over the
+reversed weights.  A solve binds its grid's nodes and midpoints, so
+every merge slices its symbol from one table, taking one FFT per shape,
+every leaf reads one shared Toeplitz gather, and a solve by halves
+costs O(N log^2 N).
 
 The certification module evaluates declared growth bounds on exactly
 these nodes.  That alignment matters: it turns the discrete coercivity
@@ -82,6 +84,7 @@ slack, so it holds to rounding error for every grid.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 import threading
@@ -503,48 +506,37 @@ def _walk(n_rows: int, n_cols: int, offset: int, tri: bool, smooth: bool, transp
 
 
 def _block_sum(f, rows: np.ndarray, cols: np.ndarray, xc: np.ndarray,
-               hc: np.ndarray | None = None, zc: np.ndarray | None = None, *,
-               tri: bool = False, w: np.ndarray | None = None, why: str = _KERNEL,
-               recorded: list | None = None, wt: _LagTable | None = None) -> np.ndarray:
+               hc: np.ndarray | None = None, *, tri: bool = False, w: np.ndarray | None = None,
+               recorded: list | None = None) -> np.ndarray:
     """sum over j of f(rows[i], cols[j], xc[j]), applied to hc[j] if given.
 
     With tri, row i takes the columns j < i alone, so row 0 takes none.
     With w, the transpose: per column j, the sum over i of
     f(rows[i], cols[j], xc[j])^T w[i].  rows and cols lie on one uniform
-    grid of cells and half cells.  A LagIntegrand is one Toeplitz
-    product, rows[i] - cols[j] being the lag rows[i - j] - cols[0] (the
-    lag rows[0] - cols[j - i] for j > i).  A solve hands it its zc, f.z(xc)
-    from _lag_z, and its wt, the _LagTable of its grid, both evaluated
-    once per solve and read by every block; wt serves a rectangle of
-    rows on the nodes after its columns on the midpoints, and takes the
-    FFT of its symbol once per shape.  Without them the block evaluates
-    its own, and a non-finite factor raises KernelContract ending in
-    why.  Any other f is walked over the tree of the rows' blocks,
+    grid of cells and half cells, and xc is what _columns(f, ...) gives.
+    A _LagTable (_lattice) is one Toeplitz product: rows[i] - cols[j] is
+    the lag rows[i - j] - cols[0], so its symbol is the run of the
+    table's w values from the integer lag of rows[0] - cols[-1] (with
+    tri, the rows and columns it was bound to), times the columns
+    z(x(m_j)).  Any other f is walked over the tree of the rows' blocks,
     recording or replaying its samples in recorded if given (_walk).
     This is the one place that chooses the route of a sum.
     """
     R, C = rows.size, cols.size
-    if isinstance(f, LagIntegrand):
+    if isinstance(f, _LagTable):
         # the symbol: w at the lags rows[0] - cols[C - 1], ..., rows[R - 1] - cols[0]
         # (with tri: 0, then rows[1:] - cols[0]), n entries of the table from
         # k0.  Row i reads entry s + i of its causal convolution with u,
         # column j of the transpose entry s + R - 1 - j of that with the
         # reversed w; no entry read wraps.
-        if wt is not None:
-            k0 = round((rows[0] - cols[-1]) / wt.delta + 0.5)
-        else:
-            lags = rows[1:] - cols[0]
-            if not tri:
-                lags = np.concatenate([rows[0] - cols[::-1], lags])
-            wt, k0 = _LagTable(f, lags, why), 0 if tri else 1
-        z = _lag_z(f, xc, cols, why) if zc is None else zc
+        k0 = 0 if tri else round((rows[0] - cols[-1] - f.lag0) / f.delta)
         n = R if tri else R + C - 1
         s, size = n - R, _fft_size(R + C - 1)
-        u = w[::-1] if w is not None else z if hc is None else np.einsum("jab,jb->ja", z, hc)
-        A = wt.spectrum(k0, n, size).reshape((-1,) + (1,) * (u.ndim - 1))
+        u = w[::-1] if w is not None else xc if hc is None else np.einsum("jab,jb->ja", xc, hc)
+        A = f.spectrum(k0, n, size).reshape((-1,) + (1,) * (u.ndim - 1))
         y = np.fft.irfft(A * np.fft.rfft(u, size, axis=0), size, axis=0)
         if w is not None:
-            return np.einsum("jba,jb->ja", z, y[s + R - C : s + R][::-1])
+            return np.einsum("jba,jb->ja", xc, y[s + R - C : s + R][::-1])
         y = y[s : s + R]
         if tri:
             y[0] = 0.0  # row 0 has no samples; clear the FFT's rounding
@@ -566,24 +558,26 @@ def _lag_index(size: int) -> np.ndarray:
 
 
 class _LagTable:
-    """A LagIntegrand's w on uniform lags, evaluated and checked once.
+    """A LagIntegrand bound to the lags of a grid of rows and columns.
 
-    a[k] = w(lags[k - 1]) for k >= 1, and a[0] = 0, the causal zero.  The
-    table of a grid (_lag_table) takes the lags t_k - m_0, k = 1, ..., N:
-    on the uniform grid t_i - m_j = t_{i-j} - m_0, so it holds every lag
-    that a solve's rows t_i meet on their columns m_j < t_i, and its
-    delta finds a block's first lag in it.  A block's symbol is a run of
-    a, whose FFT spectrum takes once per run and size; a leaf of L rows
-    reads gather(L), the L x L Toeplitz gather a[max(p - q + 1, 0)],
-    taken once per L.  A table lives as long as its solve.
+    a[k] = w(rows[k] - cols[0]) for k >= 1, evaluated and checked once,
+    and a[0] = 0, the causal zero; z is the integrand's, which _columns
+    applies to the values x(m_j) of a sum's columns.  On the uniform
+    grid rows[i] - cols[j] is the lag of entry i - j, so a block's symbol
+    is a run of a, whose FFT spectrum takes once per run and size, and a
+    leaf of L node rows on its L midpoint columns reads gather(L), the
+    L x L Toeplitz gather a[max(p - q + 1, 0)], taken once per L.  A
+    table lives as long as the solve or sum that bound it.
     """
 
-    def __init__(self, f: LagIntegrand, lags: np.ndarray, why: str = _KERNEL,
-                 delta: float | None = None):
-        self.a = np.zeros(lags.size + 1)
+    def __init__(self, f: LagIntegrand, rows: np.ndarray, cols: np.ndarray, why: str):
+        lags = rows[1:] - cols[0]
+        self.a = np.zeros(rows.size)
         self.a[1:] = _require_finite(_shaped(f.w(lags), lags.shape), "the factor w at t - tau =",
                                      lags, why)
-        self.delta = delta
+        self.w, self.z, self.why = f.w, f.z, why
+        # entry k's lag is lag0 + k delta (a rectangle needs two columns)
+        self.lag0, self.delta = rows[0] - cols[0], cols[1] - cols[0] if cols.size > 1 else math.nan
         self._spectra, self._gathers = {}, {}
 
     def spectrum(self, k0: int, n: int, size: int) -> np.ndarray:
@@ -602,29 +596,39 @@ class _LagTable:
         return self._gathers[L]
 
 
-def _lag_table(f, grid: Grid) -> _LagTable | None:
-    """The _LagTable of f.w on the grid's lags t_k - m_0, k = 1, ..., N;
-    None unless f is a LagIntegrand."""
-    if isinstance(f, LagIntegrand):
-        return _LagTable(f, grid.nodes[1:] - grid.midpoints[0], delta=grid.delta)
-    return None
+def _lattice(f, rows: np.ndarray, cols: np.ndarray, why: str = _KERNEL, like=None):
+    """f as the sums on rows and cols take it: a LagIntegrand as the
+    _LagTable of its w on the lags rows[k] - cols[0] (a non-finite value
+    raises KernelContract ending in why), or like's w, spectra and
+    gathers if like is a table of the same w; any other f unchanged."""
+    if not isinstance(f, LagIntegrand):
+        return f
+    if isinstance(like, _LagTable) and like.w is f.w:
+        table = copy.copy(like)
+        table.z = f.z
+        return table
+    return _LagTable(f, rows, cols, why)
 
 
-def _leaf_triangle(f, rows: np.ndarray, cols: np.ndarray, xc: np.ndarray,
-                   zc: np.ndarray | None = None, wt: _LagTable | None = None) -> np.ndarray:
+def _columns(f, xm: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """What a sum of f reads per column taus[j] from xm[j] = x(m_j): for a
+    _LagTable z(x(m_j)), checked, naming its tau; for any other f xm."""
+    if isinstance(f, _LagTable):
+        return _require_finite(np.asarray(f.z(xm), float), "the factor z at tau =", taus, f.why)
+    return xm
+
+
+def _leaf_triangle(f, rows: np.ndarray, cols: np.ndarray, xc: np.ndarray) -> np.ndarray:
     """f(rows[p], cols[q], xc[q]) for q <= p, in one evaluator call.
 
-    rows, cols and xc are L long; the result has shape (L, L) + value
-    shape and is zero for q > p.  A LagIntegrand is the gather of its
-    lags rows[p - q] - cols[0] from wt, the _LagTable of the solve's grid,
-    times its L columns zc (both as in _block_sum); without wt the leaf
-    evaluates its own L lags.  Each factor is checked (0 * nan is nan).
+    rows, cols and xc are L long, xc what _columns(f, ...) gives; the
+    result has shape (L, L) + value shape and is zero for q > p.  A
+    _LagTable takes a solve's leaf, node rows on midpoint columns: its
+    gather(L) times the columns xc, both checked (0 * nan is nan).
     """
     L = rows.size
-    if isinstance(f, LagIntegrand):
-        wt = wt if wt is not None else _LagTable(f, rows - cols[0])
-        zx = _lag_z(f, xc, cols) if zc is None else zc
-        return wt.gather(L).reshape((L, L) + (1,) * (zx.ndim - 1)) * zx
+    if isinstance(f, _LagTable):
+        return f.gather(L).reshape((L, L) + (1,) * (xc.ndim - 1)) * xc
     p, q = _tril(L, False)[:2]
     samples = np.asarray(f(rows[p], cols[q], xc[q]), float)
     out = np.zeros((L, L) + samples.shape[1:])
@@ -643,22 +647,16 @@ def _require_finite(a: np.ndarray, what: str, where, why: str = _KERNEL) -> np.n
     return a
 
 
-def _lag_z(f, xc, taus, why: str = _KERNEL) -> np.ndarray | None:
-    """f.z(xc), a value per tau, checked; None unless f is a LagIntegrand."""
-    if isinstance(f, LagIntegrand):
-        return _require_finite(np.asarray(f.z(xc), float), "the factor z at tau =", taus, why)
-    return None
-
-
 def _fft_size(n: int) -> int:
     return 1 << max(0, n - 1).bit_length()
 
 
 def _row_sums(f, rows, grid: Grid, values, hvalues, at: str, why: str = _KERNEL, recorded=None):
     """delta * sum over j < i of f(rows[i], m_j, x(m_j)), times h(m_j) if given."""
-    hm = None if hvalues is None else cell_midpoint_values(hvalues)
-    out = _block_sum(f, rows, grid.midpoints, cell_midpoint_values(values), hm, tri=True, why=why,
-                     recorded=recorded)
+    hm, mids = None if hvalues is None else cell_midpoint_values(hvalues), grid.midpoints
+    f = _lattice(f, rows, mids, why)
+    xc = _columns(f, cell_midpoint_values(values), mids)
+    out = _block_sum(f, rows, mids, xc, hm, tri=True, recorded=recorded)
     _require_finite(out, f"the sum of the row at {at}", range(rows.size), why)
     return grid.delta * out
 
@@ -707,7 +705,9 @@ def inner_integral_adjoint(fmat, grid: Grid, values: np.ndarray,
     d = grid.delta
     _require_finite(weights, "the weight at cell", range(grid.n_cells), "weights must be finite")
     mids = grid.midpoints
-    col = _block_sum(fmat, mids, mids, cell_midpoint_values(values), tri=True, w=weights)
+    f = _lattice(fmat, mids, mids)
+    col = _block_sum(f, mids, mids, _columns(f, cell_midpoint_values(values), mids), tri=True,
+                     w=weights)
     _require_finite(col, "the column sum at cell", range(grid.n_cells))
     q = 0.5 * d * np.einsum("pba,pb->pa", _half_cells(fmat, grid, values), weights)
     u = np.zeros((grid.n_cells + 1, weights.shape[1]))

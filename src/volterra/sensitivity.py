@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .function_space import GridFunction, ac_norm, axpy, random_anchored, scale, sub
+from .function_space import (GridFunction, _require_count, ac_norm, axpy, random_anchored,
+                             scale, sub)
 from .linear_solver import collocation_solve
 from .nonlinear_solver import solve_march
 
@@ -61,8 +62,7 @@ def robustness_modulus(kernel, a: GridFunction, n_probes: int, delta: float,
     seeded by seed); for each the problem is re-solved at a + delta * h
     from the base solution and the scaled displacement is recorded.
     """
-    if n_probes < 1:
-        raise ValueError("n_probes must be positive")
+    _require_count(n_probes, "n_probes")
     if not delta > 0:
         raise ValueError("delta must be positive")
     x_a, _ = solve_march(kernel, a, tol=tol, max_iter=max_iter)

@@ -403,6 +403,22 @@ class TestSensitivity:
             assert "rhs" not in err
             assert not (tmp_path / "s.csv").exists()
 
+    @pytest.mark.parametrize("role", ["rhs", "direction"])
+    def test_a_csv_of_the_wrong_dim_exits_two(self, tmp_path, capsys, role):
+        # two value columns for a dim-1 kernel: rejected with the file's role
+        wide = tmp_path / "wide.csv"
+        vt.write_csv(vt.from_callable(lambda t: [t, t * t], vt.Grid(0.0, 1.0, 100), dim=2), wide)
+        out = tmp_path / "out.csv"
+        if role == "rhs":
+            argv = ["solve", str(_write_cfg(tmp_path, rhs={"csv": str(wide)}))]
+        else:
+            argv = ["sensitivity", str(_write_cfg(tmp_path)), "--direction", str(wide)]
+        assert main(argv + ["-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {role} csv has 2 value columns; "
+                              f"the kernel takes 1"), err
+        assert not out.exists()
+
 
 class TestDemo:
     def test_example1_artifacts_and_report(self, tmp_path):

@@ -207,6 +207,15 @@ def test_import_loads_no_scipy_fft_or_signal():
     assert out.stdout.strip() == "[]"
 
 
+def _bound_sum(f, on, rows, cols, xc, *args, **kwargs):
+    # _block_sum of the table of f bound to the rows and columns on, on its
+    # columns at xc: the Toeplitz route, as a solve or a one-call sum takes it
+    table = quadrature._lattice(f, *on)
+    assert isinstance(table, quadrature._LagTable)
+    return quadrature._block_sum(table, rows, cols, quadrature._columns(table, xc, cols),
+                                 *args, **kwargs)
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_block_sum_matches_the_generic_walk(monkeypatch, dim):
     # 3-row leaves and calls of 10 samples split the generic walk into
@@ -216,22 +225,24 @@ def test_block_sum_matches_the_generic_walk(monkeypatch, dim):
     monkeypatch.setattr(quadrature, "_BLOCK_SAMPLES", 10)
     lag = _lag(dim)
     g = vt.Grid(0.0, 1.3, 40)
+    grid = (g.nodes, g.midpoints)
     rng = np.random.default_rng(dim)
     xc, hc = rng.standard_normal((9, dim)), rng.standard_normal((9, dim))
     rows, cols = g.nodes[15:38], g.midpoints[4:13]
     for which, h in (("v", None), ("v_x", hc)):
-        fast = quadrature._block_sum(lag.integrand(which), rows, cols, xc, h)
+        fast = _bound_sum(lag.integrand(which), grid, rows, cols, xc, h)
         walk = quadrature._block_sum(_twin(lag).integrand(which), rows, cols, xc, h)
         assert fast.shape == (23, dim)
         assert _rel(fast, walk) <= 1e-13
     # the triangle on node and midpoint rows, then every shape transposed
     xm, hm = rng.standard_normal((40, dim)), rng.standard_normal((40, dim))
-    for rows, cols, x, h, tri in ((g.nodes, g.midpoints, xm, hm, True),
-                                  (g.midpoints, g.midpoints, xm, hm, True),
-                                  (rows, cols, xc, hc, False)):
+    for rows, cols, x, h, tri, on in ((g.nodes, g.midpoints, xm, hm, True, grid),
+                                      (g.midpoints, g.midpoints, xm, hm, True,
+                                       (g.midpoints, g.midpoints)),
+                                      (rows, cols, xc, hc, False, grid)):
         w = rng.standard_normal((rows.size, dim))
         for which, kw in (("v", {}), ("v_x", {"hc": h}), ("v_x", {"w": w})):
-            fast = quadrature._block_sum(lag.integrand(which), rows, cols, x, tri=tri, **kw)
+            fast = _bound_sum(lag.integrand(which), on, rows, cols, x, tri=tri, **kw)
             walk = quadrature._block_sum(_twin(lag).integrand(which), rows, cols, x, tri=tri, **kw)
             assert fast.shape == ((cols if "w" in kw else rows).size, dim)
             assert _rel(fast, walk) <= 1e-13
@@ -244,11 +255,13 @@ def test_block_sum_transpose_is_its_adjoint(monkeypatch, dim, route):
     monkeypatch.setattr(quadrature, "_LEAF", 3)
     monkeypatch.setattr(quadrature, "_BLOCK_SAMPLES", 10)
     ker = _lag(dim) if route == "lag" else _twin(_lag(dim))
-    f = ker.integrand("v_x")
     g = vt.Grid(0.0, 1.3, 40)
+    f = quadrature._lattice(ker.integrand("v_x"), g.nodes, g.midpoints)
+    assert isinstance(f, quadrature._LagTable) == (route == "lag")
     rng = np.random.default_rng(dim)
     rows, cols = g.nodes[13:38], g.midpoints[4:12]
     xc, h, w = (rng.standard_normal((n, dim)) for n in (8, 8, 25))
+    xc = quadrature._columns(f, xc, cols)
     forward = w * quadrature._block_sum(f, rows, cols, xc, h)
     back = h * quadrature._block_sum(f, rows, cols, xc, w=w)
     assert abs(forward.sum() - back.sum()) <= 1e-13 * np.abs(forward).sum()
@@ -315,35 +328,19 @@ def _calls_in(monkeypatch, module, name, calls):
     monkeypatch.setattr(module, name, counted)
 
 
-def _unshared(monkeypatch, module, name):
-    # the quadrature routine with every block evaluating its own w and z
-    inner = getattr(quadrature, name)
-    monkeypatch.setattr(module, name,
-                        lambda *args, zc=None, wt=None, **kwargs: inner(*args, **kwargs))
-
-
-# Cells of 2^-10: every node, midpoint and lag is exact, so a block's own
-# lags t_i - m_j are the table's t_{i-j} - m_0 to the bit.
 _DYADIC = vt.Grid(0.0, 0.5, 512)
 
 
 @pytest.mark.parametrize("leaf", [8, 64])
 def test_collocation_evaluates_w_and_z_once(monkeypatch, leaf):
-    # collocation reads w and z' alone; sharing them between the blocks
-    # changes no bit
+    # collocation reads w and z' alone, each once for every leaf and merge
     monkeypatch.setattr(quadrature, "_LEAF", leaf)
     calls = {"w": 0, "z": 0}
     ker = _counting(calls)
     y = vt.from_callable(lambda t: t, _DYADIC)
     x0 = vt.random_anchored(_DYADIC, 1, np.random.default_rng(leaf))
-    h = vt.collocation_solve(ker, x0, y)
+    vt.collocation_solve(ker, x0, y)
     assert calls == {"w": 1, "z": 1}
-    for name in ("_block_sum", "_leaf_triangle"):
-        _unshared(monkeypatch, vt.linear_solver, name)
-    assert np.array_equal(vt.collocation_solve(ker, x0, y).values, h.values)
-    leaves = -(-512 // leaf)
-    blocks = leaves + leaves - 1  # unshared: every leaf and merge evaluates its own
-    assert calls == {"w": 2 + blocks, "z": 2 + blocks}
 
 
 @pytest.mark.parametrize("leaf", [8, 64])
@@ -351,7 +348,7 @@ def test_march_evaluates_w_once_and_z_once_per_solved_leaf(monkeypatch, leaf):
     # w is evaluated once per solve, for v and v_x alike; z once per trial
     # of a leaf and z' once per Jacobian, one of each per leaf triangle,
     # and none besides: the merges take the table and the z of each
-    # leaf's accepted trial; sharing changes no bit
+    # leaf's accepted trial
     monkeypatch.setattr(quadrature, "_LEAF", leaf)
     calls = {"w": 0, "z": 0, "triangles": 0}
     ker = _counting(calls)
@@ -364,30 +361,9 @@ def test_march_evaluates_w_once_and_z_once_per_solved_leaf(monkeypatch, leaf):
 
     _calls_in(monkeypatch, vt.nonlinear_solver, "_block_sum", calls)
     monkeypatch.setattr(vt.nonlinear_solver, "_leaf_triangle", counted)
-    x, _ = vt.solve_march(ker, y)
+    vt.solve_march(ker, y)
     assert calls["_block_sum"] == 0 and calls["w"] == 1
     assert calls["z"] == calls["triangles"] >= -(-512 // leaf)
-    for name in ("_block_sum", "_leaf_triangle"):
-        _unshared(monkeypatch, vt.nonlinear_solver, name)
-    assert np.array_equal(vt.solve_march(ker, y)[0].values, x.values)
-
-
-@pytest.mark.parametrize("solve", ["collocation_solve", "solve_march"])
-def test_the_table_agrees_with_each_block_s_own_lags(monkeypatch, solve):
-    # on cells of 0.0018 a block's own lags t_i - m_j round apart from the
-    # table's t_{i-j} - m_0; the solves then agree to rounding
-    monkeypatch.setattr(quadrature, "_LEAF", 8)
-    ker = _lag(1)
-    g = vt.Grid(0.0, 0.9, 500)
-    y = vt.from_callable(lambda t: 0.5 * np.sin(3.0 * t), g)
-    x0 = vt.random_anchored(g, 1, np.random.default_rng(5))
-    module = vt.linear_solver if solve == "collocation_solve" else vt.nonlinear_solver
-    run = {"collocation_solve": lambda: vt.collocation_solve(ker, x0, y).values,
-           "solve_march": lambda: vt.solve_march(ker, y, tol=1e-9)[0].values}[solve]
-    shared = run()
-    for name in ("_block_sum", "_leaf_triangle"):
-        _unshared(monkeypatch, module, name)
-    assert _rel(shared, run()) <= 1e-14
 
 
 def _broken(factor, past):

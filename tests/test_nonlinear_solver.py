@@ -449,6 +449,32 @@ def test_an_iteration_budget_must_be_a_positive_integer(call, max_iter):
         call(linear_kernel(0.5), y, max_iter)
 
 
+@pytest.mark.parametrize("value", [2.5, True])
+@pytest.mark.parametrize("call, name", [
+    (lambda k, y, n: vt.estimate_l_rho(k, rho=1.0, samples=n), "samples"),
+    (lambda k, y, n: vt.neumann_solve(k, y, y, tol=1e-10, samples=n), "samples"),
+    (lambda k, y, n: vt.robustness_modulus(k, y, n_probes=n, delta=1e-3), "n_probes"),
+    (lambda k, y, n: multistart_uniqueness(k, y, n_starts=n), "n_starts"),
+    (lambda k, y, n: linear_kernel(0.5, dim=n), "dim"),
+    (lambda k, y, n: zero_kernel(dim=n), "dim"),
+], ids=["l_rho", "neumann", "robustness", "multistart", "linear", "zero"])
+def test_a_count_must_be_an_integer(call, name, value):
+    # the rule of max_iter: a float or a bool is not a count
+    y = from_callable(lambda t: t, Grid(0.0, 1.0, 8))
+    with pytest.raises(ValueError, match=f"{name} must be an integer >= "):
+        call(linear_kernel(0.5), y, value)
+
+
+def test_counts_of_either_integer_kind_are_taken():
+    y = from_callable(lambda t: t, Grid(0.0, 1.0, 8))
+    for n in (2, np.int64(2)):
+        assert vt.estimate_l_rho(linear_kernel(0.5), rho=1.0, samples=n) > 0
+        assert vt.neumann_solve(linear_kernel(0.5), y, y, tol=1e-10, samples=n)[1].converged
+        assert vt.robustness_modulus(zero_kernel(), y, n_probes=n, delta=1e-3) >= 0
+        assert multistart_uniqueness(zero_kernel(), y, n_starts=n)[1].converged
+        assert linear_kernel(0.5, dim=n).dim == zero_kernel(dim=n).dim == 2
+
+
 @pytest.mark.parametrize("max_iter", [3, np.int64(3)], ids=["int", "numpy"])
 def test_integer_budgets_of_either_kind_are_taken(max_iter):
     y = from_callable(lambda t: t, Grid(0.0, 1.0, 8))

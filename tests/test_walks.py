@@ -20,6 +20,7 @@ import pytest
 
 import volterra as vt
 from volterra import quadrature
+from volterra.config import _build_kernel
 from volterra.quadrature import inner_integral, inner_integral_adjoint, node_integral
 
 
@@ -68,16 +69,23 @@ def _count_quadrature_calls(monkeypatch):
     return counts
 
 
-@pytest.mark.parametrize("run", _RUNS)
-def test_a_cold_walk_calls_what_a_warm_one_does(monkeypatch, run):
+_KERNELS = {"example1": lambda: vt.example1_kernel(1.0),
+            "example2_linw_atan": lambda: _build_kernel("example2_linw_atan", {}, 0.0, 1.0)}
+
+
+@pytest.mark.parametrize("run, kernel", [
+    *(pytest.param(run, "example1", id=run) for run in _RUNS),
+    *(pytest.param(run, "example2_linw_atan", id=f"{run}-example2_linw_atan") for run in _RUNS),
+])
+def test_a_cold_walk_calls_what_a_warm_one_does(monkeypatch, run, kernel):
     # with every cache of quadrature cleared, the first run builds the
     # layouts of its shapes; a helper that ran only then would be counted
-    # once and not again
+    # once and not again; the lag kernel takes the Toeplitz route
     for obj in vars(quadrature).values():
         if hasattr(obj, "cache_clear"):
             obj.cache_clear()
     grid = vt.Grid(0.0, 1.0, 1000)
-    args = (vt.example1_kernel(1.0), grid, *_problem(grid))
+    args = (_KERNELS[kernel](), grid, *_problem(grid))
     counts = _count_quadrature_calls(monkeypatch)
     _RUNS[run](*args)
     cold = dict(counts)
