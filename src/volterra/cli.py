@@ -30,21 +30,23 @@ from .sensitivity import fd_discrepancy
 _FD_EPSILON = 1e-3
 
 
-def _meta(config: ProblemConfig) -> dict:
-    return {
+def _report(config: ProblemConfig, hypothesis: dict | None = None) -> dict:
+    meta = {
         "grid": {"alpha": config.alpha, "beta": config.beta, "n_cells": config.n_cells},
         "seed": config.seed,
         "version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
+    return {"hypothesis": hypothesis, "solve": None, "sensitivity": None, "meta": meta}
 
 
-def _write_report(report: dict, path, echo: bool) -> None:
+def _write_report(report: dict, path) -> None:
+    """The report as JSON in the file at path, or on stdout if path is None."""
     text = json.dumps(report, indent=2)
-    if path is not None:
-        Path(path).write_text(text + "\n")
-    if echo:
+    if path is None:
         print(text)
+    else:
+        Path(path).write_text(text + "\n")
 
 
 def _run_checks(config: ProblemConfig, kernel, grid) -> dict:
@@ -84,8 +86,7 @@ def cmd_check(args) -> int:
     grid = config.build_grid()
     kernel = config.build_kernel()
     hyp = _run_checks(config, kernel, grid)
-    report = {"hypothesis": hyp, "solve": None, "sensitivity": None, "meta": _meta(config)}
-    _write_report(report, args.report, echo=args.report is None)
+    _write_report(_report(config, hyp), args.report)
     if hyp["certified"]:
         print(f"certified: kernel {kernel.name} on [{grid.alpha}, {grid.beta}]",
               file=sys.stderr)
@@ -120,17 +121,17 @@ def cmd_solve(args) -> int:
     hyp = _run_checks(config, kernel, grid)
     if not hyp["certified"]:
         print("warning: hypotheses not certified; solving anyway", file=sys.stderr)
-    report = {"hypothesis": hyp, "solve": None, "sensitivity": None, "meta": _meta(config)}
+    report = _report(config, hyp)
     try:
         x, section = _solve_section(kernel, config, y)
     except SolverError as exc:
         report["solve"] = exc.report.to_dict() if exc.report is not None else {"error": str(exc)}
-        _write_report(report, args.report, echo=args.report is None)
+        _write_report(report, args.report)
         print(f"solve failed: {exc}", file=sys.stderr)
         return 1
     report["solve"] = section
     write_csv(x, args.output)
-    _write_report(report, args.report, echo=args.report is None)
+    _write_report(report, args.report)
     print(f"solution written to {args.output}", file=sys.stderr)
     return 0
 
@@ -143,19 +144,19 @@ def cmd_sensitivity(args) -> int:
     kernel = config.build_kernel()
     y = config.build_rhs(grid)
     h = _resample_csv(args.direction, grid, "direction csv", kernel.dim)
-    report = {"hypothesis": None, "solve": None, "sensitivity": None, "meta": _meta(config)}
+    report = _report(config)
     try:
         x, solve_section = _solve_section(kernel, config, y)
         s, sens_section = _sensitivity_section(kernel, config, x, y, h)
     except SolverError as exc:
         report["sensitivity"] = {"error": str(exc)}
-        _write_report(report, args.report, echo=args.report is None)
+        _write_report(report, args.report)
         print(f"sensitivity failed: {exc}", file=sys.stderr)
         return 1
     report["solve"] = solve_section
     report["sensitivity"] = sens_section
     write_csv(s, args.output)
-    _write_report(report, args.report, echo=args.report is None)
+    _write_report(report, args.report)
     print(f"sensitivity written to {args.output}", file=sys.stderr)
     return 0
 
@@ -196,7 +197,7 @@ def cmd_demo(args) -> int:
     y = config.build_rhs(grid)
     h = from_callable(lambda t: t - grid.alpha, grid)
     hyp = _run_checks(config, kernel, grid)
-    report = {"hypothesis": hyp, "solve": None, "sensitivity": None, "meta": _meta(config)}
+    report = _report(config, hyp)
     ok = hyp["certified"]
     print(f"[demo {args.name}] check: {'certified' if ok else 'NOT certified'}",
           file=sys.stderr)
@@ -218,7 +219,7 @@ def cmd_demo(args) -> int:
             ok = False
             print(f"[demo {args.name}] solver failed: {exc}", file=sys.stderr)
 
-    _write_report(report, out_dir / "report.json", echo=False)
+    _write_report(report, out_dir / "report.json")
     print(f"[demo {args.name}] artifacts in {out_dir}", file=sys.stderr)
     return 0 if ok else 1
 

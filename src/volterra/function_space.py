@@ -45,6 +45,14 @@ def _require_count(value, name: str, least: int = 1) -> None:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
+def _require_positive(value, name: str) -> None:
+    """value a finite real number > 0, a bool not being one; else a
+    ValueError naming the argument."""
+    if (not isinstance(value, numbers.Real) or isinstance(value, bool)
+            or not 0 < value < math.inf):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform partition of [alpha, beta] into n_cells cells."""

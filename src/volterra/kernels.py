@@ -39,7 +39,9 @@ factors in KernelSpec.lag; lag_kernel builds the four evaluators from
 them.  On the uniform grid every quadrature sum of such a kernel is a
 Toeplitz product, which quadrature and the solves take by FFT.  The
 route follows the field, not the evaluator objects, so a spec whose
-evaluators were swapped by dataclasses.replace keeps it.
+evaluators were swapped by dataclasses.replace keeps it.  linear_kernel
+and example2_kernel are lag kernels, and zero_kernel is
+linear_kernel(0.0, dim) with every growth bound declared zero.
 
 Kernels smooth in t
 -------------------
@@ -62,7 +64,7 @@ and the route follows the field as the lag route does.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Optional
 
@@ -272,22 +274,14 @@ def _const1(value):
 
 
 def zero_kernel(dim: int = 1) -> KernelSpec:
-    """v identically zero; the operator is the identity."""
+    """v identically zero; the operator is the identity.
 
-    def vec(t, tau, x):
-        t = np.asarray(t, float)
-        shape = np.broadcast_shapes(t.shape, np.shape(tau))
-        return np.zeros(shape + (dim,))
-
-    def mat(t, tau, x):
-        t = np.asarray(t, float)
-        shape = np.broadcast_shapes(t.shape, np.shape(tau))
-        return np.zeros(shape + (dim, dim))
-
+    linear_kernel(0.0, dim), so its sums take the Toeplitz route, with
+    every growth bound declared zero.
+    """
     zero = LagBound(np.zeros_like)
     bounds = GrowthBounds(c0=zero, d0=zero, c1=_const1(0.0), d1=_const1(0.0), c2=zero, d2=zero)
-    return KernelSpec(dim=dim, v=vec, v_t=vec, v_x=mat, v_tx=mat,
-                      diagonal_zero=True, bounds=bounds, name="zero")
+    return replace(linear_kernel(0.0, dim), bounds=bounds, name="zero")
 
 
 def lag_kernel(w, w_prime, z, z_prime, dim: int = 1, **kwargs) -> KernelSpec:

@@ -22,7 +22,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DimMismatch, KernelContract, SingularBlock
-from .function_space import GridFunction, _require_count, ac_norm, sup_norm, zeros
+from .function_space import (GridFunction, _require_count, _require_positive, ac_norm, sup_norm,
+                             zeros)
 from .kernels import KernelSpec, TriangularDomain
 from .quadrature import (_block_sum, _by_halves, _columns, _lattice, _leaf_triangle,
                          _require_finite, _row_sums, cell_midpoint_values, node_integral)
@@ -37,9 +38,9 @@ def _require_kernel_dim(kernel: KernelSpec, x: GridFunction):
 
 
 def _require_budget(tol, max_iter):
-    """tol > 0, and max_iter a count >= 1 (function_space._require_count)."""
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    """tol positive and finite, and max_iter a count >= 1 (function_space's
+    _require_positive and _require_count)."""
+    _require_positive(tol, "tol")
     _require_count(max_iter, "max_iter")
 
 
@@ -92,8 +93,7 @@ class NeumannBound:
 def iterate_bound(k: int, bound: NeumannBound) -> float:
     """Bound on ||T^k g||: D * A^(k-1) / (k-1)!, where l_rho bounds
     v_x and v_tx on the ball."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _require_count(k, "k", 1)
     if bound.D == 0.0:
         return 0.0  # also for A = inf
     # Multiplicative evaluation keeps A = 0 and large k exact and overflow-free.
@@ -112,8 +112,7 @@ def tail_bound(k: int, bound: NeumannBound) -> float:
     far tail, are bounded by geometric series instead, so the value is
     an upper bound in every regime.
     """
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+    _require_count(k, "k", 0)
     if bound.D == 0.0 or (k > 0 and bound.A == 0.0):
         return 0.0
     A, log_d = bound.A, math.log(bound.D)
@@ -180,8 +179,7 @@ def estimate_l_rho(kernel: KernelSpec, rho: float, samples: int,
     2.5516 against sup |v_tx| = 2.6787).  A non-finite sample raises
     KernelContract: max() would skip a nan.
     """
-    if not rho > 0:
-        raise ValueError("rho must be positive")
+    _require_positive(rho, "rho")
     _require_count(samples, "samples")
     dom = domain or kernel.domain or TriangularDomain(0.0, 1.0)
     u = _halton(samples, 2 + kernel.dim)

@@ -30,7 +30,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import LineSearchStalled, MaxIterExceeded
-from .function_space import GridFunction, _require_count, ac_norm, axpy, random_anchored
+from .function_space import (GridFunction, _require_count, _require_positive, ac_norm, axpy,
+                             random_anchored)
 from .linear_solver import (_require_budget, _require_kernel_dim, _require_same, _solve_leaf,
                             collocation_solve)
 from .operator import _merit, apply_V, functional_gradient
@@ -364,6 +365,7 @@ def multistart_uniqueness(kernel, y: GridFunction, n_starts: int,
     and marks failed starts instead of propagating their errors.
     """
     _require_count(n_starts, "n_starts", 2)
+    _require_positive(start_norm, "start_norm")
     rng = np.random.default_rng(seed)
     solutions = []
     report = SolveReport("newton", 0, [], [], False, multistart_spread=None)

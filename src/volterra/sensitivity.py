@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .function_space import (GridFunction, _require_count, ac_norm, axpy, random_anchored,
-                             scale, sub)
-from .linear_solver import collocation_solve
+from .function_space import (GridFunction, _require_count, _require_positive, ac_norm, axpy,
+                             random_anchored, scale, sub)
+from .linear_solver import _require_same, collocation_solve
 from .nonlinear_solver import solve_march
 
 
@@ -32,6 +32,7 @@ def fd_sensitivity_check(kernel, a: GridFunction, h: GridFunction,
                          max_iter: int = 50) -> float:
     """Relative derivative-norm gap between the linearized sensitivity
     and the central difference quotient of the solution map."""
+    _require_positive(epsilon, "epsilon")
     s_lin = directional_sensitivity(kernel, a, h, tol=tol, max_iter=max_iter)
     return fd_discrepancy(kernel, a, h, s_lin, epsilon, tol=tol, max_iter=max_iter)
 
@@ -41,15 +42,13 @@ def fd_discrepancy(kernel, a: GridFunction, h: GridFunction, s_lin: GridFunction
     """Relative derivative-norm gap between a linearized sensitivity
     s_lin, taken at a in direction h, and the central difference
     quotient of the solution map; two nonlinear solves."""
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
+    _require_positive(epsilon, "epsilon")
+    _require_same(a, s_lin)  # h meets a in axpy, before either solve
     x_plus, _ = solve_march(kernel, axpy(epsilon, h, a), tol=tol, max_iter=max_iter)
     x_minus, _ = solve_march(kernel, axpy(-epsilon, h, a), tol=tol, max_iter=max_iter)
     s_fd = scale(1.0 / (2.0 * epsilon), sub(x_plus, x_minus))
     gap = ac_norm(sub(s_lin, s_fd))
     denom = max(ac_norm(s_fd), ac_norm(s_lin))
-    if gap == 0.0:
-        return 0.0
     return gap / max(denom, 1e-300)
 
 
@@ -63,8 +62,7 @@ def robustness_modulus(kernel, a: GridFunction, n_probes: int, delta: float,
     from the base solution and the scaled displacement is recorded.
     """
     _require_count(n_probes, "n_probes")
-    if not delta > 0:
-        raise ValueError("delta must be positive")
+    _require_positive(delta, "delta")
     x_a, _ = solve_march(kernel, a, tol=tol, max_iter=max_iter)
     rng = np.random.default_rng(seed)
     worst = 0.0

@@ -143,8 +143,34 @@ class TestCheck:
         cfg = _write_cfg(tmp_path, n_cells=4)
         assert main(["check", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("text, message", [
+        ("[]", "config must be a JSON object"),
+        (json.dumps({"kernel": "linear", "interval": [0.0, 1.0], "n_cells": 100,
+                     "rhs": {"expression": "t"}, "tol": 1e-10}), "kernel must be an object"),
+        (json.dumps({"kernel": {"name": "linear", "params": [0.5]}, "interval": [0.0, 1.0],
+                     "n_cells": 100, "rhs": {"expression": "t"}, "tol": 1e-10}),
+         "kernel params must be an object"),
+        (json.dumps({"kernel": {"name": "example2_linw_atan", "params": {"A": -1.0}},
+                     "interval": [0.0, 0.9], "n_cells": 100, "rhs": {"expression": "t"},
+                     "tol": 1e-10}), "example2_linw_atan: need A, B >= 0"),
+    ], ids=["array", "kernel", "params", "negative-A"])
+    def test_a_config_off_the_schema_exits_two(self, tmp_path, capsys, text, message):
+        p = tmp_path / "cfg.json"
+        p.write_text(text)
+        assert main(["check", str(p)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+
 
 class TestSolve:
+    def test_an_rhs_csv_not_vanishing_at_alpha_exits_two(self, tmp_path, capsys):
+        # anchored on its own grid [-0.5, 1], 0.5 at the config's alpha = 0
+        rhs = tmp_path / "rhs.csv"
+        vt.write_csv(vt.from_callable(lambda t: t + 0.5, vt.Grid(-0.5, 1.0, 30)), rhs)
+        cfg = _write_cfg(tmp_path, rhs={"csv": str(rhs)})
+        assert main(["solve", str(cfg), "-o", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err.startswith("config error: rhs csv does not vanish at alpha")
+        assert not (tmp_path / "x.csv").exists()
+
     def test_writes_solution_and_report(self, tmp_path):
         cfg = _write_cfg(tmp_path, n_cells=500)
         out = tmp_path / "x.csv"

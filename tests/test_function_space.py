@@ -75,6 +75,10 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid.from_nodes(nodes)
 
+    def test_from_nodes_needs_two_nodes(self):
+        with pytest.raises(ValueError, match="at least two nodes"):
+            Grid.from_nodes([0.0])
+
     def test_from_nodes_rejects_decreasing(self):
         with pytest.raises(ValueError):
             Grid.from_nodes(np.array([0.0, 0.2, 0.1]))
@@ -98,6 +102,14 @@ class TestGridFunction:
             vals[row] = bad
             with pytest.raises(ValueError, match="finite"):
                 GridFunction(unit_grid, vals)
+
+    def test_values_must_have_a_row_per_node(self, unit_grid):
+        with pytest.raises(ValueError, match="does not match grid"):
+            GridFunction(unit_grid, np.zeros(unit_grid.n_cells))
+
+    def test_values_need_a_column(self, unit_grid):
+        with pytest.raises(ValueError, match="dim must be at least 1"):
+            GridFunction(unit_grid, np.zeros((unit_grid.n_cells + 1, 0)))
 
     def test_first_row_forced_to_zero(self, unit_grid):
         vals = np.linspace(0.0, 1.0, unit_grid.n_cells + 1)

@@ -233,6 +233,19 @@ class TestZeroKernel:
         for fn in (b.c1, b.d1):
             assert fn(t)[0] == 0.0
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_declares_lag_factors(self, dim):
+        # w = w' = 0: every sum is a Toeplitz product with a zero symbol
+        k = zero_kernel(dim)
+        assert k.lag is not None and k.name == "zero" and k.dim == dim
+        lags = np.linspace(0.0, 1.0, 5)
+        assert np.all(k.lag.w(lags) == 0.0) and np.all(k.lag.w_prime(lags) == 0.0)
+
+
+def test_a_domain_needs_beta_above_alpha():
+    with pytest.raises(ValueError, match="need beta > alpha"):
+        TriangularDomain(1.0, 0.0)
+
 
 class TestScalarKernel:
     def test_broadcasts_over_sample_shapes(self):

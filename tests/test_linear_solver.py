@@ -4,6 +4,7 @@ import gc
 import logging
 import math
 import time
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -122,6 +123,10 @@ class TestBounds:
         assert [tail_bound(k, nb) for k in (0, 1, 3)] == [0.0, 0.0, 0.0]
         assert iterate_bound(2, nb) == 0.0
 
+    def test_an_empty_interval_is_refused(self):
+        with pytest.raises(ValueError, match="need beta > alpha"):
+            NeumannBound.for_interval(1.0, 1.0, 1.0, 1.0)
+
     @pytest.mark.parametrize("A", [450.0, 600.0])
     def test_tail_bound_holds_for_long_horizons(self, A):
         # sum over m >= 1 of A^m / m! is e^A - 1; a truncated series falls short
@@ -132,6 +137,7 @@ class TestBounds:
     def test_tail_bound_beyond_float_range_is_inf(self):
         nb = NeumannBound(l_rho=800.0, M=1.0, C=1.0, D=1.0, A=800.0)
         assert tail_bound(1, nb) == math.inf
+        assert tail_bound(0, nb) == math.inf  # e^800, the whole series
 
     def test_tail_bound_huge_horizon_is_inf_at_once(self):
         # the terms below A - 10 sqrt(A) are bounded, not summed one by one
@@ -213,6 +219,12 @@ class TestEstimateLRho:
                              domain=TriangularDomain(0.0, 1.0))
         assert est == approx(1.1 * 0.6, rel=1e-12)
 
+    def test_a_dim_2_kernel_takes_the_spectral_norm_on_the_ball(self):
+        # v_x = 0.5 I: every sample's spectral norm is 0.5, and the Halton
+        # points outside the rho-ball are pulled back onto it
+        est = estimate_l_rho(linear_kernel(0.5, dim=2), rho=2.0, samples=512)
+        assert est == 1.1 * 0.5
+
     def test_upper_bounds_fresh_samples(self, rng):
         ker = example1_kernel(1.3)
         rho = 2.5
@@ -269,6 +281,27 @@ class TestNeumann:
         assert rep.converged
         assert ac_norm(sub(h, exact)) / ac_norm(exact) < 1e-4
         assert abs(h.values[-1, 0] - (1.0 - math.exp(-1.0))) < 1e-5
+
+    def test_report_is_a_dict_of_its_fields(self):
+        g = Grid(0.0, 1.0, 16)
+        rhs = from_callable(lambda t: t, g)
+        _, rep = neumann_solve(linear_kernel(1.0), zeros(g), rhs, tol=1e-10)
+        assert rep.to_dict() == {"iterations": rep.iterations, "residual_ac": rep.residual_ac,
+                                 "tail_bound": rep.tail_bound, "converged": True,
+                                 "l_rho": rep.l_rho, "tolerance": 1e-10}
+
+    def test_the_zero_kernel_records_no_triangle(self):
+        # a lag kernel keeps its FFT route, so the solve holds O(N) floats
+        g = Grid(0.0, 1.0, 4000)
+        y = from_callable(lambda t: t, g)
+        tracemalloc.start()
+        try:
+            h, rep = neumann_solve(vt.zero_kernel(), y, y, tol=1e-10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.converged and np.array_equal(h.values, y.values)
+        assert peak < 2e6
 
     def test_report_certifies_the_stop(self):
         g = Grid(0.0, 1.0, 100)

@@ -418,21 +418,38 @@ def test_overflowing_leaf_solution_raises_kernel_contract():
         collocation_solve(ker, y, y)
 
 
-@pytest.mark.parametrize("call, name", [
-    (lambda k, y: solve_march(k, y, tol=math.nan), "tol"),
-    (lambda k, y: solve_newton(k, y, tol=math.nan), "tol"),
-    (lambda k, y: solve_gradient(k, y, tol=math.nan), "tol"),
-    (lambda k, y: vt.neumann_solve(k, y, y, tol=math.nan), "tol"),
-    (lambda k, y: vt.directional_sensitivity(k, y, y, tol=math.nan), "tol"),
-    (lambda k, y: vt.fd_discrepancy(k, y, y, y, epsilon=math.nan), "epsilon"),
-    (lambda k, y: vt.robustness_modulus(k, y, 2, delta=math.nan), "delta"),
-    (lambda k, y: vt.estimate_l_rho(k, rho=math.nan, samples=16), "rho"),
-], ids=["march", "newton", "gradient", "neumann", "sensitivity", "fd", "robustness", "l_rho"])
-def test_nan_fails_the_positivity_guards(call, name):
-    # nan <= 0 is false: each guard must reject what is not > 0
+_POSITIVE = [
+    (lambda k, y, v: solve_march(k, y, tol=v), "tol", "march"),
+    (lambda k, y, v: solve_newton(k, y, tol=v), "tol", "newton"),
+    (lambda k, y, v: solve_gradient(k, y, tol=v), "tol", "gradient"),
+    (lambda k, y, v: vt.neumann_solve(k, y, y, tol=v), "tol", "neumann"),
+    (lambda k, y, v: vt.directional_sensitivity(k, y, y, tol=v), "tol", "sensitivity"),
+    (lambda k, y, v: vt.fd_discrepancy(k, y, y, y, epsilon=v), "epsilon", "fd"),
+    (lambda k, y, v: vt.robustness_modulus(k, y, 2, delta=v), "delta", "robustness"),
+    (lambda k, y, v: vt.estimate_l_rho(k, rho=v, samples=16), "rho", "l_rho"),
+]
+_POSITIVE_TOO = [
+    (lambda k, y, v: vt.fd_sensitivity_check(k, y, y, epsilon=v), "epsilon", "fd_check"),
+    (lambda k, y, v: multistart_uniqueness(k, y, 2, start_norm=v), "start_norm", "multistart"),
+]
+
+
+@pytest.mark.parametrize("call, name, value", [
+    *(pytest.param(c, n, math.nan, id=i) for c, n, i in _POSITIVE),
+    *(pytest.param(c, n, math.nan, id=f"{i}-nan") for c, n, i in _POSITIVE_TOO),
+    *(pytest.param(c, n, math.inf, id=f"{i}-inf") for c, n, i in _POSITIVE + _POSITIVE_TOO),
+    pytest.param(_POSITIVE_TOO[1][0], "start_norm", -1.0, id="multistart-negative"),
+])
+def test_nan_fails_the_positivity_guards(call, name, value):
+    # nan <= 0 is false and inf > 0 is true: each guard must reject what is
+    # not a finite number > 0, before the kernel is evaluated
+    def unreachable(t, tau, x):
+        raise AssertionError("the kernel was evaluated")
+
+    kernel = scalar_kernel(unreachable, unreachable, unreachable, unreachable)
     y = from_callable(lambda t: t, Grid(0.0, 1.0, 8))
     with pytest.raises(ValueError, match=f"{name} must be positive"):
-        call(linear_kernel(0.5), y)
+        call(kernel, y, value)
 
 
 @pytest.mark.parametrize("max_iter", [-1, 0, 2.5, True])
@@ -449,6 +466,9 @@ def test_an_iteration_budget_must_be_a_positive_integer(call, max_iter):
         call(linear_kernel(0.5), y, max_iter)
 
 
+_UNIT_BOUND = vt.NeumannBound.for_interval(1.0, 1.0, 0.0, 1.0)
+
+
 @pytest.mark.parametrize("value", [2.5, True])
 @pytest.mark.parametrize("call, name", [
     (lambda k, y, n: vt.estimate_l_rho(k, rho=1.0, samples=n), "samples"),
@@ -457,7 +477,10 @@ def test_an_iteration_budget_must_be_a_positive_integer(call, max_iter):
     (lambda k, y, n: multistart_uniqueness(k, y, n_starts=n), "n_starts"),
     (lambda k, y, n: linear_kernel(0.5, dim=n), "dim"),
     (lambda k, y, n: zero_kernel(dim=n), "dim"),
-], ids=["l_rho", "neumann", "robustness", "multistart", "linear", "zero"])
+    (lambda k, y, n: vt.iterate_bound(n, _UNIT_BOUND), "k"),
+    (lambda k, y, n: vt.tail_bound(n, _UNIT_BOUND), "k"),
+], ids=["l_rho", "neumann", "robustness", "multistart", "linear", "zero", "iterate_bound",
+        "tail_bound"])
 def test_a_count_must_be_an_integer(call, name, value):
     # the rule of max_iter: a float or a bool is not a count
     y = from_callable(lambda t: t, Grid(0.0, 1.0, 8))
@@ -473,6 +496,16 @@ def test_counts_of_either_integer_kind_are_taken():
         assert vt.robustness_modulus(zero_kernel(), y, n_probes=n, delta=1e-3) >= 0
         assert multistart_uniqueness(zero_kernel(), y, n_starts=n)[1].converged
         assert linear_kernel(0.5, dim=n).dim == zero_kernel(dim=n).dim == 2
+        assert vt.iterate_bound(n, _UNIT_BOUND) == vt.iterate_bound(2, _UNIT_BOUND) > 0
+        assert vt.tail_bound(n, _UNIT_BOUND) == vt.tail_bound(2, _UNIT_BOUND) > 0
+
+
+def test_newton_converging_on_its_last_step_reports_converged():
+    # a linear kernel's first Newton step solves the discrete system
+    y = from_callable(lambda t: t, Grid(0.0, 1.0, 64))
+    x, rep = solve_newton(linear_kernel(0.5), y, max_iter=1)
+    assert rep.converged and rep.iterations == 1
+    assert rep.residual_history[-1] <= 1e-10
 
 
 @pytest.mark.parametrize("max_iter", [3, np.int64(3)], ids=["int", "numpy"])

@@ -3,11 +3,14 @@
 import math
 
 import numpy as np
+import pytest
 from pytest import approx
 
 import volterra as vt
 from volterra import (
+    DimMismatch,
     Grid,
+    GridMismatch,
     ac_norm,
     directional_sensitivity,
     example1_kernel,
@@ -16,6 +19,7 @@ from volterra import (
     linear_kernel,
     random_anchored,
     robustness_modulus,
+    scalar_kernel,
     sub,
     zero_kernel,
 )
@@ -94,6 +98,19 @@ class TestFdCheck:
         s_lin = directional_sensitivity(ker, a, h, tol=1e-11)
         assert vt.fd_discrepancy(ker, a, h, s_lin, epsilon=1e-3) == \
             fd_sensitivity_check(ker, a, h, epsilon=1e-3)
+
+    @pytest.mark.parametrize("s_lin, error", [
+        (from_callable(lambda t: t, Grid(0.0, 1.0, 16)), GridMismatch),
+        (from_callable(lambda t: [t, t], Grid(0.0, 1.0, 8), dim=2), DimMismatch),
+    ], ids=["grid", "dim"])
+    def test_a_sensitivity_that_does_not_match_fails_before_solving(self, s_lin, error):
+        def unreachable(t, tau, x):
+            raise AssertionError("the kernel was evaluated")
+
+        kernel = scalar_kernel(unreachable, unreachable, unreachable, unreachable)
+        a = from_callable(lambda t: t, Grid(0.0, 1.0, 8))
+        with pytest.raises(error):
+            vt.fd_discrepancy(kernel, a, a, s_lin, epsilon=1e-3)
 
     def test_convolution_demo_kernel(self):
         g = Grid(0.0, 0.9, 200)
