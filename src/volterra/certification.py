@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import MissingBounds
-from .function_space import Grid
+from .function_space import Grid, _require_positive, _require_real
 from .kernels import KernelSpec, LagBound, LagIntegrand
 from .quadrature import _require_finite, inner_integral
 
@@ -219,9 +219,10 @@ def check_example1(a_bar: float, length: float = 1.0) -> HypothesisReport:
     threshold sqrt(2) / (2 L): the condition reduces to
     a_bar^2 L^(16/3) < 35/8, which on [0, 1] reads a_bar^2 < 35/8.
     """
-    L = float(length)
-    if not 0 < L <= 1:
+    _require_real(a_bar, "a_bar")
+    if not 0 < length <= 1:
         raise ValueError(f"length must lie in (0, 1], got {length}")
+    L = float(length)
     norm_value = 2.0 * abs(float(a_bar)) * L ** (5.0 / 3.0) / math.sqrt(35.0)
     return _verdict("A3", norm_value, math.sqrt(2.0) / (2.0 * L), 0)
 
@@ -234,8 +235,8 @@ def check_example2(w_prime, A: float, T: float, grid: Grid) -> HypothesisReport:
     condition is strict.  The grid must span [0, T].  w'^2 is a bound
     of the lag alone, so the integral is the Toeplitz sum check_A3 takes.
     """
-    if not (A > 0 and T > 0):
-        raise ValueError(f"need A > 0 and T > 0, got A={A}, T={T}")
+    _require_positive(A, "A")
+    _require_positive(T, "T")
     if abs(grid.alpha) > 1e-12 or abs(grid.beta - T) > 1e-12 * max(1.0, T):
         raise ValueError(f"grid [{grid.alpha}, {grid.beta}] must span [0, {T}]")
     value = _triangle_integral(_squared(LagBound(w_prime)), grid)

@@ -161,25 +161,12 @@ def cmd_sensitivity(args) -> int:
     return 0
 
 
+_DEMO = {"n_cells": 500, "rhs": {"expression": "t"}, "tol": 1e-10, "max_iter": 50, "seed": 0}
 _DEMOS = {
-    "example1": {
-        "kernel": {"name": "example1", "params": {"a_bar": 1.0}},
-        "interval": [0.0, 1.0],
-        "n_cells": 500,
-        "rhs": {"expression": "t"},
-        "tol": 1e-10,
-        "max_iter": 50,
-        "seed": 0,
-    },
-    "example2": {
-        "kernel": {"name": "example2_linw_atan", "params": {"A": 1.0, "B": 0.0}},
-        "interval": [0.0, 0.9],
-        "n_cells": 500,
-        "rhs": {"expression": "t"},
-        "tol": 1e-10,
-        "max_iter": 50,
-        "seed": 0,
-    },
+    "example1": {"kernel": {"name": "example1", "params": {"a_bar": 1.0}},
+                 "interval": [0.0, 1.0], **_DEMO},
+    "example2": {"kernel": {"name": "example2_linw_atan", "params": {"A": 1.0, "B": 0.0}},
+                 "interval": [0.0, 0.9], **_DEMO},
 }
 
 

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, KernelContract, NotAnchoredAtAlpha
-from .function_space import Grid, GridFunction, read_csv
+from .function_space import (Grid, GridFunction, _require_count, _require_positive, _require_real,
+                             read_csv)
 from .kernels import (
     KernelSpec,
     example1_kernel,
@@ -79,40 +80,32 @@ class ProblemConfig:
         if not isinstance(params, dict):
             raise ConfigError("kernel params must be an object")
 
-        interval = raw["interval"]
-        if (not isinstance(interval, (list, tuple)) or len(interval) != 2
-                or not all(_finite_number(v) for v in interval)):
+        interval, rhs = raw["interval"], raw["rhs"]
+        if not isinstance(interval, (list, tuple)) or len(interval) != 2:
             raise ConfigError("interval must be [alpha, beta], two finite numbers")
-        alpha, beta = float(interval[0]), float(interval[1])
-        if not beta > alpha:
-            raise ConfigError(f"need beta > alpha, got [{alpha}, {beta}]")
-
-        n_cells = raw["n_cells"]
-        if not isinstance(n_cells, int) or isinstance(n_cells, bool) or n_cells < _MIN_CELLS:
-            raise ConfigError(f"n_cells must be an integer >= {_MIN_CELLS}")
-
-        rhs = raw["rhs"]
         if not isinstance(rhs, dict) or len(set(rhs) & _RHS_KEYS) != 1 or set(rhs) - _RHS_KEYS:
             raise ConfigError("rhs must carry exactly one of 'expression' or 'csv'")
         if "expression" in rhs and rhs["expression"] not in _RHS_EXPRESSIONS:
             raise ConfigError(f"unknown rhs expression {rhs['expression']!r}; "
                               f"choose from {tuple(_RHS_EXPRESSIONS)} or a csv")
+        n_cells, tol = raw["n_cells"], raw["tol"]
+        max_iter, seed = raw.get("max_iter", 50), raw.get("seed", 0)
 
-        tol = raw["tol"]
-        if not _finite_number(tol) or not tol > 0:
-            raise ConfigError("tol must be a positive finite number")
-
-        max_iter = raw.get("max_iter", 50)
-        if not isinstance(max_iter, int) or isinstance(max_iter, bool) or max_iter < 1:
-            raise ConfigError("max_iter must be a positive integer")
-
-        seed = raw.get("seed", 0)
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ConfigError("seed must be an integer")
-
-        # fail fast: kernel params and interval compatibility are part of
-        # the schema, not something to discover at solve time
-        _build_kernel(name, dict(params), alpha, beta)
+        # every number by the library's own rules; kernel params and interval
+        # compatibility are part of the schema, not something to discover at
+        # solve time
+        try:
+            _require_count(n_cells, "n_cells", _MIN_CELLS)
+            Grid(*interval, n_cells)
+            _require_positive(tol, "tol")
+            _require_count(max_iter, "max_iter")
+            _require_count(seed, "seed", 0)
+            for key, val in params.items():
+                _require_real(val, f"kernel {name!r}: param {key!r}")
+            alpha, beta = float(interval[0]), float(interval[1])
+            _build_kernel(name, dict(params), alpha, beta)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
         return cls(kernel_name=name, kernel_params=dict(params), alpha=alpha,
                    beta=beta, n_cells=n_cells, rhs=dict(rhs), tol=float(tol),
@@ -143,15 +136,6 @@ class ProblemConfig:
         return _resample_csv(self.rhs["csv"], grid, "rhs csv", self.build_kernel().dim)
 
 
-def _finite_number(val) -> bool:
-    """val is an int or a float, not a bool, of a finite float value;
-    json reads NaN, Infinity and 1e400 as non-finite floats."""
-    try:
-        return isinstance(val, (int, float)) and not isinstance(val, bool) and math.isfinite(val)
-    except OverflowError:  # an int past the float range
-        return False
-
-
 def _check_params(name: str, params: dict, required: set, optional: set = frozenset()):
     extra = set(params) - required - optional
     if extra:
@@ -159,9 +143,6 @@ def _check_params(name: str, params: dict, required: set, optional: set = frozen
     missing = required - set(params)
     if missing:
         raise ConfigError(f"kernel {name!r}: missing params {sorted(missing)}")
-    for key, val in params.items():
-        if not _finite_number(val):
-            raise ConfigError(f"kernel {name!r}: param {key!r} must be a finite number")
 
 
 def _atan_offset(A: float) -> float:

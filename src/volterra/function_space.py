@@ -38,19 +38,39 @@ ANCHOR_ATOL = 1e-10
 _UNIFORMITY_RTOL = 1e-12
 
 
-def _require_count(value, name: str, least: int = 1) -> None:
-    """value an integer >= least, as in the config schema: numpy integers
-    pass, a bool does not; else a ValueError naming the argument."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+def _is_real(value) -> bool:
+    """value a real of finite float value, not a bool nor an int past the float range."""
+    try:
+        return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _require_real(value, name: str) -> None:
+    """value a finite real number; else a ValueError naming the argument."""
+    if not _is_real(value):
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
 
 
 def _require_positive(value, name: str) -> None:
-    """value a finite real number > 0, a bool not being one; else a
-    ValueError naming the argument."""
-    if (not isinstance(value, numbers.Real) or isinstance(value, bool)
-            or not 0 < value < math.inf):
+    """value a finite real number > 0; else a ValueError naming the argument."""
+    if not (_is_real(value) and value > 0):
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def _require_count(value, name: str, least: int = 1) -> None:
+    """value an integer >= least within the float range, numpy integers
+    included; else a ValueError naming the argument."""
+    if not (isinstance(value, numbers.Integral) and _is_real(value) and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _require_interval(alpha, beta) -> None:
+    """Finite real endpoints with beta > alpha; else a ValueError saying which."""
+    _require_real(alpha, "alpha")
+    _require_real(beta, "beta")
+    if not beta > alpha:
+        raise ValueError(f"need beta > alpha, got [{alpha}, {beta}]")
 
 
 @dataclass(frozen=True)
@@ -62,13 +82,9 @@ class Grid:
     n_cells: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
-            raise ValueError(f"need finite alpha and beta, got [{self.alpha}, {self.beta}]")
-        if not self.beta > self.alpha:
-            raise ValueError(f"need beta > alpha, got [{self.alpha}, {self.beta}]")
+        _require_interval(self.alpha, self.beta)
         n = self.n_cells  # a whole number >= 1 of any real type but bool
-        if (isinstance(n, bool) or not isinstance(n, numbers.Real) or not math.isfinite(n)
-                or int(n) != n or n < 1):
+        if not (_is_real(n) and int(n) == n and n >= 1):
             raise ValueError(f"n_cells must be a positive integer, got {n!r}")
         object.__setattr__(self, "n_cells", int(self.n_cells))  # 2.0 -> 2, for linspace
 
@@ -197,8 +213,21 @@ def scale(a: float, x: GridFunction) -> GridFunction:
 
 def ac_norm(x: GridFunction) -> float:
     """Exact derivative norm of the interpolant."""
-    d = np.diff(x.values, axis=0)
-    return float(np.sqrt((d * d).sum() / x.grid.delta))
+    return _ac_norm_of(x.values, x.grid.delta)
+
+
+def _ac_norm_of(values: np.ndarray, delta: float) -> float:
+    """ac_norm of node values on cells of width delta.  The differences are
+    scaled by the largest only when the plain sum of squares overflows, so
+    every result that does not is the plain one."""
+    d = np.diff(values, axis=0)
+    with np.errstate(over="ignore"):
+        squares = (d * d).sum() / delta
+    if squares < math.inf:
+        return float(np.sqrt(squares))
+    top = float(np.abs(d).max())
+    d /= top
+    return top * math.sqrt((d * d).sum() / delta)
 
 
 def sup_norm(x: GridFunction) -> float:

@@ -71,7 +71,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import KernelContract, OutsideTriangle
-from .function_space import PREDICATE_SLACK, _require_count
+from .function_space import PREDICATE_SLACK, _require_count, _require_interval, _require_real
 
 # |w(0)| above this is a contract violation for convolution kernels.
 _W_ANCHOR_ATOL = 1e-10
@@ -85,8 +85,7 @@ class TriangularDomain:
     beta: float
 
     def __post_init__(self):
-        if not self.beta > self.alpha:
-            raise ValueError(f"need beta > alpha, got [{self.alpha}, {self.beta}]")
+        _require_interval(self.alpha, self.beta)
 
     def contains(self, t: float, tau: float) -> bool:
         s = PREDICATE_SLACK
@@ -231,8 +230,8 @@ def eval_checked(kernel: KernelSpec, which: str, t: float, tau: float, x) -> np.
     """
     if which not in _WHICH:
         raise ValueError(f"which must be one of {_WHICH}, got {which!r}")
-    dom = kernel.domain or TriangularDomain(-math.inf, math.inf)
-    if tau > t + PREDICATE_SLACK or not dom.contains(t, tau):
+    dom = kernel.domain
+    if not tau <= t + PREDICATE_SLACK or (dom is not None and not dom.contains(t, tau)):
         raise OutsideTriangle(f"(t, tau) = ({t}, {tau}) outside the causal triangle")
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     if xv.shape != (kernel.dim,):
@@ -305,7 +304,9 @@ def lag_kernel(w, w_prime, z, z_prime, dim: int = 1, **kwargs) -> KernelSpec:
 
 
 def linear_kernel(lam: float, dim: int = 1) -> KernelSpec:
-    """v(t, tau, x) = lam * x; the operator is x + lam * integral of x."""
+    """v(t, tau, x) = lam * x; the operator is x + lam * integral of x.
+    lam must be a finite real number (ValueError otherwise)."""
+    _require_real(lam, "lam")
     lam = float(lam)
     zero = LagBound(np.zeros_like)
     bounds = GrowthBounds(c1=_const1(abs(lam)), d1=_const1(0.0), c2=zero, d2=zero)
@@ -329,8 +330,10 @@ def example1_kernel(a_bar: float) -> KernelSpec:
     and d0 = 2 |a_bar| s^(-1/3), s = t - tau; both depend on the lag
     alone and are LagBounds, so certification sums them as Toeplitz
     products.  Every evaluator is analytic in t for t > tau, so the
-    kernel declares smooth_in_t.
+    kernel declares smooth_in_t.  a_bar must be a finite real number
+    (ValueError otherwise).
     """
+    _require_real(a_bar, "a_bar")
     ab = float(a_bar)
 
     # Each evaluator takes its fractional powers of s = t - tau from one
@@ -424,7 +427,11 @@ def example2_kernel(w, w_prime, z, z_prime, A: float, B: float,
     numerically on the caller's behalf.  A, B >= 0 must majorize z as
     |z(x)| <= A|x| + B; that contract is the caller's and is what the
     declared bounds c0 = A|w'|, d0 = B|w'| encode; both are LagBounds.
+    A, B and T must be finite real numbers (ValueError otherwise), and a
+    negative A or B is a KernelContract.
     """
+    for value, name in ((A, "A"), (B, "B"), (T, "T")):
+        _require_real(value, name)
     if not (A >= 0 and B >= 0):
         raise KernelContract(f"need A, B >= 0, got A={A}, B={B}")
     w0 = float(np.asarray(w(0.0)))

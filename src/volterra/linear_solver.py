@@ -22,8 +22,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DimMismatch, KernelContract, SingularBlock
-from .function_space import (GridFunction, _require_count, _require_positive, ac_norm, sup_norm,
-                             zeros)
+from .function_space import (GridFunction, _require_count, _require_interval, _require_positive,
+                             ac_norm, sup_norm, zeros)
 from .kernels import KernelSpec, TriangularDomain
 from .quadrature import (_block_sum, _by_halves, _columns, _lattice, _leaf_triangle,
                          _require_finite, _row_sums, cell_midpoint_values, node_integral)
@@ -81,8 +81,7 @@ class NeumannBound:
 
     @classmethod
     def for_interval(cls, l_rho: float, M: float, alpha: float, beta: float) -> "NeumannBound":
-        if not beta > alpha:
-            raise ValueError("need beta > alpha")
+        _require_interval(alpha, beta)
         length = beta - alpha
         C = math.sqrt(length) * (1.0 + length)
         l_rho, M = float(l_rho), float(M)

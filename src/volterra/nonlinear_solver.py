@@ -30,8 +30,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import LineSearchStalled, MaxIterExceeded
-from .function_space import (GridFunction, _require_count, _require_positive, ac_norm, axpy,
-                             random_anchored)
+from .function_space import (GridFunction, _ac_norm_of, _require_count, _require_positive, ac_norm,
+                             axpy, random_anchored)
 from .linear_solver import (_require_budget, _require_kernel_dim, _require_same, _solve_leaf,
                             collocation_solve)
 from .operator import _merit, apply_V, functional_gradient
@@ -178,7 +178,7 @@ def solve_march(kernel, y: GridFunction, x_init: GridFunction | None = None,
             # a failure reports the residual of the rows marched so far
             r[c0:c1] = R
             if steps == max_iter:
-                report.residual_history = [_ac_rows(r[:c1], d)]
+                report.residual_history = [_ac_norm_of(r[:c1], d)]
                 raise MaxIterExceeded(f"march: leaf at node {c0}: residual above its "
                                       f"rounding floor after {max_iter} iterations",
                                       report=report)
@@ -190,7 +190,7 @@ def solve_march(kernel, y: GridFunction, x_init: GridFunction | None = None,
                     break
                 s *= 0.5
                 if s < _MIN_STEP:
-                    report.residual_history = [_ac_rows(r[:c1], d)]
+                    report.residual_history = [_ac_norm_of(r[:c1], d)]
                     raise LineSearchStalled(f"march: leaf at node {c0}: no decrease "
                                             f"above step {_MIN_STEP}", report=report)
             xl = xl + s * step
@@ -200,7 +200,7 @@ def solve_march(kernel, y: GridFunction, x_init: GridFunction | None = None,
         x[c0:c1], r[c0:c1], xc[c0 - 1 : c1 - 1] = xl, R, cl
 
     _by_halves(grid.n_cells + 1, leaf, merge)
-    res = _ac_rows(r, d)
+    res = _ac_norm_of(r, d)
     report.residual_history = [res]
     if res > tol:
         raise LineSearchStalled(
@@ -209,12 +209,6 @@ def solve_march(kernel, y: GridFunction, x_init: GridFunction | None = None,
         )
     report.converged = True
     return GridFunction(grid, x), report
-
-
-def _ac_rows(r: np.ndarray, d: float) -> float:
-    # ac_norm of node values r on cells of width d
-    diff = np.diff(r, axis=0)
-    return float(np.sqrt((diff * diff).sum() / d))
 
 
 def _ac_riesz(grid, g_nodes: np.ndarray) -> GridFunction:
@@ -366,6 +360,7 @@ def multistart_uniqueness(kernel, y: GridFunction, n_starts: int,
     """
     _require_count(n_starts, "n_starts", 2)
     _require_positive(start_norm, "start_norm")
+    _require_count(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     solutions = []
     report = SolveReport("newton", 0, [], [], False, multistart_spread=None)

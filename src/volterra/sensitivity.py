@@ -63,6 +63,7 @@ def robustness_modulus(kernel, a: GridFunction, n_probes: int, delta: float,
     """
     _require_count(n_probes, "n_probes")
     _require_positive(delta, "delta")
+    _require_count(seed, "seed", 0)
     x_a, _ = solve_march(kernel, a, tol=tol, max_iter=max_iter)
     rng = np.random.default_rng(seed)
     worst = 0.0

@@ -47,10 +47,13 @@ class TestSchema:
         ("n_cells", 8),            # below the minimum
         ("interval", [0.0]),
         ("interval", [1.0, 0.0]),  # reversed
+        ("interval", [False, 1.0]),
+        pytest.param("n_cells", 10**400, id="n_cells-10^400"),
         ("tol", -1e-10),
         ("tol", "tight"),
         ("max_iter", 0),
         ("seed", 1.5),
+        ("seed", -1),
     ])
     def test_bad_field_values_rejected(self, field, value):
         with pytest.raises(ConfigError):

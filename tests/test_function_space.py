@@ -181,6 +181,11 @@ class TestNorms:
         x = from_callable(lambda t: t * (1.0 - t), g)
         assert sup_norm(x) == approx(0.25, abs=0.0)
 
+    def test_ac_norm_past_the_square_root_of_the_float_range_scales(self, unit_grid):
+        # the squared differences of 1e160 y overflow; the norm does not
+        y = from_callable(lambda t: (np.sin(3.0 * t), t), unit_grid, dim=2)
+        assert ac_norm(1e160 * y) == approx(1e160 * ac_norm(y), rel=1e-14)
+
     def test_vector_norms_combine_components(self, unit_grid):
         x = from_callable(lambda t: (t, 0.0), unit_grid, dim=2)
         y = from_callable(lambda t: t, unit_grid)
@@ -298,3 +303,56 @@ def test_sub_and_zeros(unit_grid):
     z = zeros(unit_grid, dim=4)
     assert z.values.shape == (101, 4)
     assert ac_norm(z) == 0.0
+
+
+def _on_zero_kernel(probe):
+    # probe(kernel, y, value) on the zero kernel, as a call of value alone
+    y = from_callable(lambda t: t, Grid(0.0, 1.0, 16))
+    return lambda value: probe(vt.zero_kernel(), y, value)
+
+
+def _example2(**over):
+    args = dict(A=1.0, B=0.0, T=0.9) | over
+    return vt.example2_kernel(lambda s: s, np.ones_like, np.arctan, np.ones_like, **args)
+
+
+# (entry, one number of it, that argument's name, the bad values)
+_BAD = [math.nan, math.inf, True, 10**400]
+_NUMBER_RULES = [
+    ("Grid", lambda v: Grid(v, 2.0, 4), "alpha", [True, 10**400]),
+    ("Grid", lambda v: Grid(0.0, v, 4), "beta", [True, 10**400]),
+    ("Grid", lambda v: Grid(0.0, 1.0, v), "n_cells", [10**400]),
+    ("TriangularDomain", lambda v: vt.TriangularDomain(v, 2.0), "alpha", _BAD),
+    ("TriangularDomain", lambda v: vt.TriangularDomain(0.0, v), "beta", _BAD),
+    ("for_interval", lambda v: vt.NeumannBound.for_interval(1.0, 1.0, v, 2.0), "alpha", _BAD),
+    ("for_interval", lambda v: vt.NeumannBound.for_interval(1.0, 1.0, 0.0, v), "beta", _BAD),
+    ("example1_kernel", vt.example1_kernel, "a_bar", _BAD),
+    ("linear_kernel", vt.linear_kernel, "lam", _BAD),
+    ("example2_kernel", lambda v: _example2(A=v), "A", _BAD),
+    ("example2_kernel", lambda v: _example2(B=v), "B", _BAD),
+    ("example2_kernel", lambda v: _example2(T=v), "T", _BAD),
+    ("check_example1", vt.check_example1, "a_bar", _BAD),
+    ("check_example2", lambda v: vt.check_example2(np.ones_like, v, 0.9, Grid(0.0, 0.9, 16)),
+     "A", _BAD),
+    ("check_example2", lambda v: vt.check_example2(np.ones_like, 1.0, v, Grid(0.0, 0.9, 16)),
+     "T", _BAD),
+    ("estimate_l_rho", lambda v: vt.estimate_l_rho(vt.zero_kernel(), v, 16), "rho", [10**400]),
+    ("solve_march", _on_zero_kernel(lambda k, y, v: vt.solve_march(k, y, tol=v)), "tol", [10**400]),
+    ("robustness_modulus", _on_zero_kernel(lambda k, y, v: vt.robustness_modulus(k, y, 2, 0.1, seed=v)),
+     "seed", _BAD + [1.5, -1]),
+    ("multistart_uniqueness", _on_zero_kernel(lambda k, y, v: vt.multistart_uniqueness(k, y, 2, seed=v)),
+     "seed", _BAD + [1.5, -1]),
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("call, name, value", [
+    pytest.param(call, name, value, id=f"{entry}-{name}-{'10^400' if value == 10**400 else value}")
+    for entry, call, name, values in _NUMBER_RULES for value in values
+])
+def test_a_number_breaking_its_rule_is_refused_by_name(call, name, value):
+    # nan, inf, a bool, an int past the float range (and 1.5 or -1 for a
+    # seed) fail where they enter, with a ValueError naming the argument
+    # and no RuntimeWarning on the way
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        call(value)
