@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import MissingBounds
-from .function_space import Grid, _require_positive, _require_real
+from .function_space import Grid, _is_real, _require_positive, _require_real
 from .kernels import KernelSpec, LagBound, LagIntegrand
 from .quadrature import _require_finite, inner_integral
 
@@ -220,7 +220,7 @@ def check_example1(a_bar: float, length: float = 1.0) -> HypothesisReport:
     a_bar^2 L^(16/3) < 35/8, which on [0, 1] reads a_bar^2 < 35/8.
     """
     _require_real(a_bar, "a_bar")
-    if not 0 < length <= 1:
+    if not (_is_real(length) and 0 < length <= 1):
         raise ValueError(f"length must lie in (0, 1], got {length}")
     L = float(length)
     norm_value = 2.0 * abs(float(a_bar)) * L ** (5.0 / 3.0) / math.sqrt(35.0)

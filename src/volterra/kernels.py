@@ -20,10 +20,13 @@ arrays), so an evaluator must never write into its inputs.  Every walk
 of a shape passes the same views, of buffers the next walk refills, so
 an evaluator must not keep its inputs past a call either.
 A walk may record what an evaluator returns (quadrature._walk's
-recorder): neumann_solve's first walk of v_x keeps the arrays for the
-length of the solve, and every later walk of that shape replays them
-instead of calling v_x, so an evaluator must not write into an array it
-has returned, nor return different samples for the same inputs.  In-place
+recorder): neumann_solve's first walk of v_x keeps the arrays, and the
+outcome of each far block's check (see "Kernels smooth in t" below), for
+the length of the solve.  Every later walk of that shape replays them:
+it calls no v_x and takes no far check again, and it reads none of the
+walk's t, tau and x, only reducing the kept samples against the new h.
+So an evaluator must not write into an array it has returned, nor
+return different samples for the same inputs.  In-place
 arithmetic (*=, /=, +=) on its own temporaries, each freed as soon as
 it is spent, keeps few chunk-sized arrays alive at once: the allocator
 then reuses the same heap pages from chunk to chunk instead of trimming

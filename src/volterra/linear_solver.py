@@ -224,11 +224,16 @@ def neumann_solve(kernel: KernelSpec, x0: GridFunction, g: GridFunction,
 
     It starts from h = 0, whose image T 0 = 0 needs no walk, so each
     iteration takes one apply_T's walk of T.  T's v_x samples do not
-    depend on h: the first walk records them and every later one replays
-    them (quadrature._walk's recorder), so a solve walks v_x once,
-    holding that walk's O(N log N) samples (O(N^2) for a kernel not
-    smooth in t) until it returns; a lag kernel keeps its FFT route and
-    records nothing.
+    depend on h: the first walk records them, with the outcome of each
+    far block's interpolation check, and every later one replays them
+    (quadrature._walk's recorder).  A replay only reduces the recorded
+    samples against h, interpolates the far blocks that passed and adds;
+    it evaluates no v_x, checks no far block again, and gathers none of
+    the grid, x0 or the far times.  So a solve walks v_x once, holding
+    that walk's O(N log N) samples (O(N^2) for a kernel not smooth in t)
+    until it returns, and its iterates, report and DEBUG records are
+    those of walking each iteration, bit for bit.  A lag kernel keeps its
+    FFT route and records nothing.
     l_rho samples the kernel itself.  Stops once the computed residual
     ||h + T h - g|| drops to tol or the a-priori factorial tail puts
     the remaining gap below tol; that tail bounds the gap only where

@@ -38,12 +38,18 @@ interpolation matrix, and the weights of the far check.  A walk copies
 its grid and inputs in, derives the first row and Chebyshev times of
 every far block in one gather, and per call only evaluates f, checks a
 far call, reduces and adds; a triangle gathers its samples' t, tau and
-x first.  Nothing of one grid's values is kept for the next.  Each
+x first.  A walk given a recorder keeps each call's samples, a far
+call's with the outcome of its check; a later walk given them (a
+replay, as neumann_solve takes after its first iteration) copies in h
+or w alone and per call only reduces and adds: it reads neither the
+grid nor x, gathers no triangle, and takes each far check's outcome as
+recorded.  Nothing of one grid's values is kept for the next.  Each
 call's samples are reduced along rows (columns, for the transpose)
 before the next call, so memory grows as N.  A non-finite value raises
 KernelContract naming where it is: a sum's first bad row (column), on
 either route, a half-cell sample, or a factor of a lag integrand,
-checked before an FFT spreads it over every row.
+checked before an FFT spreads it over every row.  An FFT product past
+the float range is spread so too, and reads as the sum's first row.
 
 An integrand passed as SmoothInT (KernelSpec.integrand gives one for
 kernels that declare smooth_in_t) is analytic in t off the diagonal.  A
@@ -319,10 +325,21 @@ def _walk(n_rows: int, n_cols: int, offset: int, tri: bool, smooth: bool, transp
     Evaluators must not keep their inputs past a call.  A walk of the
     shape while this one is in use (an evaluator's own walk, another
     thread) builds a walk of its own.  Built by nested or cached helpers
-    alone, as _plan is.  Given an empty list recorded, a walk appends its
-    shape and each call's float samples; a later walk given the list
-    replays them in order, never calling f, as its calls follow from its
-    shape and samples alone.  A walk of another shape raises RuntimeError.
+    alone, as _plan is.
+
+    Given an empty list recorded, a walk appends its shape and one entry
+    per evaluator call: the float samples, or for a far call the pair of
+    samples and the outcome of each of its blocks' checks.  A later walk
+    given the list replays them in order, never calling f, as its calls
+    follow from its shape and samples alone.  A replay copies in hc or w
+    and per call only reduces and adds, interpolating the far blocks that
+    passed and walking the recorded exact samples of those that fell
+    back, so it logs and gives the recorded walk's sums bit for bit for
+    the same hc or w.  It skips whatever only f or the far check reads:
+    rows, cols and xc are not copied in (nor read: its DEBUG record names
+    rows_in and cols_in), no far times are built, no triangle gathers its
+    t, tau and x, and no far check is taken again.  A walk of another
+    shape raises RuntimeError.
     """
     size = _CHEB + 1
     rows, cols = np.empty(n_rows), np.empty(n_cols)
@@ -391,14 +408,23 @@ def _walk(n_rows: int, n_cols: int, offset: int, tri: bool, smooth: bool, transp
         if not lock.acquire(blocking=False):
             return _walk.__wrapped__(*walk_shape)(f, rows_in, cols_in, xc_in, hc, w, recorded)
         try:
-            rows[:], cols[:], xc[:] = rows_in, cols_in, xc_in
             if hc is not None or w is not None:
                 hc_or_w[:] = w if transpose else hc
             out.fill(0.0)
-            if firsts.size:  # the first row and the Chebyshev times of every far block
-                a = rows[firsts][:, None]
-                times[:] = np.concatenate([a, a + (rows[lasts][:, None] - a) * points], axis=1)
-            fell = run(evaluator(f, recorded), hc is not None)
+            if recorded:  # a replay reads its samples and far checks, never the grid
+                if recorded[0] != walk_shape:
+                    raise RuntimeError(f"a walk of shape {walk_shape} cannot replay the samples "
+                                       f"of a walk of shape {recorded[0]}")
+                fell = run(None, None, iter(recorded[1:]).__next__, hc is not None)
+            else:
+                rows[:], cols[:], xc[:] = rows_in, cols_in, xc_in
+                if firsts.size:  # the first row and the Chebyshev times of every far block
+                    a = rows[firsts][:, None]
+                    times[:] = np.concatenate([a, a + (rows[lasts][:, None] - a) * points], axis=1)
+                keep = None if recorded is None else recorded.append
+                if keep:
+                    keep(walk_shape)
+                fell = run(f.f if isinstance(f, SmoothInT) else f, keep, None, hc is not None)
             if fell:
                 import logging  # here, not at start-up, which it would cost 5 ms
 
@@ -406,36 +432,24 @@ def _walk(n_rows: int, n_cols: int, offset: int, tri: bool, smooth: bool, transp
                 logging.getLogger(__name__).debug(
                     "%d far blocks fell back to exact samples; the first: rows [%d, %d) "
                     "(t from %.10g), columns [%d, %d) (tau from %.10g)",
-                    len(fell), r0, r0 + h, rows[r0], j0, j0 + k, cols[j0])
+                    len(fell), r0, r0 + h, rows_in[r0], j0, j0 + k, cols_in[j0])
             return out.copy()
         finally:
             lock.release()
 
-    def evaluator(f, recorded):
-        # f's float samples, call by call, recorded or replayed
-        f = f.f if isinstance(f, SmoothInT) else f
-        if recorded is None:
-            return lambda t, tau, x: np.asarray(f(t, tau, x), float)
-        if recorded:
-            if recorded[0] != walk_shape:
-                raise RuntimeError(f"a walk of shape {walk_shape} cannot replay the samples "
-                                   f"of a walk of shape {recorded[0]}")
-            replay = iter(recorded[1:])
-            return lambda t, tau, x: next(replay)
-        recorded.append(walk_shape)
-
-        def record(t, tau, x):
+    def run(f, keep, replayed, with_h):
+        # the calls in order, f's samples evaluated and kept if keep is given
+        # (a far call's with its check), or replayed as kept; the far blocks
+        # that fell back
+        def evaluated(t, tau, x):
             S = np.asarray(f(t, tau, x), float)
-            recorded.append(S)
+            if keep:
+                keep(S)
             return S
 
-        return record
-
-    def run(f, with_h):
-        # the calls in order, f giving float samples; the far blocks that fell back
         def sample_exact(call):
             _, t, tau, x, r, c = call
-            S = f(t, tau, x)
+            S = replayed() if replayed else evaluated(t, tau, x)
             if transpose:
                 c += np.einsum("nikba,nib->nka", S, r)
             elif with_h:
@@ -445,14 +459,18 @@ def _walk(n_rows: int, n_cols: int, offset: int, tri: bool, smooth: bool, transp
 
         def sample_far(call):
             _, t, tau, x, r, c, M, heights, (h, b0, k, j0, dj) = call
-            S = f(t, tau, x)
-            # per block, the largest miss of its exact first row by the
-            # interpolant and that row's largest value, by one product;
-            # the bound must be finite, and no non-finite miss meets it
-            n = len(S)
-            check = largest(np.abs(checks @ S.reshape(n, size, -1)), 2).tolist()
-            ok = [miss <= _CHEB_TOL * top < math.inf for miss, top in check]
-            passed = all(ok)
+            if replayed:
+                S, ok = replayed()
+            else:
+                S = np.asarray(f(t, tau, x), float)
+                # per block, the largest miss of its exact first row by the
+                # interpolant and that row's largest value, by one product;
+                # the bound must be finite, and no non-finite miss meets it
+                check = largest(np.abs(checks @ S.reshape(len(S), size, -1)), 2).tolist()
+                ok = [miss <= _CHEB_TOL * top < math.inf for miss, top in check]
+                if keep:
+                    keep((S, ok))
+            n, passed = len(S), all(ok)
             S = S[:, 1:]
             if transpose:
                 if heights is None:
@@ -484,11 +502,14 @@ def _walk(n_rows: int, n_cols: int, offset: int, tri: bool, smooth: bool, transp
 
         def sample_triangle(call):
             _, t, tau, x, r, c, p, q, starts, runs = call
-            if transpose:  # in column order: column q repeats over its run
-                t, tau, x = t.take(p, 1), tau.repeat(runs, 1), x.repeat(runs, 1)
-            else:  # in row order: row p repeats over its run
-                t, tau, x = t.repeat(runs, 1), tau.take(q, 1), x.take(q, 1)
-            S = f(t, tau, x)
+            if replayed:
+                S = replayed()
+            else:
+                if transpose:  # in column order: column q repeats over its run
+                    t, tau, x = t.take(p, 1), tau.repeat(runs, 1), x.repeat(runs, 1)
+                else:  # in row order: row p repeats over its run
+                    t, tau, x = t.repeat(runs, 1), tau.take(q, 1), x.take(q, 1)
+                S = evaluated(t, tau, x)
             if transpose:
                 c += np.add.reduceat(np.einsum("ntba,ntb->nta", S, r.take(p, 1)), starts, 1)
             elif with_h:
@@ -529,14 +550,17 @@ def _block_sum(f, rows: np.ndarray, cols: np.ndarray, xc: np.ndarray,
         # k0.  Row i reads entry s + i of its causal convolution with u,
         # column j of the transpose entry s + R - 1 - j of that with the
         # reversed w; no entry read wraps.
+        # A product past the float range reads inf or nan on every row from
+        # the first, for the caller's check of its sums to name.
         k0 = 0 if tri else round((rows[0] - cols[-1] - f.lag0) / f.delta)
         n = R if tri else R + C - 1
         s, size = n - R, _fft_size(R + C - 1)
-        u = w[::-1] if w is not None else xc if hc is None else np.einsum("jab,jb->ja", xc, hc)
-        A = f.spectrum(k0, n, size).reshape((-1,) + (1,) * (u.ndim - 1))
-        y = np.fft.irfft(A * np.fft.rfft(u, size, axis=0), size, axis=0)
-        if w is not None:
-            return np.einsum("jba,jb->ja", xc, y[s + R - C : s + R][::-1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = w[::-1] if w is not None else xc if hc is None else np.einsum("jab,jb->ja", xc, hc)
+            A = f.spectrum(k0, n, size).reshape((-1,) + (1,) * (u.ndim - 1))
+            y = np.fft.irfft(A * np.fft.rfft(u, size, axis=0), size, axis=0)
+            if w is not None:
+                return np.einsum("jba,jb->ja", xc, y[s + R - C : s + R][::-1])
         y = y[s : s + R]
         if tri:
             y[0] = 0.0  # row 0 has no samples; clear the FFT's rounding

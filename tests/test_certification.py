@@ -266,7 +266,8 @@ class TestClosedForms:
         assert num.threshold == approx(exact.threshold, rel=1e-14)
         assert exact.passed and not check_example1(3.0).passed
 
-    @pytest.mark.parametrize("length", [0.0, -0.5, 1.5, math.nan])
+    @pytest.mark.parametrize("length", [0.0, -0.5, 1.5, math.nan, True, False,
+                                        pytest.param(np.bool_(True), id="np.True_")])
     def test_example1_length_must_lie_in_the_unit_interval(self, length):
         with pytest.raises(ValueError, match="length must lie in"):
             check_example1(1.0, length)

@@ -414,6 +414,42 @@ class TestNeumann:
         assert records[0].startswith("3 far blocks fell back to exact samples")
         assert solve - 512 == (counts["v_x"] - 512) // rep.iterations
 
+    @pytest.mark.parametrize("kind", ["generic", "smooth", "kinked"])
+    def test_a_replay_after_another_grid_of_the_shape_reads_its_own(self, kind, caplog):
+        # a replay reads neither the grid nor x: after a fresh walk of
+        # [0, 2] at the same shape, it gives the sums recorded on [0, 1]
+        # bit for bit, and its DEBUG records name [0, 1]'s own t and tau
+        caplog.set_level(logging.DEBUG, logger="volterra.quadrature")
+        if kind == "kinked":  # two far blocks fall back on [0, 1], one on [0, 2]
+            ker = scalar_kernel(lambda t, tau, x: np.abs(t - 0.5) * (t - tau) * np.sin(x),
+                                lambda t, tau, x: 0.0 * x,
+                                lambda t, tau, x: np.abs(t - 0.5) * (t - tau) * np.cos(x),
+                                lambda t, tau, x: 0.0 * x, smooth_in_t=True)
+        else:
+            ker = replace(example1_kernel(1.0), smooth_in_t=kind == "smooth")
+        f = ker.integrand("v_x")
+        walks = []
+        for beta in (1.0, 2.0):
+            g = Grid(0.0, beta, 400)
+            x0 = from_callable(lambda t: 2.0 * np.sin(3.0 * t), g).values
+            h = from_callable(lambda t: t * np.cos(5.0 * t), g).values
+            walks.append(lambda recorded, g=g, x0=x0, h=h: quadrature._row_sums(
+                f, g.nodes, g, x0, h, "node", recorded=recorded))
+        logs = []
+        recorded = []
+        for walk, given in ((walks[0], recorded), (walks[1], None), (walks[0], recorded)):
+            caplog.clear()
+            logs.append((walk(given), [r.getMessage() for r in caplog.records]))
+        (first, records), (other, other_records), (replayed, replay_records) = logs
+        assert not np.array_equal(other, first)
+        assert np.array_equal(replayed, first)
+        assert replay_records == records
+        if kind == "kinked":
+            assert records[0].startswith("2 far blocks fell back") and "(t from 0.3225)" in records[0]
+            assert other_records[0].startswith("1 far blocks fell back")
+        else:
+            assert records == []
+
     def test_no_recorded_sample_outlives_the_solve(self):
         # the recorder holds no reference cycle: with the collector off,
         # every array v_x returned is freed when the solve returns
@@ -466,6 +502,22 @@ class TestNeumann:
         with pytest.raises(RuntimeError, match="cannot replay"):
             walks[400](recorded)
         assert calls["v_x"] == 0
+
+    @pytest.mark.parametrize("call", ["apply_T", "neumann_solve"])
+    @pytest.mark.parametrize("route", ["lag", "walked"])
+    def test_a_sum_past_the_float_range_raises_on_both_routes(self, call, route):
+        # linear_kernel(1e300)'s T T y overflows: the lag route's FFT product
+        # raises the walked twin's KernelContract, not a RuntimeWarning
+        ker = linear_kernel(1e300)
+        if route == "walked":
+            ker = replace(ker, lag=None)
+        g = Grid(0.0, 1.0, 16)
+        y = from_callable(lambda t: t, g)
+        with pytest.raises(vt.KernelContract, match="^the sum of the row at node 1 is not finite"):
+            if call == "apply_T":
+                apply_T(ker, y, apply_T(ker, y, y))
+            else:
+                neumann_solve(ker, y, y, tol=1e-10)
 
     def test_twenty_partial_sums_match_alternating_series(self):
         # sum_{k<20} (-1)^k T^k g with (T^k g)(t) = t^{k+1}/(k+1)!

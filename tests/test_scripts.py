@@ -55,6 +55,12 @@ def test_walk_cost_table():
         ex1, free, ratio, calls = float(r[2]), float(r[3]), float(r[4]), int(r[5])
         # the free evaluator costs nothing, so its walk is the cheaper
         assert 0 < free < ex1 and ratio < 1 and calls > 0
+        # a replay neither evaluates v_x nor checks its far blocks
+        if r[0] == "v_t":
+            v_x, replay = float(r[6]), float(r[7])
+            assert 0 < replay < v_x, r
+        else:
+            assert r[6:] == ["-", "-"], r
     # the lag route: each solve evaluates w once; collocation z' once, the
     # march z at least once per leaf
     rows = [line.split() for line in lag.splitlines()[1:]]
