@@ -13,9 +13,11 @@ iteration, so that the walk's own cost per Neumann iteration shows
 
 A second table gives the lag route: collocation_solve at Newton's
 solution and solve_march, on the example2_linw_atan problem of the CLI
-on [0, 0.9] with y = t, per --lag-cells N, with the ms per solve and
-the calls per solve of the kernel's lag factors w (w and w') and z (z
-and z').  Each solve evaluates w once, on the grid's N lags.
+on [0, 0.9] with y = t, per --lag-cells N, with the ms per solve, the
+calls per solve of the kernel's lag factors w (w and w') and z (z and
+z'), and the Toeplitz products per solve (quadrature._block_sum on a
+lag table: the march's merges, collocation's contracting steps).  Each
+solve evaluates w once, on the grid's N lags.
 Times are the best of --repeat runs in one process.
 
     python scripts/walk_cost.py [--cells 1000 2000 16000] [--lag-cells 4000 100000]
@@ -23,6 +25,7 @@ Times are the best of --repeat runs in one process.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import time
 
@@ -30,7 +33,8 @@ import numpy as np
 
 import volterra as vt
 from volterra.kernels import LagFactors, SmoothInT
-from volterra.quadrature import _row_sums, inner_integral, inner_integral_adjoint, node_integral
+from volterra.quadrature import (_LagTable, _row_sums, inner_integral, inner_integral_adjoint,
+                                 node_integral)
 
 
 def _free(trailing):
@@ -83,9 +87,28 @@ def _counted_factors(kernel):
     return dataclasses.replace(kernel, lag=factors), calls
 
 
+@contextlib.contextmanager
+def _counted_products(calls):
+    """Count the Toeplitz products of every lag table under calls["products"]
+    while in the block: each _block_sum on a table takes its symbol's
+    spectrum once."""
+    spectrum = _LagTable.spectrum
+
+    def counted(self, *args):
+        calls["products"] += 1
+        return spectrum(self, *args)
+
+    _LagTable.spectrum = counted
+    try:
+        yield
+    finally:
+        _LagTable.spectrum = spectrum
+
+
 def lag_table(cells, repeat):
-    """ms, w calls and z calls per solve on the lag route, per N."""
-    print(f"\n{'solve':>17} {'N':>6} {'ms':>9} {'w calls':>8} {'z calls':>8}")
+    """ms, w calls, z calls and Toeplitz products per solve on the lag
+    route, per N."""
+    print(f"\n{'solve':>17} {'N':>6} {'ms':>9} {'w calls':>8} {'z calls':>8} {'products':>9}")
     for n in cells:
         config = vt.ProblemConfig.from_dict({
             "kernel": {"name": "example2_linw_atan"}, "interval": [0.0, 0.9], "n_cells": n,
@@ -97,9 +120,11 @@ def lag_table(cells, repeat):
         for name, solve in (("collocation_solve", lambda k: vt.collocation_solve(k, x, y)),
                             ("solve_march", lambda k: vt.solve_march(k, y, tol=config.tol))):
             best = _best(lambda: solve(kernel), repeat)
-            calls.update(w=0, z=0)
-            solve(counted)
-            print(f"{name:>17} {n:>6} {1e3 * best:>9.3f} {calls['w']:>8} {calls['z']:>8}")
+            calls.update(w=0, z=0, products=0)
+            with _counted_products(calls):
+                solve(counted)
+            print(f"{name:>17} {n:>6} {1e3 * best:>9.3f} {calls['w']:>8} {calls['z']:>8} "
+                  f"{calls['products']:>9}")
 
 
 def _best(walk, repeat):

@@ -73,6 +73,13 @@ def _require_interval(alpha, beta) -> None:
         raise ValueError(f"need beta > alpha, got [{alpha}, {beta}]")
 
 
+def _require_finite_values(values: np.ndarray) -> np.ndarray:
+    """values, or the ValueError of a GridFunction given a non-finite one."""
+    if not np.isfinite(values).all():
+        raise ValueError("values must be finite")
+    return values
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform partition of [alpha, beta] into n_cells cells."""
@@ -150,8 +157,7 @@ class GridFunction:
             )
         if v.shape[1] < 1:
             raise ValueError("dim must be at least 1")
-        if not np.isfinite(v).all():
-            raise ValueError("values must be finite")
+        _require_finite_values(v)
         if np.abs(v[0]).max() > ANCHOR_ATOL:
             raise NotAnchoredAtAlpha(
                 f"|x(alpha)| = {np.abs(v[0]).max():.3e} exceeds {ANCHOR_ATOL:.0e}"

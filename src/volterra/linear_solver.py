@@ -1,15 +1,19 @@
 """Solvers for the linearized equation h + T h = g.
 
 T is the Volterra integral operator with kernel v_x(t, tau, x0(tau)).
-Two routes are provided: a Neumann iteration h <- g - T h whose factorial
-tail gives an a-priori error bound, and a direct triangular collocation
-solve.  T's samples depend on x0 alone, not on h, so the iteration's
+Two solvers are provided: neumann_solve, the iteration h <- g - T h
+stopped by a tolerance and the a-priori bound of its factorial tail,
+and collocation_solve, which solves the discrete system to rounding.
+T's samples depend on x0 alone, not on h, so the Neumann iteration's
 first walk of T records them and every later walk replays them
 (quadrature._walk's recorder).  The tail bounds the error only where
 l_rho bounds v_x and v_tx on the ball; estimate_l_rho samples them, so
-it may fall short of the supremum (ROADMAP item 2(a)).  Both routes
-discretize T identically, so they converge to the same node values and
-can cross-check each other.
+it may fall short of the supremum (ROADMAP item 2(a)).  Collocation
+takes a lag kernel whose discrete majorant of T's sup norm is below 1/2
+by the same iteration, each step one Toeplitz product, run until the
+update is at rounding; every other kernel by a direct triangular solve
+by halves.  Both solvers discretize T identically, so they converge to
+the same node values and can cross-check each other.
 """
 
 from __future__ import annotations
@@ -22,11 +26,11 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DimMismatch, KernelContract, SingularBlock
-from .function_space import (GridFunction, _require_count, _require_interval, _require_positive,
-                             ac_norm, sup_norm, zeros)
+from .function_space import (GridFunction, _ac_norm_of, _require_count, _require_finite_values,
+                             _require_interval, _require_positive, sup_norm)
 from .kernels import KernelSpec, TriangularDomain
-from .quadrature import (_block_sum, _by_halves, _columns, _lattice, _leaf_triangle,
-                         _require_finite, _row_sums, cell_midpoint_values, node_integral)
+from .quadrature import (_block_sum, _by_halves, _columns, _lattice, _LagTable, _leaf_triangle,
+                         _leaves, _require_finite, _row_sums, cell_midpoint_values, node_integral)
 
 # Same grid and dim, or GridMismatch / DimMismatch.
 _require_same = GridFunction._require_compatible
@@ -251,13 +255,13 @@ def neumann_solve(kernel: KernelSpec, x0: GridFunction, g: GridFunction,
                            domain=tri, include_time_derivative=True)
     bound = NeumannBound.for_interval(l_rho, sup_norm(g), grid.alpha, grid.beta)
 
+    # on node values, each checked finite as a GridFunction would be
     f, recorded = kernel.integrand("v_x"), []  # apply_T's walk, recorded once
-    h = Th = zeros(grid, g.dim)
+    Th = np.zeros_like(g.values)
     for m in range(1, max_iter + 1):
-        h = g - Th
-        Th = GridFunction(grid, _row_sums(f, grid.nodes, grid, x0.values, h.values, "node",
-                                          recorded=recorded))
-        residual = ac_norm(h + Th - g)
+        h = _require_finite_values(g.values - Th)
+        Th = _row_sums(f, grid.nodes, grid, x0.values, h, "node", recorded=recorded)
+        residual = _ac_norm_of(_require_finite_values(h + Th - g.values), grid.delta)
         gap = iterate_bound(m, bound) + tail_bound(m, bound)
         if residual <= tol or gap <= tol:
             break
@@ -269,34 +273,51 @@ def neumann_solve(kernel: KernelSpec, x0: GridFunction, g: GridFunction,
         l_rho=l_rho,
         tolerance=tol,
     )
-    return h, report
+    return GridFunction(grid, h), report
 
 
 def collocation_solve(kernel: KernelSpec, x0: GridFunction,
                       g: GridFunction) -> GridFunction:
-    """Direct triangular solve of the discrete system h + T h = g.
+    """Solve the discrete system h + T h = g to rounding.
 
-    Forward substitution by halves (quadrature._by_halves) over leaves
-    of quadrature._LEAF nodes: a solved range of nodes enters the rows
-    to its right as one sum of v_x against h, quadrature._block_sum,
-    the one sum of the package, which walks the tree of those rows'
-    blocks or, with lag factors, takes one Toeplitz product
-    (O(N log^2 N) in all).  v_x is bound to the grid once
-    (quadrature._lattice) and its columns are taken from x0 once
-    (quadrature._columns), and every leaf and merge reads them: with lag
-    factors, w on the grid's N lags and z' at x0's midpoints.  A leaf's
-    own nodes are one dense (leaf * dim)^2 solve, whose diagonal blocks
-    I + delta/2 * v_x(t_i, m_{i-1}, x0) are checked for singularity
-    first.  The discrete equations are satisfied to rounding, so the
-    residual measured with apply_T is at machine level.  A non-finite
-    v_x sample raises KernelContract naming where.
+    v_x is bound to the grid once (quadrature._lattice) and its columns
+    are taken from x0 once (quadrature._columns): with lag factors, w on
+    the grid's N lags and z' at x0's midpoints.  The route follows from
+    these and the grid alone:
+
+    * With lag factors on more than one leaf, q = delta sum_k |w_k|
+      max_j ||z'(x0(m_j))||_inf bounds T's sup norm, read in O(N) off
+      the table and columns.  If q < 1/2, h <- g - T h contracts by q,
+      each step the Toeplitz product apply_T takes
+      (quadrature._block_sum), and stops once the sup-norm update is at
+      rounding, 4 eps max |h|, or no longer shrinks; the accepted h then
+      lies within one update of the fixed point.  No leaf is factored,
+      nor could one be singular: each diagonal block is I plus a matrix
+      of norm at most q.  Should ceil(log eps / log q) + 2 steps pass
+      without a stop, or a product leave the float range, the solve goes
+      by halves from the start.
+    * Otherwise forward substitution by halves (quadrature._by_halves)
+      over leaves of quadrature._LEAF nodes: a solved range of nodes
+      enters the rows to its right as one quadrature._block_sum, which
+      walks the tree of those rows' blocks or, with lag factors, takes
+      one Toeplitz product (O(N log^2 N) in all).  A leaf's own nodes are
+      one dense (leaf * dim)^2 solve, whose diagonal blocks
+      I + delta/2 * v_x(t_i, m_{i-1}, x0) are checked for singularity
+      first.
+
+    Either way the residual measured with apply_T is at machine level.
+    A non-finite v_x sample raises KernelContract naming where.
     """
     _require_same(x0, g)
     _require_kernel_dim(kernel, x0)
     grid = g.grid
     d, rows, cols = grid.delta, grid.nodes, grid.midpoints
     f = _lattice(kernel.integrand("v_x"), rows, cols)
-    xc = _columns(f, cell_midpoint_values(x0.values), cols)  # once, for every leaf and merge
+    xc = _columns(f, cell_midpoint_values(x0.values), cols)  # once, for every product or leaf
+    if isinstance(f, _LagTable) and _leaves(grid.n_cells + 1) > 1:
+        h = _contracted(f, rows, cols, xc, g.values, d)
+        if h is not None:
+            return GridFunction(grid, h)
     h = np.zeros_like(g.values)
     rhs = g.values.copy()  # g less the cells solved so far
 
@@ -312,6 +333,32 @@ def collocation_solve(kernel: KernelSpec, x0: GridFunction,
 
     _by_halves(grid.n_cells + 1, leaf, merge)
     return GridFunction(grid, h)
+
+
+def _contracted(f: _LagTable, rows: np.ndarray, cols: np.ndarray, xc: np.ndarray,
+                g: np.ndarray, d: float) -> np.ndarray | None:
+    """h <- g - T h from h = g while the majorant q of T's sup norm is
+    below 1/2 (collocation_solve), or None where it is not, no stop
+    comes within ceil(log eps / log q) + 2 steps, or an update is not
+    finite."""
+    eps = np.finfo(float).eps
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing q reads inf or nan
+        q = d * np.abs(f.a).sum() * np.abs(xc).sum(axis=-1).max()
+    if not q < 0.5:
+        return None
+    steps = math.ceil(math.log(eps) / math.log(q)) + 2 if q > 0.0 else 2
+    h, last = g, math.inf
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing product ends the loop
+        for _ in range(steps):
+            new = g - d * _block_sum(f, rows, cols, xc, cell_midpoint_values(h), tri=True)
+            update = float(np.abs(new - h).max())
+            if not update < math.inf:
+                return None
+            h = new
+            if update <= 4.0 * eps * np.abs(h).max() or update >= last:
+                return h
+            last = update
+    return None
 
 
 def _solve_leaf(S: np.ndarray, rhs: np.ndarray, d: float, c0: int) -> np.ndarray:

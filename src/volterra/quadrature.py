@@ -80,7 +80,9 @@ its R + C - 1 lags; the transpose runs the same symbol over the
 reversed weights.  A solve binds its grid's nodes and midpoints, so
 every merge slices its symbol from one table, taking one FFT per shape,
 every leaf reads one shared Toeplitz gather, and a solve by halves
-costs O(N log^2 N).
+costs O(N log^2 N).  A collocation solve whose T contracts goes by no
+halves: each of its few steps is one product of the whole triangle, at
+O(N log N).
 
 The certification module evaluates declared growth bounds on exactly
 these nodes.  That alignment matters: it turns the discrete coercivity
@@ -140,6 +142,12 @@ def quarter_nodes(grid: Grid) -> np.ndarray:
     return grid.nodes[:-1] + 0.25 * grid.delta
 
 
+def _leaves(n: int, lo: int = 1) -> int:
+    """The leaves of _LEAF rows that rows [lo, n) split into (the last
+    may be short)."""
+    return -(-(n - lo) // _LEAF)
+
+
 def _by_halves(n: int, solve_leaf, merge, lo: int = 1) -> None:
     """Solve rows [lo, n) by halves, split only between leaves.
 
@@ -149,7 +157,7 @@ def _by_halves(n: int, solve_leaf, merge, lo: int = 1) -> None:
     solve_leaf(c0, c1) visits the leaves [c0, c1) of _LEAF rows from
     row 1 (the last may be short) in order.
     """
-    leaves = -(-(n - lo) // _LEAF)
+    leaves = _leaves(n, lo)
     if leaves == 1:
         return solve_leaf(lo, n)
     mid = lo + (leaves + 1) // 2 * _LEAF

@@ -70,16 +70,73 @@ def test_sums_match_the_generic_walk(dim, n_cells):
         assert _rel(fast, walk) <= 1e-12, (rule.__name__, which)
 
 
+def _routes(monkeypatch):
+    # counts of collocation's Toeplitz products and sums (_block_sum) and of
+    # its factored leaves (_solve_leaf)
+    calls = {"_block_sum": 0, "_solve_leaf": 0}
+    for name in calls:
+        inner = getattr(vt.linear_solver, name)
+
+        def counted(*args, _name=name, _inner=inner, **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(vt.linear_solver, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("case, n_cells", [("example2", 100), ("example2", 700),
+                                           ("example2", 4000), ("lag dim 2", 700)])
+def test_contracting_collocation_matches_the_generic_twin(monkeypatch, case, n_cells):
+    # q = delta sum |w_k| max ||z'||_inf is below 1/2 (about 0.41 for
+    # example2 on [0, 0.9], 0.35 for the dim-2 kernel on [0, 0.5]): the lag
+    # route takes Toeplitz products alone, a number that does not grow with N
+    lag, length = (_example2(), 0.9) if case == "example2" else (_lag(2), 0.5)
+    g = vt.Grid(0.0, length, n_cells)
+    rng = np.random.default_rng(n_cells)
+    x0 = vt.random_anchored(g, lag.dim, rng, norm=1.0)
+    rhs = vt.random_anchored(g, lag.dim, rng, norm=1.0)
+    calls = _routes(monkeypatch)
+    fast = vt.collocation_solve(lag, x0, rhs)
+    assert calls["_solve_leaf"] == 0 and 1 <= calls["_block_sum"] <= 12, calls
+    walk = vt.collocation_solve(_twin(lag), x0, rhs)
+    assert calls["_solve_leaf"] > 0
+    assert _rel(fast.values, walk.values) <= 1e-12
+    assert vt.ac_norm(vt.sub(vt.frechet_apply(lag, x0, fast), rhs)) < 1e-12
+
+
+@pytest.mark.parametrize("n_cells", [700, 4000])
+def test_contracting_collocation_residual_is_no_larger_than_by_halves(monkeypatch, n_cells):
+    # example2_linw_atan at Newton's x for y = t, against the same solve
+    # with the contraction turned off
+    g = vt.Grid(0.0, 0.9, n_cells)
+    ker = _example2()
+    y = vt.from_callable(lambda t: t, g)
+    x, _ = vt.solve_newton(ker, y, tol=1e-10)
+    h = vt.collocation_solve(ker, x, y)
+    monkeypatch.setattr(vt.linear_solver, "_contracted", lambda *args: None)
+    calls = _routes(monkeypatch)
+    direct = vt.collocation_solve(ker, x, y)
+    leaves = quadrature._leaves(n_cells + 1)
+    assert calls == {"_block_sum": leaves - 1, "_solve_leaf": leaves}
+    assert _rel(h.values, direct.values) <= 1e-12
+    residual = [vt.ac_norm(vt.sub(s + vt.apply_T(ker, x, s), y)) for s in (h, direct)]
+    assert residual[0] <= residual[1], residual
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_collocation_by_halves_matches_forward_substitution(monkeypatch, dim):
-    # 4-row leaves on 37 rows: uneven halves, merges at every level
+    # 4-row leaves on 37 rows: uneven halves, merges at every level; on
+    # [0, 1.3] q exceeds 1, so the lag route goes by halves too
     monkeypatch.setattr(quadrature, "_LEAF", 4)
     lag = _lag(dim)
     g = vt.Grid(0.0, 1.3, 37)
     rng = np.random.default_rng(dim)
     x0 = vt.random_anchored(g, dim, rng)
     rhs = vt.random_anchored(g, dim, rng)
+    calls = _routes(monkeypatch)
     fast = vt.collocation_solve(lag, x0, rhs)
+    assert calls == {"_block_sum": 9, "_solve_leaf": 10}
     walk = vt.collocation_solve(_twin(lag), x0, rhs)
     assert _rel(fast.values, walk.values) <= 1e-12
     resid = vt.sub(vt.frechet_apply(lag, x0, fast), rhs)
@@ -96,9 +153,12 @@ def test_singular_block_names_the_same_node_on_both_routes(monkeypatch):
     vals[11:13] = -32.0
     x0 = vt.GridFunction(g, vals)
     rhs = vt.from_callable(lambda t: t, g)
+    calls = _routes(monkeypatch)
     for kernel in (ker, _twin(ker)):
+        calls["_solve_leaf"] = 0
         with pytest.raises(SingularBlock, match="node 12"):
             vt.collocation_solve(kernel, x0, rhs)
+        assert calls["_solve_leaf"] == 3  # by halves, to the leaf of node 12
 
 
 def test_gradient_route_takes_picard_steps_per_component(monkeypatch):

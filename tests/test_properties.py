@@ -1,15 +1,17 @@
 """Property tests on randomly built kernels v = a (c + (t - tau)^p) sin(b x).
 
 Each kernel carries its exact derivatives, so the solvers, the
-functional and its gradient can be checked against one another.
+functional and its gradient can be checked against one another.  The
+same product built from its lag factors takes the Toeplitz route, which
+is checked against the generic walk.
 """
 
 from dataclasses import replace
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from pytest import approx
+from pytest import MonkeyPatch, approx
 
 from volterra import (
     Grid,
@@ -19,6 +21,8 @@ from volterra import (
     collocation_solve,
     directional_dF,
     functional_gradient,
+    lag_kernel,
+    linear_solver,
     neumann_solve,
     random_anchored,
     scalar_kernel,
@@ -105,3 +109,37 @@ def test_declared_smooth_in_t_changes_nothing_but_rounding(kernel, seed):
                   lambda k: functional_gradient(k, x, y)):
         exact = apply(kernel)
         assert np.abs(apply(smooth) - exact).max() <= 1e-13 * np.abs(exact).max()
+
+
+# q clear of 1/2 on either side: a realized q lies a little below the drawn
+@given(q=st.floats(min_value=0.05, max_value=0.45) | st.floats(min_value=0.6, max_value=4.0),
+       c=st.floats(min_value=0.0, max_value=1.0),
+       p=st.floats(min_value=1.0, max_value=3.0),
+       b=st.floats(min_value=0.5, max_value=3.0) | st.floats(min_value=-3.0, max_value=-0.5),
+       seed=seeds)
+@example(q=0.3, c=0.5, p=2.0, b=1.0, seed=0)
+@example(q=2.0, c=0.5, p=2.0, b=-1.0, seed=0)
+@settings(max_examples=12, deadline=None)
+def test_lag_factors_agree_with_the_generic_walk(q, c, p, b, seed):
+    # a (c + s^p) sin(b x) by lag_kernel and by scalar_kernel, a scaled so
+    # that q, collocation's majorant of T's sup norm, is about the drawn
+    # q: below 1/2 a grid of several leaves contracts without leaves,
+    # above it goes by halves; one leaf (40 cells) always factors
+    a = q / (abs(b) * (c + 1.0 / (p + 1.0)))
+    lag = lag_kernel(w=lambda s: a * (c + s**p), w_prime=lambda s: a * p * s ** (p - 1),
+                     z=lambda x: np.sin(b * x), z_prime=lambda x: b * np.cos(b * x)[..., None])
+    leaves = []
+    solve_leaf = linear_solver._solve_leaf
+    with MonkeyPatch.context() as mp:
+        mp.setattr(linear_solver, "_solve_leaf", lambda *args: leaves.append(1) or solve_leaf(*args))
+        for n_cells in (40, 200, 700):
+            grid = Grid(0.0, 1.0, n_cells)
+            rng = np.random.default_rng(seed)
+            x0, g = (random_anchored(grid, 1, rng, norm=1.0) for _ in range(2))
+            for factors, solve in ((n_cells == 40 or q > 0.5, lambda k: collocation_solve(k, x0, g)),
+                                   (False, lambda k: apply_T(k, x0, g))):
+                leaves.clear()
+                fast = solve(lag).values
+                assert bool(leaves) == factors
+                walk = solve(_kernel(a, c, p, b)).values
+                assert np.abs(fast - walk).max() <= 1e-12 * np.abs(walk).max()

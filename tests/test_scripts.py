@@ -44,7 +44,8 @@ def test_convergence_study_is_second_order():
 
 
 def test_walk_cost_table():
-    out = _run("walk_cost.py", "--cells", "200", "300", "--lag-cells", "300", "--repeat", "2")
+    out = _run("walk_cost.py", "--cells", "200", "300", "--lag-cells", "300", "1000",
+               "--repeat", "2")
     assert out.returncode == 0, out.stderr
     walks, lag = out.stdout.strip().split("\n\n")
     rows = [line.split() for line in walks.splitlines()[1:]]
@@ -64,11 +65,18 @@ def test_walk_cost_table():
     # the lag route: each solve evaluates w once; collocation z' once, the
     # march z at least once per leaf
     rows = [line.split() for line in lag.splitlines()[1:]]
-    assert [(r[0], r[1]) for r in rows] == [("collocation_solve", "300"), ("solve_march", "300")]
+    assert [(r[0], r[1]) for r in rows] == [("collocation_solve", "300"), ("solve_march", "300"),
+                                            ("collocation_solve", "1000"), ("solve_march", "1000")]
     for r in rows:
-        ms, w_calls, z_calls = float(r[2]), int(r[3]), int(r[4])
-        assert ms > 0 and w_calls == 1 and z_calls >= 1, r
-    assert int(rows[0][4]) == 1 and int(rows[1][4]) >= 5
+        ms, w_calls, z_calls, products = float(r[2]), int(r[3]), int(r[4]), int(r[5])
+        assert ms > 0 and w_calls == 1 and z_calls >= 1 and products >= 1, r
+    colloc, march = rows[0::2], rows[1::2]
+    assert [int(r[4]) for r in colloc] == [1, 1] and min(int(r[4]) for r in march) >= 5
+    # collocation contracts by a number of products that does not grow with
+    # N; the march merges once less than its leaves (4 at 300 cells, 15 at
+    # 1000), so collocation takes fewer products from 1000 cells on
+    assert colloc[0][5] == colloc[1][5] and int(colloc[0][5]) <= 12
+    assert int(colloc[1][5]) < int(march[1][5]) == 15
 
 
 def test_gradient_walks_table():
