@@ -12,8 +12,11 @@ it may fall short of the supremum (ROADMAP item 2(a)).  Collocation
 takes a lag kernel whose discrete majorant of T's sup norm is below 1/2
 by the same iteration, each step one Toeplitz product, run until the
 update is at rounding; every other kernel by a direct triangular solve
-by halves.  Both solvers discretize T identically, so they converge to
-the same node values and can cross-check each other.
+by halves.  Its private form _collocate also takes a forcing term eta
+and stops the contracting iteration once its residual is certified
+within eta ||g||_inf, which is how solve_newton solves each
+linearization inexactly.  Both solvers discretize T identically, so
+they converge to the same node values and can cross-check each other.
 """
 
 from __future__ import annotations
@@ -306,16 +309,27 @@ def collocation_solve(kernel: KernelSpec, x0: GridFunction,
       first.
 
     Either way the residual measured with apply_T is at machine level.
-    A non-finite v_x sample raises KernelContract naming where.
+    A non-finite v_x sample raises KernelContract naming where.  This is
+    _collocate with the forcing term 0, which solve_newton takes with
+    its own.
     """
     _require_same(x0, g)
     _require_kernel_dim(kernel, x0)
     grid = g.grid
+    return _collocate(_lattice(kernel.integrand("v_x"), grid.nodes, grid.midpoints), x0, g, 0.0)
+
+
+def _collocate(f, x0: GridFunction, g: GridFunction, eta: float) -> GridFunction:
+    """collocation_solve on f, v_x bound to g's grid by quadrature._lattice,
+    whose contracting route also stops once the returned h is certified
+    to meet ||h + T h - g||_inf <= eta ||g||_inf (_contracted).  The
+    route by halves solves to rounding whatever eta is, and eta = 0 is
+    collocation_solve bit for bit."""
+    grid = g.grid
     d, rows, cols = grid.delta, grid.nodes, grid.midpoints
-    f = _lattice(kernel.integrand("v_x"), rows, cols)
     xc = _columns(f, cell_midpoint_values(x0.values), cols)  # once, for every product or leaf
     if isinstance(f, _LagTable) and _leaves(grid.n_cells + 1) > 1:
-        h = _contracted(f, rows, cols, xc, g.values, d)
+        h = _contracted(f, rows, cols, xc, g.values, d, eta)
         if h is not None:
             return GridFunction(grid, h)
     h = np.zeros_like(g.values)
@@ -336,17 +350,24 @@ def collocation_solve(kernel: KernelSpec, x0: GridFunction,
 
 
 def _contracted(f: _LagTable, rows: np.ndarray, cols: np.ndarray, xc: np.ndarray,
-                g: np.ndarray, d: float) -> np.ndarray | None:
+                g: np.ndarray, d: float, eta: float) -> np.ndarray | None:
     """h <- g - T h from h = g while the majorant q of T's sup norm is
     below 1/2 (collocation_solve), or None where it is not, no stop
     comes within ceil(log eps / log q) + 2 steps, or an update is not
-    finite."""
+    finite.
+
+    Besides the stops at rounding, it stops once q ||h_new - h||_inf <=
+    eta ||g||_inf: the residual of h_new is (I + T) h_new - g =
+    T (h_new - h), so that certifies ||(I + T) h_new - g||_inf <=
+    eta ||g||_inf.  With eta = 0 it does not stop before rounding.
+    """
     eps = np.finfo(float).eps
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing q reads inf or nan
         q = d * np.abs(f.a).sum() * np.abs(xc).sum(axis=-1).max()
     if not q < 0.5:
         return None
     steps = math.ceil(math.log(eps) / math.log(q)) + 2 if q > 0.0 else 2
+    forced = eta * np.abs(g).max()
     h, last = g, math.inf
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing product ends the loop
         for _ in range(steps):
@@ -355,7 +376,7 @@ def _contracted(f: _LagTable, rows: np.ndarray, cols: np.ndarray, xc: np.ndarray
             if not update < math.inf:
                 return None
             h = new
-            if update <= 4.0 * eps * np.abs(h).max() or update >= last:
+            if update <= 4.0 * eps * np.abs(h).max() or update >= last or q * update <= forced:
                 return h
             last = update
     return None

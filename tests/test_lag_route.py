@@ -257,6 +257,109 @@ def test_long_horizon_newton():
     assert elapsed < 5.0
 
 
+@pytest.mark.parametrize("eta", [0.5, 1e-3, 0.0])
+def test_contraction_stops_at_its_first_certified_step(eta):
+    # the reference loop: h <- g - T h by apply_T from h = g, stopped at the
+    # first update at rounding, no longer shrinking, or with q ||update||_inf
+    # <= eta ||g||_inf, which certifies ||h + T h - g||_inf <= eta ||g||_inf
+    ker, g = _example2(), vt.Grid(0.0, 0.9, 700)
+    rng = np.random.default_rng(7)
+    x0, rhs = (vt.random_anchored(g, 1, rng, norm=1.0) for _ in range(2))
+    f = quadrature._lattice(ker.integrand("v_x"), g.nodes, g.midpoints)
+    z = quadrature._columns(f, quadrature.cell_midpoint_values(x0.values), g.midpoints)
+    q = g.delta * np.abs(f.a).sum() * np.abs(z).sum(axis=-1).max()
+    assert q < 0.5
+    eps, top = np.finfo(float).eps, np.abs(rhs.values).max()
+    h, last = rhs.values, np.inf
+    while True:
+        new = rhs.values - vt.apply_T(ker, x0, vt.GridFunction(g, h)).values
+        update = np.abs(new - h).max()
+        h = new
+        if update <= 4.0 * eps * np.abs(h).max() or update >= last or q * update <= eta * top:
+            break
+        last = update
+    fast = vt.linear_solver._collocate(f, x0, rhs, eta)
+    assert np.array_equal(fast.values, h)
+    gap = np.abs((fast + vt.apply_T(ker, x0, fast) - rhs).values).max()
+    assert gap <= (eta + 64.0 * eps) * top
+
+
+def _newton_directions(monkeypatch):
+    # (x_k, r_k, eta_k, delta_k) of each linearization Newton solves
+    directions, collocate = [], nonlinear_solver._collocate
+
+    def recorded(f, x0, g, eta):
+        delta = collocate(f, x0, g, eta)
+        directions.append((x0, g, eta, delta))
+        return delta
+
+    monkeypatch.setattr(nonlinear_solver, "_collocate", recorded)
+    return directions
+
+
+@pytest.mark.parametrize("rhs", ["t", "sin 5t"])
+@pytest.mark.parametrize("n_cells", [700, 4000])
+def test_newton_solves_each_linearization_to_its_forcing_term(monkeypatch, n_cells, rhs):
+    # example2_linw_atan on [0, 0.9], q about 0.41: each direction delta_k
+    # meets ||delta_k + T delta_k - r_k||_inf <= eta_k ||r_k||_inf, eta_k =
+    # min(1/2, ||r_k||), and a solve takes at most 12 Toeplitz products,
+    # the trial residuals' and the contracting steps', on one table of w
+    g = vt.Grid(0.0, 0.9, n_cells)
+    calls = {"w": 0, "z": 0, "products": 0}
+    ker = _counting(calls)
+    y = vt.from_callable({"t": lambda t: t, "sin 5t": lambda t: np.sin(5.0 * t)}[rhs], g)
+    directions = _newton_directions(monkeypatch)
+    for module in (quadrature, vt.linear_solver):
+        def counted(*args, _inner=module._block_sum, **kwargs):
+            calls["products"] += 1
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, "_block_sum", counted)
+    x, rep = vt.solve_newton(ker, y, tol=1e-10)
+    assert rep.converged and calls["w"] == 1 and calls["products"] <= 12, calls
+    assert len(directions) == rep.iterations
+    eps = np.finfo(float).eps
+    for (x0, r, eta, delta), res in zip(directions, rep.residual_history):
+        assert eta == min(0.5, res)
+        gap = np.abs((delta + vt.apply_T(ker, x0, delta) - r).values).max()
+        assert gap <= (eta + 64.0 * eps) * np.abs(r.values).max()
+    assert vt.ac_norm(vt.sub(y, vt.apply_V(ker, x))) <= 1e-10
+
+
+def _exact_newton(ker, y, tol):
+    # solve_newton written out with every linearization solved to rounding
+    x = y
+    r = vt.sub(y, vt.apply_V(ker, x))
+    history = [vt.ac_norm(r)]
+    while history[-1] > tol and len(history) <= 50:
+        delta, s = vt.collocation_solve(ker, x, r), 1.0
+        while True:
+            trial = vt.axpy(s, delta, x)
+            r_trial = vt.sub(y, vt.apply_V(ker, trial))
+            if vt.ac_norm(r_trial) < history[-1]:
+                break
+            s *= 0.5
+            assert s >= 2.0**-20, "no decrease"
+        x, r = trial, r_trial
+        history.append(vt.ac_norm(r))
+    return x, history
+
+
+@pytest.mark.parametrize("case", ["generic", "one leaf", "q above 1/2"])
+def test_newton_off_the_contracting_route_is_exact_newton(case):
+    # the forcing term binds only where collocation contracts: on the
+    # generic walk, on one leaf and on a lag kernel whose q exceeds 1/2
+    # every linearization is solved to rounding, bit for bit
+    ker, g = {"generic": (_twin(_example2()), vt.Grid(0.0, 0.9, 300)),
+              "one leaf": (_example2(), vt.Grid(0.0, 0.9, 40)),
+              "q above 1/2": (_lag(1), vt.Grid(0.0, 1.3, 300))}[case]
+    y = vt.random_anchored(g, 1, np.random.default_rng(5), norm=0.5)
+    x, rep = vt.solve_newton(ker, y, tol=1e-10)
+    ref, history = _exact_newton(ker, y, 1e-10)
+    assert rep.converged and rep.iterations >= 2
+    assert np.array_equal(x.values, ref.values) and rep.residual_history == history
+
+
 def test_import_loads_no_scipy_fft_or_signal():
     src = str(Path(vt.__file__).resolve().parents[1])
     code = ("import sys, volterra; "

@@ -131,12 +131,14 @@ class TestNewton:
             trials[-1].append(s)
             return axpy(s, direction, x)
 
-        def solve(kernel, x0, g):
+        collocate = nonlinear_solver._collocate
+
+        def solve(f, x0, g, eta):
             trials.append([])
-            return collocation_solve(kernel, x0, g)
+            return collocate(f, x0, g, eta)
 
         monkeypatch.setattr(nonlinear_solver, "axpy", record)
-        monkeypatch.setattr(nonlinear_solver, "collocation_solve", solve)
+        monkeypatch.setattr(nonlinear_solver, "_collocate", solve)
         ker = scalar_kernel(lambda t, tau, x: 20.0 * np.arctan(5.0 * x),
                             lambda t, tau, x: 0.0 * x,
                             lambda t, tau, x: 100.0 / (1.0 + 25.0 * x * x),
@@ -158,6 +160,30 @@ class TestNewton:
         x, rep = solve_newton(ker, y, x_init=x0, tol=1e-10, max_iter=50)
         x_ref, _ = solve_newton(ker, y, tol=1e-10)
         assert ac_norm(sub(x, x_ref)) < 1e-8
+
+    @pytest.mark.parametrize("start, kernel_dim, error", [
+        ("120 cells", 1, vt.GridMismatch),
+        ("dim 2", 1, vt.DimMismatch),
+        (None, 2, vt.DimMismatch),
+    ])
+    def test_mismatched_inputs_raise_before_any_walk(self, start, kernel_dim, error):
+        calls = []
+
+        def counted(fn):
+            def evaluate(t, tau, x):
+                calls.append(1)
+                return fn(t, tau, x)
+            return evaluate
+
+        # the generic walk, whose every sample goes through the evaluators
+        base = replace(linear_kernel(0.5, dim=kernel_dim), lag=None)
+        ker = replace(base, **{k: counted(getattr(base, k)) for k in ("v", "v_t", "v_x", "v_tx")})
+        y = from_callable(lambda t: t, Grid(0.0, 1.0, 100))
+        x_init = {"120 cells": vt.zeros(Grid(0.0, 1.0, 120)),
+                  "dim 2": vt.zeros(Grid(0.0, 1.0, 100), dim=2), None: None}[start]
+        with pytest.raises(error):
+            solve_newton(ker, y, x_init=x_init)
+        assert calls == []
 
 
 def _stiff(c, kappa):

@@ -124,10 +124,13 @@ def test_lag_factors_agree_with_the_generic_walk(q, c, p, b, seed):
     # a (c + s^p) sin(b x) by lag_kernel and by scalar_kernel, a scaled so
     # that q, collocation's majorant of T's sup norm, is about the drawn
     # q: below 1/2 a grid of several leaves contracts without leaves,
-    # above it goes by halves; one leaf (40 cells) always factors
+    # above it goes by halves; one leaf (40 cells) always factors.  Newton,
+    # which solves its linearizations only to its forcing term where
+    # collocation contracts, converges with either kernel to one solution.
     a = q / (abs(b) * (c + 1.0 / (p + 1.0)))
     lag = lag_kernel(w=lambda s: a * (c + s**p), w_prime=lambda s: a * p * s ** (p - 1),
                      z=lambda x: np.sin(b * x), z_prime=lambda x: b * np.cos(b * x)[..., None])
+    twin = _kernel(a, c, p, b)
     leaves = []
     solve_leaf = linear_solver._solve_leaf
     with MonkeyPatch.context() as mp:
@@ -141,5 +144,12 @@ def test_lag_factors_agree_with_the_generic_walk(q, c, p, b, seed):
                 leaves.clear()
                 fast = solve(lag).values
                 assert bool(leaves) == factors
-                walk = solve(_kernel(a, c, p, b)).values
+                walk = solve(twin).values
                 assert np.abs(fast - walk).max() <= 1e-12 * np.abs(walk).max()
+            solutions = []
+            for kernel in (lag, twin):
+                x, rep = solve_newton(kernel, g, tol=1e-10)
+                assert rep.converged and ac_norm(sub(g, apply_V(kernel, x))) <= 1e-10
+                solutions.append(x.values)
+            fast, walk = solutions
+            assert np.abs(fast - walk).max() <= 1e-9 * np.abs(walk).max()

@@ -65,12 +65,18 @@ def test_walk_cost_table():
     # the lag route: each solve evaluates w once; collocation z' once, the
     # march z at least once per leaf
     rows = [line.split() for line in lag.splitlines()[1:]]
-    assert [(r[0], r[1]) for r in rows] == [("collocation_solve", "300"), ("solve_march", "300"),
-                                            ("collocation_solve", "1000"), ("solve_march", "1000")]
+    assert [(r[0], r[1]) for r in rows] == [
+        (name, n) for n in ("300", "1000") for name in ("collocation_solve", "solve_march",
+                                                         "solve_newton")]
     for r in rows:
         ms, w_calls, z_calls, products = float(r[2]), int(r[3]), int(r[4]), int(r[5])
         assert ms > 0 and w_calls == 1 and z_calls >= 1 and products >= 1, r
-    colloc, march = rows[0::2], rows[1::2]
+    colloc, march, newton = rows[0::3], rows[1::3], rows[2::3]
+    # Newton's two linearizations, solved to its forcing terms, and its
+    # three residuals take fewer products than one collocation row plus
+    # three; solved to rounding they would take 16, not fewer than 8 + 3
+    for c, r in zip(colloc, newton):
+        assert int(r[5]) < int(c[5]) + 3, (c, r)
     assert [int(r[4]) for r in colloc] == [1, 1] and min(int(r[4]) for r in march) >= 5
     # collocation contracts by a number of products that does not grow with
     # N; the march merges once less than its leaves (4 at 300 cells, 15 at
