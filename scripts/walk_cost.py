@@ -12,14 +12,16 @@ iteration, so that the walk's own cost per Neumann iteration shows
 (transpose rows print "-").
 
 A second table gives the lag route: collocation_solve at Newton's
-solution, solve_march and solve_newton, on the example2_linw_atan
-problem of the CLI on [0, 0.9] with y = t, per --lag-cells N, with the
-ms per solve, the calls per solve of the kernel's lag factors w (w and
-w') and z (z and z'), and the Toeplitz products per solve
-(quadrature._block_sum on a lag table: the march's merges,
-collocation's contracting steps, Newton's trial residuals and the
-contracting steps of its linearizations).  Each solve evaluates w once,
-on the grid's N lags.
+solution, solve_march, solve_newton and neumann_solve at Newton's
+solution, on the example2_linw_atan problem of the CLI on [0, 0.9]
+with y = t, per --lag-cells N, with the ms per solve, the calls per
+solve of the kernel's lag factors w (w and w') and z (z and z'), and
+the Toeplitz products per solve (quadrature._block_sum on a lag table:
+the march's merges, collocation's contracting steps, Newton's trial
+residuals and the contracting steps of its linearizations, and the
+Neumann iterations).  Each solve evaluates w once, on the grid's N
+lags; neumann_solve's estimate of l_rho samples the kernel's own
+evaluators, which the counts leave out.
 Times are the best of --repeat runs in one process.
 
     python scripts/walk_cost.py [--cells 1000 2000 16000] [--lag-cells 4000 100000]
@@ -121,7 +123,8 @@ def lag_table(cells, repeat):
         counted, calls = _counted_factors(kernel)
         for name, solve in (("collocation_solve", lambda k: vt.collocation_solve(k, x, y)),
                             ("solve_march", lambda k: vt.solve_march(k, y, tol=config.tol)),
-                            ("solve_newton", lambda k: vt.solve_newton(k, y, tol=config.tol))):
+                            ("solve_newton", lambda k: vt.solve_newton(k, y, tol=config.tol)),
+                            ("neumann_solve", lambda k: vt.neumann_solve(k, x, y, tol=config.tol))):
             best = _best(lambda: solve(kernel), repeat)
             calls.update(w=0, z=0, products=0)
             with _counted_products(calls):

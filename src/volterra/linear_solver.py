@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DimMismatch, KernelContract, SingularBlock
+from .errors import DimMismatch, SingularBlock
 from .function_space import (GridFunction, _ac_norm_of, _require_count, _require_finite_values,
                              _require_interval, _require_positive, sup_norm)
 from .kernels import KernelSpec, TriangularDomain
@@ -183,7 +183,7 @@ def estimate_l_rho(kernel: KernelSpec, rho: float, samples: int,
     result is an estimate, not a bound: a peak between the samples can
     exceed it (for example1_kernel(1.0) at rho = 10 with 2048 samples,
     2.5516 against sup |v_tx| = 2.6787).  A non-finite sample raises
-    KernelContract: max() would skip a nan.
+    KernelContract naming its t: max() would skip a nan.
     """
     _require_positive(rho, "rho")
     _require_count(samples, "samples")
@@ -198,9 +198,8 @@ def estimate_l_rho(kernel: KernelSpec, rho: float, samples: int,
         x[over] *= (rho / mag[over])[:, None]
 
     def max_spectral(name):
-        mats = np.asarray(getattr(kernel, name)(t, tau, x), float)
-        if not np.isfinite(mats).all():
-            raise KernelContract(f"{name} is not finite at a sample; l_rho cannot be estimated")
+        mats = _require_finite(np.asarray(getattr(kernel, name)(t, tau, x), float),
+                               f"{name} at the sample t =", t, "l_rho cannot be estimated")
         if kernel.dim == 1:
             return float(np.abs(mats[..., 0, 0]).max())
         return float(np.linalg.svd(mats, compute_uv=False)[..., 0].max())
@@ -240,7 +239,7 @@ def neumann_solve(kernel: KernelSpec, x0: GridFunction, g: GridFunction,
     that walk's O(N log N) samples (O(N^2) for a kernel not smooth in t)
     until it returns, and its iterates, report and DEBUG records are
     those of walking each iteration, bit for bit.  A lag kernel keeps its
-    FFT route and records nothing.
+    FFT route, records nothing and evaluates w once per solve.
     l_rho samples the kernel itself.  Stops once the computed residual
     ||h + T h - g|| drops to tol or the a-priori factorial tail puts
     the remaining gap below tol; that tail bounds the gap only where
@@ -259,7 +258,7 @@ def neumann_solve(kernel: KernelSpec, x0: GridFunction, g: GridFunction,
     bound = NeumannBound.for_interval(l_rho, sup_norm(g), grid.alpha, grid.beta)
 
     # on node values, each checked finite as a GridFunction would be
-    f, recorded = kernel.integrand("v_x"), []  # apply_T's walk, recorded once
+    f, recorded = _lattice(kernel.integrand("v_x"), grid.nodes, grid.midpoints), []  # bound once
     Th = np.zeros_like(g.values)
     for m in range(1, max_iter + 1):
         h = _require_finite_values(g.values - Th)

@@ -20,9 +20,18 @@ on example1 they alone converge.  At the first that does not, it goes
 on along Polak-Ribiere+ conjugate directions built from the Riesz
 representative of the gradient in the derivative inner product, which
 costs two cumulative sums and one v_tx walk per step and avoids
-assembling any second derivative of the kernel.  The line search's slope is that gradient's
-dot product with the step, so no forward-mode derivative is taken, and
-a trial that already meets tol^2 ends the search without a refinement.
+assembling any second derivative of the kernel.  The line search's
+slope is that gradient's dot product with the step, so no forward-mode
+derivative is taken, and a trial that already meets tol^2 ends the
+search without a refinement.
+
+Every damped step takes one rule (_backtrack): from s = 1, or the
+conjugate search's parabolic refinement, s is halved until the trial's
+measure drops strictly below the current one, and the search stalls
+once s falls below _MIN_STEP = 2^-20.  The measure is Newton's
+derivative norm of y - V(x), a leaf's 2-norm of its row residuals and
+the conjugate search's F.  Picard steps never halve: the first that
+does not lower F ends them.
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import LineSearchStalled, MaxIterExceeded
+from .errors import LineSearchStalled, MaxIterExceeded, SolverError
 from .function_space import (GridFunction, _ac_norm_of, _require_count, _require_positive, ac_norm,
                              axpy, random_anchored)
 from .linear_solver import (_collocate, _require_budget, _require_kernel_dim, _require_same,
@@ -57,6 +66,32 @@ class SolveReport:
         return asdict(self)
 
 
+def _backtrack(trial, level, s=1.0, out=None):
+    """(s, trial(s)) for the first of s, s/2, ... not below _MIN_STEP
+    whose first entry, the trial's measure, is strictly below level, or
+    None; out is trial(s) if the caller already has it."""
+    out = trial(s) if out is None else out
+    while not out[0] < level:
+        s *= 0.5
+        if s < _MIN_STEP:
+            return None
+        out = trial(s)
+    return s, out
+
+
+def _bind(kernel, y: GridFunction, x_init, tol, max_iter):
+    """v and v_x bound to y's grid (quadrature._lattice), sharing one table
+    of w if the kernel has lag factors, after the checks of budget, the
+    kernel's dim and x_init, before any walk."""
+    _require_budget(tol, max_iter)
+    _require_kernel_dim(kernel, y)
+    if x_init is not None:
+        _require_same(x_init, y)
+    nodes, mids = y.grid.nodes, y.grid.midpoints
+    fv = _lattice(kernel.integrand("v"), nodes, mids)
+    return fv, _lattice(kernel.integrand("v_x"), nodes, mids, like=fv)
+
+
 def solve_newton(kernel, y: GridFunction, x_init: GridFunction | None = None,
                  tol: float = 1e-10, max_iter: int = 50
                  ) -> tuple[GridFunction, SolveReport]:
@@ -74,63 +109,38 @@ def solve_newton(kernel, y: GridFunction, x_init: GridFunction | None = None,
     iterations, may differ from exact Newton's on a contracting lag
     route: on example2_linw_atan over [0, 0.9] at 4000 cells, y = sin 5t
     takes 3 iterations and 11 Toeplitz products where exact Newton takes
-    2 and 18.  A trial step is accepted once it strictly lowers the
-    residual norm; the report's functional_history stays empty.
+    2 and 18.  The report's functional_history stays empty.
 
-    v and v_x are bound to the grid once (quadrature._lattice); with lag
-    factors they share w, evaluated once per solve on the grid's N lags,
-    and each trial residual y - apply_V(x) is one node_integral on that
-    table.  converged means ||y - V(x)|| <= tol as apply_V measures it.
-    x_init is checked against y, and the kernel's dim against y's,
-    before any walk.  Raises MaxIterExceeded or
-    LineSearchStalled with the partial report attached.
+    v and v_x are bound to the grid once, after the checks (_bind); with
+    lag factors they share w, evaluated once per solve on the grid's N
+    lags, and each trial residual y - apply_V(x) is one node_integral on
+    that table.  converged means ||y - V(x)|| <= tol as apply_V measures
+    it.  Raises MaxIterExceeded or LineSearchStalled with the partial
+    report attached.
     """
-    _require_budget(tol, max_iter)
-    _require_kernel_dim(kernel, y)
-    if x_init is not None:
-        _require_same(x_init, y)
+    fv, fvx = _bind(kernel, y, x_init, tol, max_iter)
     grid = y.grid
-    nodes, mids = grid.nodes, grid.midpoints
-    fv = _lattice(kernel.integrand("v"), nodes, mids)
-    fvx = _lattice(kernel.integrand("v_x"), nodes, mids, like=fv)  # v and v_x share w
 
-    def residual(x):
-        # y - apply_V(kernel, x), on the bound table
-        return y - GridFunction(grid, x.values + node_integral(fv, grid, x.values))
+    def measured(x):
+        # ||y - V(x)||, x and y - apply_V(kernel, x), on the bound table
+        r = y - GridFunction(grid, x.values + node_integral(fv, grid, x.values))
+        return ac_norm(r), x, r
 
-    x = x_init if x_init is not None else y
-    r = residual(x)
-    res = ac_norm(r)
+    res, x, r = measured(x_init if x_init is not None else y)
     report = SolveReport("newton", 0, [res], [], False)
-
-    for _ in range(max_iter):
-        if res <= tol:
-            report.converged = True
-            return x, report
+    while res > tol:
+        if report.iterations == max_iter:
+            raise MaxIterExceeded(f"newton: residual {res:.3e} > tol {tol:.1e} after "
+                                  f"{max_iter} iterations", report=report)
         delta = _collocate(fvx, x, r, min(0.5, res))
-        s = 1.0
-        while True:
-            x_trial = axpy(s, delta, x)
-            r_trial = residual(x_trial)
-            res_trial = ac_norm(r_trial)
-            if res_trial < res:
-                break
-            s *= 0.5
-            if s < _MIN_STEP:
-                raise LineSearchStalled(
-                    f"no decrease above step {_MIN_STEP}", report=report
-                )
-        x, r, res = x_trial, r_trial, res_trial
+        found = _backtrack(lambda s: measured(axpy(s, delta, x)), res)
+        if found is None:
+            raise LineSearchStalled(f"no decrease above step {_MIN_STEP}", report=report)
+        res, x, r = found[1]
         report.iterations += 1
         report.residual_history.append(res)
-
-    if res <= tol:
-        report.converged = True
-        return x, report
-    raise MaxIterExceeded(
-        f"newton: residual {res:.3e} > tol {tol:.1e} after {max_iter} iterations",
-        report=report,
-    )
+    report.converged = True
+    return x, report
 
 
 def solve_march(kernel, y: GridFunction, x_init: GridFunction | None = None,
@@ -143,13 +153,13 @@ def solve_march(kernel, y: GridFunction, x_init: GridFunction | None = None,
     (quadrature._by_halves): a solved range of nodes enters the rows to
     its right once, as history, by quadrature._block_sum, the one sum of
     the package, which walks the tree of those rows' blocks or, with lag
-    factors, takes one Toeplitz product.  Each leaf then solves a damped
-    Newton on its own rows, with collocation's leaf matrix of v_x as its
-    Jacobian; a trial is accepted once it strictly lowers the
-    2-norm of the leaf residual.  With b_i = y_i - delta * history_i,
-    row i reads b_i - x_i - delta * sum over the leaf's own cells of v;
-    a leaf is done when every row residual is at the rounding floor of
-    that sum, 8 eps times |b_i| + |x_i| + delta * sum |v|.
+    factors, takes one Toeplitz product.  Each leaf then solves a Newton
+    on its own rows, with collocation's leaf matrix of v_x as its
+    Jacobian, damped on the 2-norm of the leaf residual.  With b_i = y_i
+    - delta * history_i, row i reads b_i - x_i - delta * sum over the
+    leaf's own cells of v; a leaf is done when every row residual is at
+    the rounding floor of that sum, 8 eps times |b_i| + |x_i| + delta *
+    sum |v|.
 
     A leaf starts from x_init, or by default from b.  The report's
     iterations count the local Newton steps of all leaves, and
@@ -160,76 +170,70 @@ def solve_march(kernel, y: GridFunction, x_init: GridFunction | None = None,
     LineSearchStalled; each with the partial report attached.  A
     non-finite sample of v or v_x raises KernelContract naming where.
 
-    v and v_x are bound to the grid once (quadrature._lattice); with lag
-    factors they share w, evaluated on the grid's N lags, which every
+    v and v_x are bound to the grid once, after the checks (_bind); with
+    lag factors they share w, evaluated on the grid's N lags, which every
     merge, trial triangle of v and Jacobian of v_x reads.  Each trial of
     a leaf takes its columns of v (quadrature._columns: z at its
     midpoints with lag factors) and each Jacobian its columns of v_x;
     the merges read the columns of each leaf's accepted trial.
     """
-    _require_budget(tol, max_iter)
-    _require_kernel_dim(kernel, y)
-    if x_init is not None:
-        _require_same(x_init, y)
+    fv, fvx = _bind(kernel, y, x_init, tol, max_iter)
     grid = y.grid
     d, nodes, mids = grid.delta, grid.nodes, grid.midpoints
-    fv = _lattice(kernel.integrand("v"), nodes, mids)
-    fvx = _lattice(kernel.integrand("v_x"), nodes, mids, like=fv)  # v and v_x share w
     floor = 8.0 * np.finfo(float).eps
     x = (y if x_init is None else x_init).values.copy()
     history = np.zeros_like(x)
     r = np.zeros_like(x)  # each leaf's final row residuals
     xc = np.zeros_like(x[1:])  # the columns of each leaf's accepted trial, for the merges
     report = SolveReport("march", 0, [], [], False)
+    marched = 0  # the end of the leaf being solved
 
     def merge(lo, mid, hi):
         history[mid:hi] += _block_sum(fv, nodes[mid:hi], mids[lo - 1 : mid - 1],
                                       xc[lo - 1 : mid - 1])
 
     def leaf(c0, c1):
-        rows, cols = nodes[c0:c1], mids[c0 - 1 : c1 - 1]
+        nonlocal marched
+        marched, rows, cols = c1, nodes[c0:c1], mids[c0 - 1 : c1 - 1]
         base = _require_finite(y.values[c0:c1] - d * history[c0:c1],
                                "the history of the row at node", range(c0, c1))
 
         def residual(xl):
-            # rows [c0, c1) less the history, the rounding floor of each,
-            # and the leaf's midpoint values and columns
+            # the 2-norm of rows [c0, c1) less the history, those rows, the
+            # rounding floor of each, and the leaf's midpoint values and columns
             xm = cell_midpoint_values(np.concatenate([x[c0 - 1 : c0], xl]))
             cl = _columns(fv, xm, cols)
             V = _leaf_triangle(fv, rows, cols, cl)
             R = _require_finite(base - xl - d * V.sum(axis=1), "the residual of the row at node",
                                 range(c0, c1))
-            return R, floor * (np.abs(base) + np.abs(xl) + d * np.abs(V).sum(axis=1)), xm, cl
+            tiny = floor * (np.abs(base) + np.abs(xl) + d * np.abs(V).sum(axis=1))
+            return np.linalg.norm(R), R, tiny, xm, cl
 
         xl = base if x_init is None else x[c0:c1]
-        R, tiny, xm, cl = residual(xl)
+        res, R, tiny, xm, cl = residual(xl)
         steps = 0
         while np.any(np.abs(R) > tiny):
-            # a failure reports the residual of the rows marched so far
-            r[c0:c1] = R
+            r[c0:c1] = R  # a failure reports the residual of the rows marched so far
             if steps == max_iter:
-                report.residual_history = [_ac_norm_of(r[:c1], d)]
                 raise MaxIterExceeded(f"march: leaf at node {c0}: residual above its "
                                       f"rounding floor after {max_iter} iterations",
                                       report=report)
             step = _solve_leaf(_leaf_triangle(fvx, rows, cols, _columns(fvx, xm, cols)), R, d, c0)
-            res, s = np.linalg.norm(R), 1.0
-            while True:
-                trial = residual(xl + s * step)
-                if np.linalg.norm(trial[0]) < res:
-                    break
-                s *= 0.5
-                if s < _MIN_STEP:
-                    report.residual_history = [_ac_norm_of(r[:c1], d)]
-                    raise LineSearchStalled(f"march: leaf at node {c0}: no decrease "
-                                            f"above step {_MIN_STEP}", report=report)
+            found = _backtrack(lambda s: residual(xl + s * step), res)
+            if found is None:
+                raise LineSearchStalled(f"march: leaf at node {c0}: no decrease "
+                                        f"above step {_MIN_STEP}", report=report)
+            s, (res, R, tiny, xm, cl) = found
             xl = xl + s * step
-            R, tiny, xm, cl = trial
             steps += 1
             report.iterations += 1
         x[c0:c1], r[c0:c1], xc[c0 - 1 : c1 - 1] = xl, R, cl
 
-    _by_halves(grid.n_cells + 1, leaf, merge)
+    try:
+        _by_halves(grid.n_cells + 1, leaf, merge)
+    except SolverError:
+        report.residual_history = [_ac_norm_of(r[:marched], d)]
+        raise
     res = _ac_norm_of(r, d)
     report.residual_history = [res]
     if res > tol:
@@ -340,26 +344,24 @@ def solve_gradient(kernel, y: GridFunction, x_init: GridFunction | None = None,
         if slope >= 0:
             stall = "the slope along the direction is not negative"
             break
-        s = 1.0
-        F_trial, D_trial = _merit(kernel, axpy(s, direction, x), y)
-        # One parabolic refinement from phi(0), phi'(0), phi(s), unless
+
+        def trial(s):
+            return _merit(kernel, axpy(s, direction, x), y)
+
+        s, out = 1.0, trial(1.0)
+        # One parabolic refinement from phi(0), phi'(0), phi(1), unless
         # the trial already converged (F > ftol here, so it also decreased).
-        denom = F_trial - F - slope * s
-        if F_trial > ftol and denom > 0:
-            s_star = -slope * s * s / (2.0 * denom)
-            if 0 < s_star:
-                F_star, D_star = _merit(kernel, axpy(s_star, direction, x), y)
-                if F_star < F_trial:
-                    s, F_trial, D_trial = s_star, F_star, D_star
-        while F_trial >= F:
-            s *= 0.5
-            if s < _MIN_STEP:
-                break
-            F_trial, D_trial = _merit(kernel, axpy(s, direction, x), y)
-        if F_trial >= F:
+        denom = out[0] - F - slope
+        if out[0] > ftol and denom > 0 and (s_star := -slope / (2.0 * denom)) > 0:
+            star = trial(s_star)
+            if star[0] < out[0]:
+                s, out = s_star, star
+        found = _backtrack(trial, F, s, out)
+        if found is None:
             stall = f"no decrease above step {_MIN_STEP}"
             break
-        x, F, D, d_prev = axpy(s, direction, x), F_trial, D_trial, direction
+        s, (F, D) = found
+        x, d_prev = axpy(s, direction, x), direction
         report.iterations += 1
         report.functional_history.append(F)
 
@@ -367,14 +369,10 @@ def solve_gradient(kernel, y: GridFunction, x_init: GridFunction | None = None,
     if F <= ftol:
         report.converged = True
         return x, report
+    failure = f"gradient: F {F:.3e} > tol^2 {ftol:.1e} after {report.iterations} iterations"
     if stall is not None:
-        raise LineSearchStalled(
-            f"gradient: F {F:.3e} > tol^2 {ftol:.1e} after {report.iterations} iterations: "
-            f"{stall}", report=report)
-    raise MaxIterExceeded(
-        f"gradient: F {F:.3e} > tol^2 {ftol:.1e} after {report.iterations} iterations",
-        report=report,
-    )
+        raise LineSearchStalled(f"{failure}: {stall}", report=report)
+    raise MaxIterExceeded(failure, report=report)
 
 
 def multistart_uniqueness(kernel, y: GridFunction, n_starts: int,

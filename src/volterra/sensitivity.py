@@ -22,7 +22,8 @@ from .nonlinear_solver import solve_march
 
 def directional_sensitivity(kernel, a: GridFunction, h: GridFunction,
                             tol: float = 1e-10, max_iter: int = 50) -> GridFunction:
-    """Derivative of the solution map at a in direction h."""
+    """Derivative of the solution map at a in direction h, checked against a first."""
+    _require_same(a, h)
     x_a, _ = solve_march(kernel, a, tol=tol, max_iter=max_iter)
     return collocation_solve(kernel, x_a, h)
 

@@ -246,7 +246,8 @@ class TestEstimateLRho:
 
     @pytest.mark.parametrize("broken", ["v_x", "v_tx"])
     def test_nonfinite_samples_raise(self, broken):
-        # a max that skipped the nan samples would understate the bound
+        # a max that skipped the nan samples would understate the bound; the
+        # error names the first bad sample's t, the Halton point 3/4
         ker = example1_kernel(1.0)
         f = getattr(ker, broken)
 
@@ -254,7 +255,8 @@ class TestEstimateLRho:
             return f(t, tau, x) * np.where(np.asarray(t) > 0.5, np.nan, 1.0)[..., None, None]
 
         ker = replace(ker, **{broken: late_nan})
-        with pytest.raises(vt.KernelContract, match=broken):
+        with pytest.raises(vt.KernelContract, match=rf"^{broken} at the sample t = 0\.75 is not "
+                                                     "finite; l_rho cannot be estimated$"):
             estimate_l_rho(ker, 1.0, 2048, domain=TriangularDomain(0.0, 1.0),
                            include_time_derivative=True)
 

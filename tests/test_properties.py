@@ -30,6 +30,7 @@ from volterra import (
     solve_newton,
     sub,
 )
+from test_linear_solver import _walked_neumann
 
 
 def _kernel(a, c, p, b):
@@ -153,3 +154,27 @@ def test_lag_factors_agree_with_the_generic_walk(q, c, p, b, seed):
                 solutions.append(x.values)
             fast, walk = solutions
             assert np.abs(fast - walk).max() <= 1e-9 * np.abs(walk).max()
+
+
+@given(q=st.floats(min_value=0.05, max_value=0.45) | st.floats(min_value=0.6, max_value=4.0),
+       c=st.floats(min_value=0.0, max_value=1.0),
+       p=st.floats(min_value=1.0, max_value=3.0),
+       b=st.floats(min_value=0.5, max_value=3.0) | st.floats(min_value=-3.0, max_value=-0.5),
+       seed=seeds)
+@settings(max_examples=10, deadline=None)
+def test_neumann_solve_is_the_walked_iteration_bit_for_bit(q, c, p, b, seed):
+    # the lag pair of test_lag_factors_agree_with_the_generic_walk:
+    # neumann_solve binds T once, as a lag table or as the twin's recorded
+    # walk, and gives the iterates and report of walking T by apply_T in
+    # every iteration, on 1, 4 and 11 leaves
+    a = q / (abs(b) * (c + 1.0 / (p + 1.0)))
+    lag = lag_kernel(w=lambda s: a * (c + s**p), w_prime=lambda s: a * p * s ** (p - 1),
+                     z=lambda x: np.sin(b * x), z_prime=lambda x: b * np.cos(b * x)[..., None])
+    for n_cells in (40, 200, 700):
+        grid = Grid(0.0, 1.0, n_cells)
+        rng = np.random.default_rng(seed)
+        x0, g = (random_anchored(grid, 1, rng, norm=1.0) for _ in range(2))
+        for kernel in (lag, _kernel(a, c, p, b)):
+            h, rep = neumann_solve(kernel, x0, g, tol=1e-12, samples=512)
+            h_ref, rep_ref = _walked_neumann(kernel, x0, g, tol=1e-12, samples=512)
+            assert np.array_equal(h.values, h_ref.values) and rep == rep_ref

@@ -62,16 +62,16 @@ def test_walk_cost_table():
             assert 0 < replay < v_x, r
         else:
             assert r[6:] == ["-", "-"], r
-    # the lag route: each solve evaluates w once; collocation z' once, the
-    # march z at least once per leaf
+    # the lag route: each solve evaluates w once, neumann_solve too for all
+    # its iterations; collocation z' once, the march z at least once per leaf
     rows = [line.split() for line in lag.splitlines()[1:]]
     assert [(r[0], r[1]) for r in rows] == [
         (name, n) for n in ("300", "1000") for name in ("collocation_solve", "solve_march",
-                                                         "solve_newton")]
+                                                         "solve_newton", "neumann_solve")]
     for r in rows:
         ms, w_calls, z_calls, products = float(r[2]), int(r[3]), int(r[4]), int(r[5])
         assert ms > 0 and w_calls == 1 and z_calls >= 1 and products >= 1, r
-    colloc, march, newton = rows[0::3], rows[1::3], rows[2::3]
+    colloc, march, newton = rows[0::4], rows[1::4], rows[2::4]
     # Newton's two linearizations, solved to its forcing terms, and its
     # three residuals take fewer products than one collocation row plus
     # three; solved to rounding they would take 16, not fewer than 8 + 3

@@ -112,6 +112,21 @@ class TestFdCheck:
         with pytest.raises(error):
             vt.fd_discrepancy(kernel, a, a, s_lin, epsilon=1e-3)
 
+    @pytest.mark.parametrize("h, error", [
+        (from_callable(lambda t: t, Grid(0.0, 1.0, 120)), GridMismatch),
+        (from_callable(lambda t: [t, t], Grid(0.0, 1.0, 100), dim=2), DimMismatch),
+    ], ids=["grid", "dim"])
+    def test_a_direction_that_does_not_match_fails_before_marching(self, h, error):
+        def unreachable(t, tau, x):
+            raise AssertionError("the kernel was evaluated")
+
+        kernel = scalar_kernel(unreachable, unreachable, unreachable, unreachable)
+        a = from_callable(lambda t: t, Grid(0.0, 1.0, 100))
+        with pytest.raises(error):
+            directional_sensitivity(kernel, a, h)
+        with pytest.raises(error):
+            fd_sensitivity_check(kernel, a, h, epsilon=1e-3)
+
     def test_convolution_demo_kernel(self):
         g = Grid(0.0, 0.9, 200)
         a = from_callable(lambda t: t, g)
