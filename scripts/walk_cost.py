@@ -20,7 +20,8 @@ the Toeplitz products per solve (quadrature._block_sum on a lag table:
 the march's merges, collocation's contracting steps, Newton's trial
 residuals and the contracting steps of its linearizations, and the
 Neumann iterations).  Each solve evaluates w once, on the grid's N
-lags; neumann_solve's estimate of l_rho samples the kernel's own
+lags, and collocation_solve and neumann_solve take z' once, at x0's
+midpoints; neumann_solve's estimate of l_rho samples the kernel's own
 evaluators, which the counts leave out.
 Times are the best of --repeat runs in one process.
 
@@ -37,8 +38,8 @@ import numpy as np
 
 import volterra as vt
 from volterra.kernels import LagFactors, SmoothInT
-from volterra.quadrature import (_LagTable, _row_sums, inner_integral, inner_integral_adjoint,
-                                 node_integral)
+from volterra.quadrature import (_block_sum, _LagTable, cell_midpoint_values, inner_integral,
+                                 inner_integral_adjoint, node_integral)
 
 
 def _free(trailing):
@@ -71,7 +72,9 @@ def _replaying(f, grid, x, h):
     """apply_T's walk of f applied to h, replaying f's samples from the
     second walk on."""
     integrand, recorded = SmoothInT(f), []
-    return lambda: _row_sums(integrand, grid.nodes, grid, x, h, "node", recorded=recorded)
+    xm, hm = cell_midpoint_values(x), cell_midpoint_values(h)
+    return lambda: _block_sum(integrand, grid.nodes, grid.midpoints, xm, hm, tri=True,
+                              recorded=recorded)
 
 
 def _counted_factors(kernel):

@@ -223,17 +223,20 @@ def ac_norm(x: GridFunction) -> float:
 
 
 def _ac_norm_of(values: np.ndarray, delta: float) -> float:
-    """ac_norm of node values on cells of width delta.  The differences are
-    scaled by the largest only when the plain sum of squares overflows, so
-    every result that does not is the plain one."""
-    d = np.diff(values, axis=0)
-    with np.errstate(over="ignore"):
-        squares = (d * d).sum() / delta
-    if squares < math.inf:
-        return float(np.sqrt(squares))
-    top = float(np.abs(d).max())
-    d /= top
-    return top * math.sqrt((d * d).sum() / delta)
+    """ac_norm of node values on cells of width delta."""
+    return _scaled_if_over(lambda d: float(np.sqrt((d * d).sum() / delta)), np.diff(values, axis=0))
+
+
+def _scaled_if_over(norm, a: np.ndarray) -> float:
+    """norm(a) for a norm homogeneous of degree 1, taken on a scaled by its
+    largest |entry| only when the plain one overflows, so every result
+    that does not is the plain one."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        plain = norm(a)
+    if plain < math.inf:
+        return plain
+    top = float(np.abs(a).max())
+    return top * norm(a / top)
 
 
 def sup_norm(x: GridFunction) -> float:
@@ -242,15 +245,16 @@ def sup_norm(x: GridFunction) -> float:
     Exact for the interpolant: on each cell the squared magnitude is
     convex, so the maximum over the cell sits at an endpoint.
     """
-    return float(np.sqrt((x.values * x.values).sum(axis=1)).max())
+    return _scaled_if_over(lambda v: float(np.sqrt((v * v).sum(axis=1)).max()), x.values)
 
 
 def l2_norm(x: GridFunction) -> float:
     """Exact L2 norm of the piecewise-linear interpolant."""
-    u = x.values[:-1]
-    w = x.values[1:]
-    per_cell = (u * u + u * w + w * w).sum(axis=1)
-    return float(np.sqrt(x.grid.delta / 3.0 * per_cell.sum()))
+    def norm(v):
+        u, w = v[:-1], v[1:]
+        return float(np.sqrt(x.grid.delta / 3.0 * (u * u + u * w + w * w).sum(axis=1).sum()))
+
+    return _scaled_if_over(norm, x.values)
 
 
 def verify_embedding(x: GridFunction) -> bool:

@@ -4,18 +4,18 @@ T is the Volterra integral operator with kernel v_x(t, tau, x0(tau)).
 Two solvers are provided: neumann_solve, the iteration h <- g - T h
 stopped by a tolerance and the a-priori bound of its factorial tail,
 and collocation_solve, which solves the discrete system to rounding.
-T's samples depend on x0 alone, not on h, so the Neumann iteration's
-first walk of T records them and every later walk replays them
-(quadrature._walk's recorder).  The tail bounds the error only where
-l_rho bounds v_x and v_tx on the ball; estimate_l_rho samples them, so
-it may fall short of the supremum (ROADMAP item 2(a)).  Collocation
-takes a lag kernel whose discrete majorant of T's sup norm is below 1/2
-by the same iteration, each step one Toeplitz product, run until the
-update is at rounding; every other kernel by a direct triangular solve
-by halves.  Its private form _collocate also takes a forcing term eta
-and stops the contracting iteration once its residual is certified
-within eta ||g||_inf, which is how solve_newton solves each
-linearization inexactly.  Both solvers discretize T identically, so
+The iteration is written once, in _iterates: T's samples depend on x0
+alone, not on h, so its first product records them and every later
+product replays them (quadrature._walk's recorder).  The tail bounds
+the error only where l_rho bounds v_x and v_tx on the ball;
+estimate_l_rho samples them, so it may fall short of the supremum
+(ROADMAP item 2(a)).  Collocation takes a lag kernel whose discrete
+majorant of T's sup norm is below 1/2 by the same iterates, each step
+one Toeplitz product, run until the update is at rounding; every other
+kernel by a direct triangular solve by halves.  Its private form
+_collocate also takes a forcing term eta and stops the contracting
+iteration once its residual is certified within eta ||g||_inf, which
+is how solve_newton solves each linearization inexactly.  Both solvers discretize T identically, so
 they converge to the same node values and can cross-check each other.
 """
 
@@ -29,11 +29,11 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DimMismatch, SingularBlock
-from .function_space import (GridFunction, _ac_norm_of, _require_count, _require_finite_values,
-                             _require_interval, _require_positive, sup_norm)
+from .function_space import (Grid, GridFunction, _ac_norm_of, _require_count,
+                             _require_finite_values, _require_interval, _require_positive, sup_norm)
 from .kernels import KernelSpec, TriangularDomain
 from .quadrature import (_block_sum, _by_halves, _columns, _lattice, _LagTable, _leaf_triangle,
-                         _leaves, _require_finite, _row_sums, cell_midpoint_values, node_integral)
+                         _leaves, _require_finite, cell_midpoint_values, node_integral)
 
 # Same grid and dim, or GridMismatch / DimMismatch.
 _require_same = GridFunction._require_compatible
@@ -228,22 +228,25 @@ def neumann_solve(kernel: KernelSpec, x0: GridFunction, g: GridFunction,
                   samples: int = 2048) -> tuple[GridFunction, NeumannReport]:
     """Solve h + T h = g by the Neumann iteration h <- g - T h.
 
-    It starts from h = 0, whose image T 0 = 0 needs no walk, so each
-    iteration takes one apply_T's walk of T.  T's v_x samples do not
-    depend on h: the first walk records them, with the outcome of each
-    far block's interpolation check, and every later one replays them
-    (quadrature._walk's recorder).  A replay only reduces the recorded
-    samples against h, interpolates the far blocks that passed and adds;
-    it evaluates no v_x, checks no far block again, and gathers none of
-    the grid, x0 or the far times.  So a solve walks v_x once, holding
-    that walk's O(N log N) samples (O(N^2) for a kernel not smooth in t)
-    until it returns, and its iterates, report and DEBUG records are
-    those of walking each iteration, bit for bit.  A lag kernel keeps its
-    FFT route, records nothing and evaluates w once per solve.
-    l_rho samples the kernel itself.  Stops once the computed residual
-    ||h + T h - g|| drops to tol or the a-priori factorial tail puts
-    the remaining gap below tol; that tail bounds the gap only where
-    the estimated l_rho bounds v_x and v_tx on the ball.  The report's
+    It starts from h = 0, whose image T 0 = 0 needs no walk, and takes
+    the iterates of _iterates, each one apply_T's walk of T, on v_x bound
+    to the grid and its columns taken from x0 once per solve.  T's v_x
+    samples do not depend on h: the first walk records them, with the
+    outcome of each far block's interpolation check, and every later one
+    replays them (quadrature._walk's recorder).  A replay only reduces
+    the recorded samples against h, interpolates the far blocks that
+    passed and adds; it evaluates no v_x, checks no far block again, and
+    gathers none of the grid, x0 or the far times.  So a solve walks v_x
+    once, holding that walk's O(N log N) samples (O(N^2) for a kernel
+    not smooth in t) until it returns, and its iterates, report and DEBUG
+    records are those of walking each iteration, bit for bit.  A lag
+    kernel keeps its FFT route, records nothing and evaluates w and z'
+    once per solve.  l_rho samples the kernel itself.  A non-finite
+    iterate or residual raises ValueError, a non-finite T h
+    KernelContract naming its first row.  Stops once the computed
+    residual ||h + T h - g|| drops to tol or the a-priori factorial
+    tail puts the remaining gap below tol; that tail bounds the gap
+    only where the estimated l_rho bounds v_x and v_tx on the ball.  The report's
     tail_bound is the gap the stop tested, iterate_bound(m) +
     tail_bound(m) after m iterations.  On max_iter exhaustion the
     report is returned with converged=False; no exception is raised.
@@ -257,12 +260,13 @@ def neumann_solve(kernel: KernelSpec, x0: GridFunction, g: GridFunction,
                            domain=tri, include_time_derivative=True)
     bound = NeumannBound.for_interval(l_rho, sup_norm(g), grid.alpha, grid.beta)
 
-    # on node values, each checked finite as a GridFunction would be
-    f, recorded = _lattice(kernel.integrand("v_x"), grid.nodes, grid.midpoints), []  # bound once
-    Th = np.zeros_like(g.values)
-    for m in range(1, max_iter + 1):
-        h = _require_finite_values(g.values - Th)
-        Th = _row_sums(f, grid.nodes, grid, x0.values, h, "node", recorded=recorded)
+    f = _lattice(kernel.integrand("v_x"), grid.nodes, grid.midpoints)
+    xc = _columns(f, cell_midpoint_values(x0.values), grid.midpoints)
+    # on node values: h and the residual checked finite as a GridFunction
+    # would be, T h as a sum of the kernel's samples
+    for m, (h, Th) in zip(range(1, max_iter + 1), _iterates(f, grid, xc, g.values)):
+        _require_finite_values(h)
+        _require_finite(Th, "the sum of the row at node", range(grid.n_cells + 1))
         residual = _ac_norm_of(_require_finite_values(h + Th - g.values), grid.delta)
         gap = iterate_bound(m, bound) + tail_bound(m, bound)
         if residual <= tol or gap <= tol:
@@ -290,14 +294,14 @@ def collocation_solve(kernel: KernelSpec, x0: GridFunction,
     * With lag factors on more than one leaf, q = delta sum_k |w_k|
       max_j ||z'(x0(m_j))||_inf bounds T's sup norm, read in O(N) off
       the table and columns.  If q < 1/2, h <- g - T h contracts by q,
-      each step the Toeplitz product apply_T takes
-      (quadrature._block_sum), and stops once the sup-norm update is at
-      rounding, 4 eps max |h|, or no longer shrinks; the accepted h then
-      lies within one update of the fixed point.  No leaf is factored,
-      nor could one be singular: each diagonal block is I plus a matrix
-      of norm at most q.  Should ceil(log eps / log q) + 2 steps pass
-      without a stop, or a product leave the float range, the solve goes
-      by halves from the start.
+      on neumann_solve's iterates (_iterates), each step the Toeplitz
+      product apply_T takes (quadrature._block_sum), and stops once the
+      sup-norm update is at rounding, 4 eps max |h|, or no longer
+      shrinks; the accepted h then lies within one update of the fixed
+      point.  No leaf is factored, nor could one be singular: each
+      diagonal block is I plus a matrix of norm at most q.  Should
+      ceil(log eps / log q) + 2 steps pass without a stop, or a product
+      leave the float range, the solve goes by halves from the start.
     * Otherwise forward substitution by halves (quadrature._by_halves)
       over leaves of quadrature._LEAF nodes: a solved range of nodes
       enters the rows to its right as one quadrature._block_sum, which
@@ -320,15 +324,17 @@ def collocation_solve(kernel: KernelSpec, x0: GridFunction,
 
 def _collocate(f, x0: GridFunction, g: GridFunction, eta: float) -> GridFunction:
     """collocation_solve on f, v_x bound to g's grid by quadrature._lattice,
-    whose contracting route also stops once the returned h is certified
-    to meet ||h + T h - g||_inf <= eta ||g||_inf (_contracted).  The
-    route by halves solves to rounding whatever eta is, and eta = 0 is
-    collocation_solve bit for bit."""
+    with its columns taken from x0 once for the contracting iterates
+    (_contracted, on _iterates) or every leaf and merge.  The contracting
+    route also stops once the returned h is certified to meet
+    ||h + T h - g||_inf <= eta ||g||_inf.  The route by halves solves to
+    rounding whatever eta is, and eta = 0 is collocation_solve bit for
+    bit."""
     grid = g.grid
     d, rows, cols = grid.delta, grid.nodes, grid.midpoints
     xc = _columns(f, cell_midpoint_values(x0.values), cols)  # once, for every product or leaf
     if isinstance(f, _LagTable) and _leaves(grid.n_cells + 1) > 1:
-        h = _contracted(f, rows, cols, xc, g.values, d, eta)
+        h = _contracted(f, grid, xc, g.values, eta)
         if h is not None:
             return GridFunction(grid, h)
     h = np.zeros_like(g.values)
@@ -348,12 +354,32 @@ def _collocate(f, x0: GridFunction, g: GridFunction, eta: float) -> GridFunction
     return GridFunction(grid, h)
 
 
-def _contracted(f: _LagTable, rows: np.ndarray, cols: np.ndarray, xc: np.ndarray,
-                g: np.ndarray, d: float, eta: float) -> np.ndarray | None:
-    """h <- g - T h from h = g while the majorant q of T's sup norm is
-    below 1/2 (collocation_solve), or None where it is not, no stop
-    comes within ceil(log eps / log q) + 2 steps, or an update is not
-    finite.
+def _iterates(f, grid: Grid, xc: np.ndarray, g: np.ndarray):
+    """The iterates h_1 = g, h_{k+1} = g - T h_k, each yielded with
+    T h_k, on f bound to grid's nodes and midpoints (quadrature._lattice)
+    and the columns xc taken from x0 (quadrature._columns).
+
+    Each T h_k is one _block_sum over the triangle, scaled by delta.  T's
+    samples depend on x0 alone, so the first product records them and
+    every later one replays them (quadrature._walk's recorder); a lag
+    table takes its Toeplitz product and records nothing.  Nothing is
+    checked: each caller takes its own stop and its own policy for
+    values that are not finite.
+    """
+    recorded, Th = [], 0.0
+    while True:
+        h = g - Th
+        Th = grid.delta * _block_sum(f, grid.nodes, grid.midpoints, xc, cell_midpoint_values(h),
+                                     tri=True, recorded=recorded)
+        yield h, Th
+
+
+def _contracted(f: _LagTable, grid: Grid, xc: np.ndarray, g: np.ndarray,
+                eta: float) -> np.ndarray | None:
+    """The iterates of _iterates from h = g while the majorant q of T's
+    sup norm is below 1/2 (collocation_solve), or None where it is not,
+    no stop comes within ceil(log eps / log q) + 2 steps, or an update
+    is not finite.
 
     Besides the stops at rounding, it stops once q ||h_new - h||_inf <=
     eta ||g||_inf: the residual of h_new is (I + T) h_new - g =
@@ -362,21 +388,19 @@ def _contracted(f: _LagTable, rows: np.ndarray, cols: np.ndarray, xc: np.ndarray
     """
     eps = np.finfo(float).eps
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing q reads inf or nan
-        q = d * np.abs(f.a).sum() * np.abs(xc).sum(axis=-1).max()
+        q = grid.delta * np.abs(f.a).sum() * np.abs(xc).sum(axis=-1).max()
     if not q < 0.5:
         return None
     steps = math.ceil(math.log(eps) / math.log(q)) + 2 if q > 0.0 else 2
-    forced = eta * np.abs(g).max()
-    h, last = g, math.inf
+    forced, last = eta * np.abs(g).max(), math.inf
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing product ends the loop
-        for _ in range(steps):
-            new = g - d * _block_sum(f, rows, cols, xc, cell_midpoint_values(h), tri=True)
+        for _, (h, Th) in zip(range(steps), _iterates(f, grid, xc, g)):
+            new = g - Th
             update = float(np.abs(new - h).max())
             if not update < math.inf:
                 return None
-            h = new
-            if update <= 4.0 * eps * np.abs(h).max() or update >= last or q * update <= forced:
-                return h
+            if update <= 4.0 * eps * np.abs(new).max() or update >= last or q * update <= forced:
+                return new
             last = update
     return None
 

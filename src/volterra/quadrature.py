@@ -40,9 +40,10 @@ every far block in one gather, and per call only evaluates f, checks a
 far call, reduces and adds; a triangle gathers its samples' t, tau and
 x first.  A walk given a recorder keeps each call's samples, a far
 call's with the outcome of its check; a later walk given them (a
-replay, as neumann_solve takes after its first iteration) copies in h
-or w alone and per call only reduces and adds: it reads neither the
-grid nor x, gathers no triangle, and takes each far check's outcome as
+replay, as the Neumann iterates of linear_solver._iterates take after
+their first product, the one walk given a recorder) copies in h or w
+alone and per call only reduces and adds: it reads neither the grid
+nor x, gathers no triangle, and takes each far check's outcome as
 recorded.  Nothing of one grid's values is kept for the next.  Each
 call's samples are reduced along rows (columns, for the transpose)
 before the next call, so memory grows as N.  A non-finite value raises
@@ -671,8 +672,9 @@ def _leaf_triangle(f, rows: np.ndarray, cols: np.ndarray, xc: np.ndarray) -> np.
 def _require_finite(a: np.ndarray, what: str, where, why: str = _KERNEL) -> np.ndarray:
     """Return a, or raise KernelContract naming where[p] for its first row p
     with a non-finite entry; why says what must be finite."""
-    if math.isfinite(a.sum()):  # the common case in one reduction
-        return a
+    with np.errstate(over="ignore", invalid="ignore"):  # finite values may sum past the range
+        if math.isfinite(a.sum()):  # the common case in one reduction
+            return a
     bad = np.flatnonzero(~np.isfinite(a.reshape(a.shape[0], -1)).all(axis=1))
     if bad.size:
         raise KernelContract(f"{what} {where[bad[0]]:.10g} is not finite; {why}")
@@ -683,12 +685,12 @@ def _fft_size(n: int) -> int:
     return 1 << max(0, n - 1).bit_length()
 
 
-def _row_sums(f, rows, grid: Grid, values, hvalues, at: str, why: str = _KERNEL, recorded=None):
+def _row_sums(f, rows, grid: Grid, values, hvalues, at: str, why: str = _KERNEL):
     """delta * sum over j < i of f(rows[i], m_j, x(m_j)), times h(m_j) if given."""
     hm, mids = None if hvalues is None else cell_midpoint_values(hvalues), grid.midpoints
     f = _lattice(f, rows, mids, why)
     xc = _columns(f, cell_midpoint_values(values), mids)
-    out = _block_sum(f, rows, mids, xc, hm, tri=True, recorded=recorded)
+    out = _block_sum(f, rows, mids, xc, hm, tri=True)
     _require_finite(out, f"the sum of the row at {at}", range(rows.size), why)
     return grid.delta * out
 

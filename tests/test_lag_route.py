@@ -506,6 +506,26 @@ def test_collocation_evaluates_w_and_z_once(monkeypatch, leaf):
     assert calls == {"w": 1, "z": 1}
 
 
+def test_neumann_solve_evaluates_w_and_z_once(monkeypatch):
+    # neumann_solve reads w and z' once for all its iterations, besides its
+    # estimate of l_rho, which samples the kernel's own evaluators
+    calls = {"w": 0, "z": 0}
+    ker = _counting(calls)
+    estimate = vt.linear_solver.estimate_l_rho
+
+    def uncounted(*args, **kwargs):
+        before = dict(calls)
+        out = estimate(*args, **kwargs)
+        calls.update(before)
+        return out
+
+    monkeypatch.setattr(vt.linear_solver, "estimate_l_rho", uncounted)
+    y = vt.from_callable(lambda t: t, _DYADIC)
+    x0 = vt.random_anchored(_DYADIC, 1, np.random.default_rng(0))
+    _, rep = vt.neumann_solve(ker, x0, y, tol=1e-10)
+    assert rep.iterations > 1 and calls == {"w": 1, "z": 1}
+
+
 @pytest.mark.parametrize("leaf", [8, 64])
 def test_march_evaluates_w_once_and_z_once_per_solved_leaf(monkeypatch, leaf):
     # w is evaluated once per solve, for v and v_x alike; z once per trial

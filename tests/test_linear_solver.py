@@ -433,10 +433,10 @@ class TestNeumann:
         walks = []
         for beta in (1.0, 2.0):
             g = Grid(0.0, beta, 400)
-            x0 = from_callable(lambda t: 2.0 * np.sin(3.0 * t), g).values
-            h = from_callable(lambda t: t * np.cos(5.0 * t), g).values
-            walks.append(lambda recorded, g=g, x0=x0, h=h: quadrature._row_sums(
-                f, g.nodes, g, x0, h, "node", recorded=recorded))
+            x0, h = (quadrature.cell_midpoint_values(from_callable(u, g).values)
+                     for u in (lambda t: 2.0 * np.sin(3.0 * t), lambda t: t * np.cos(5.0 * t)))
+            walks.append(lambda recorded, g=g, x0=x0, h=h: quadrature._block_sum(
+                f, g.nodes, g.midpoints, x0, h, tri=True, recorded=recorded))
         logs = []
         recorded = []
         for walk, given in ((walks[0], recorded), (walks[1], None), (walks[0], recorded)):
@@ -490,10 +490,10 @@ class TestNeumann:
         walks = {}
         for n in (300, 400):
             g = Grid(0.0, 1.0, n)
-            x0 = from_callable(lambda t: 2.0 * np.sin(3.0 * t), g).values
-            h = from_callable(lambda t: t * np.cos(5.0 * t), g).values
-            walks[n] = lambda recorded, g=g, x0=x0, h=h: quadrature._row_sums(
-                f, g.nodes, g, x0, h, "node", recorded=recorded)
+            x0, h = (quadrature.cell_midpoint_values(from_callable(u, g).values)
+                     for u in (lambda t: 2.0 * np.sin(3.0 * t), lambda t: t * np.cos(5.0 * t)))
+            walks[n] = lambda recorded, g=g, x0=x0, h=h: quadrature._block_sum(
+                f, g.nodes, g.midpoints, x0, h, tri=True, recorded=recorded)
         recorded = []
         first = walks[300](recorded)
         taken, calls["v_x"] = calls["v_x"], 0
@@ -520,6 +520,26 @@ class TestNeumann:
                 apply_T(ker, y, apply_T(ker, y, y))
             else:
                 neumann_solve(ker, y, y, tol=1e-10)
+
+    @pytest.mark.parametrize("call", ["apply_T", "collocation_solve", "neumann_solve"])
+    @pytest.mark.parametrize("kernel", ["example1", "linear"])
+    def test_a_right_hand_side_near_the_float_range_is_solved_or_refused(self, call, kernel):
+        # g = 1e307 t is finite, but its norms and sums may pass the float
+        # range: each call returns finite values or raises a typed error,
+        # never a RuntimeWarning
+        ker = example1_kernel(1.0) if kernel == "example1" else linear_kernel(0.5)
+        g = Grid(0.0, 1.0, 100)
+        x0, rhs = (from_callable(lambda t, s=s: s * t, g) for s in (1.0, 1e307))
+        try:
+            if call == "apply_T":
+                h = apply_T(ker, x0, rhs)
+            elif call == "collocation_solve":
+                h = collocation_solve(ker, x0, rhs)
+            else:
+                h, _ = neumann_solve(ker, x0, rhs, tol=1e-10)
+        except (vt.VolterraError, ValueError):
+            return
+        assert np.isfinite(h.values).all()
 
     def test_twenty_partial_sums_match_alternating_series(self):
         # sum_{k<20} (-1)^k T^k g with (T^k g)(t) = t^{k+1}/(k+1)!

@@ -62,8 +62,9 @@ def test_walk_cost_table():
             assert 0 < replay < v_x, r
         else:
             assert r[6:] == ["-", "-"], r
-    # the lag route: each solve evaluates w once, neumann_solve too for all
-    # its iterations; collocation z' once, the march z at least once per leaf
+    # the lag route: each solve evaluates w once; collocation and
+    # neumann_solve, for all its iterations, z' once; the march z at least
+    # once per leaf
     rows = [line.split() for line in lag.splitlines()[1:]]
     assert [(r[0], r[1]) for r in rows] == [
         (name, n) for n in ("300", "1000") for name in ("collocation_solve", "solve_march",
@@ -71,13 +72,14 @@ def test_walk_cost_table():
     for r in rows:
         ms, w_calls, z_calls, products = float(r[2]), int(r[3]), int(r[4]), int(r[5])
         assert ms > 0 and w_calls == 1 and z_calls >= 1 and products >= 1, r
-    colloc, march, newton = rows[0::4], rows[1::4], rows[2::4]
+    colloc, march, newton, neumann = rows[0::4], rows[1::4], rows[2::4], rows[3::4]
     # Newton's two linearizations, solved to its forcing terms, and its
     # three residuals take fewer products than one collocation row plus
     # three; solved to rounding they would take 16, not fewer than 8 + 3
     for c, r in zip(colloc, newton):
         assert int(r[5]) < int(c[5]) + 3, (c, r)
-    assert [int(r[4]) for r in colloc] == [1, 1] and min(int(r[4]) for r in march) >= 5
+    assert [int(r[4]) for r in colloc] == [int(r[4]) for r in neumann] == [1, 1]
+    assert min(int(r[4]) for r in march) >= 5
     # collocation contracts by a number of products that does not grow with
     # N; the march merges once less than its leaves (4 at 300 cells, 15 at
     # 1000), so collocation takes fewer products from 1000 cells on
